@@ -6,7 +6,6 @@ from .geometry import (
     Constellation,
     Room,
     height_correction,
-    los_blocked,
     place_type_a,
     place_type_b,
     place_type_c,

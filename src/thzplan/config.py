@@ -115,7 +115,11 @@ def load_settings(path=None, overrides: dict | None = None) -> dict:
     for key, value in (overrides or {}).items():
         if key not in _KEY_SECTION:
             raise ConfigError(f"{key}: unknown configuration key")
-        settings[key] = _parse_value(key, value) if isinstance(value, str) else value
+        settings[key] = (
+            _parse_value(key, str(value))
+            if isinstance(value, str) or key == "blockage"
+            else value
+        )
     return settings
 
 

@@ -1,9 +1,17 @@
-"""Room model, access-point constellations, and line-of-sight tests.
+"""Room model, access-point constellations, and line-of-sight blockage.
 
 Placement layouts follow the lighting analogy: a single central ceiling
 fixture (type A), a uniform ceiling grid (B), wall-mounted perimeter units
 (C), plus the lowered-perimeter (D, E) and clustered-ceiling (F) variants
 that exist for layout export but are not part of the evaluation protocol.
+
+Blockage has one implementation, `blocked_matrix`: every AP -> device
+segment against every vertical body cylinder. A body of height h can only
+cut the part of a segment below h, which for a ceiling AP is the last
+(h - z_device) / (z_ap - z_device) of it, 20% for a 3 m ceiling, 1.5 m
+device and 1.8 m body. The kernel tests only the blockers whose centres
+lie near that part, found through a cell list, and gives exactly the
+booleans of a test of every (user, AP, blocker) triple.
 """
 
 from __future__ import annotations
@@ -280,63 +288,15 @@ def reference_distances(
     return d_grid, d_perim
 
 
-def _segment_cylinder_hit(a, b, cyl: BodyCylinder) -> bool:
-    """Open segment (a, b) against one solid vertical cylinder."""
-    ax, ay, az = a
-    bx, by, bz = b
-    dx, dy, dz = bx - ax, by - ay, bz - az
-    cx, cy = cyl.center
-
-    # parameter window where z(t) lies within the cylinder's span
-    if dz == 0.0:
-        if not 0.0 <= az <= cyl.height_m:
-            return False
-        z_lo, z_hi = 0.0, 1.0
-    else:
-        t0 = (0.0 - az) / dz
-        t1 = (cyl.height_m - az) / dz
-        z_lo, z_hi = min(t0, t1), max(t0, t1)
-
-    # parameter window where the xy track lies within the disc
-    fx, fy = ax - cx, ay - cy
-    qa = dx * dx + dy * dy
-    qb = 2.0 * (fx * dx + fy * dy)
-    qc = fx * fx + fy * fy - cyl.radius_m * cyl.radius_m
-    if qa == 0.0:
-        if qc > 0.0:
-            return False
-        xy_lo, xy_hi = 0.0, 1.0
-    else:
-        disc = qb * qb - 4.0 * qa * qc
-        if disc < 0.0:
-            return False
-        root = math.sqrt(disc)
-        xy_lo = (-qb - root) / (2.0 * qa)
-        xy_hi = (-qb + root) / (2.0 * qa)
-
-    lo = max(xy_lo, z_lo, 0.0)
-    hi = min(xy_hi, z_hi, 1.0)
-    if lo > hi:
-        return False
-    # endpoints themselves do not count (device and AP touch their own hulls)
-    return hi > 0.0 and lo < 1.0
-
-
-def los_blocked(a, b, blockers, exclude: int | None = None) -> bool:
-    """True when the open segment a-b intersects any blocker cylinder.
-
-    a and b are (x, y, z) points; blockers is a sequence of BodyCylinder;
-    exclude skips the blocker at that index (the receiving user's own
-    body).
-    """
-    if tuple(a) == tuple(b):
-        raise ValueError("segment endpoints coincide")
-    for i, cyl in enumerate(blockers):
-        if i == exclude:
-            continue
-        if _segment_cylinder_hit(a, b, cyl):
-            return True
-    return False
+# Candidate boxes are padded by the largest radius plus this slack times
+# the coordinate scale. Rounding lets the exact test count a centre a few
+# ulps farther than one radius from the segment; the slack is many orders
+# of magnitude above that and far below any cell size.
+_BOX_SLACK = 1e-6
+# (user, AP) pairs per block and candidate triples per exact-test chunk;
+# peak memory is a fixed multiple of these, whatever the user count.
+_PAIR_BLOCK = 4096
+_CANDIDATE_CHUNK = 1 << 16
 
 
 def blocked_matrix(
@@ -344,40 +304,176 @@ def blocked_matrix(
     device_xy: np.ndarray,
     device_z: float,
     centers_xy: np.ndarray,
-    radius_m: float,
-    height_m: float,
+    radius_m,
+    height_m,
+    *,
+    own_body: bool,
 ) -> np.ndarray:
-    """Vectorized blockage test for every (user, AP) pair.
+    """Blockage of every (user, AP) link by vertical body cylinders.
 
-    Blockers are vertical cylinders at centers_xy; blocker u never blocks
-    user u's own links. Returns a (U, A) boolean array. Matches
-    los_blocked pairwise (covered by tests).
+    The link is the open segment from the AP at ap_xyz[a] to the device at
+    (device_xy[u], device_z); blocker b is a solid cylinder at
+    centers_xy[b], z in [0, height_m], with radius radius_m. radius_m and
+    height_m are scalars or one value per blocker. With own_body, blocker
+    u is user u's own body and never blocks user u's links (it needs one
+    blocker per user). Returns a (U, A) boolean array.
+
+    Pruning, in three steps:
+
+    1. z-window: per AP, the parameter range [t_lo, t_hi] within [0, 1]
+       where the segment lies at or below the tallest body, from the same
+       z_lo/z_hi formulas as the exact test. With the AP above the device,
+       t_lo = (h_max - z_ap) / (z_device - z_ap) and t_hi = 1. No body
+       reaches the segment outside that window, and an AP whose window is
+       empty needs no test at all.
+    2. Candidate rule: blocker centres sit in a uniform cell list. Blocker
+       b is a candidate for pair (u, a) when its centre lies in the
+       axis-aligned bounding box of the sub-segment over [t_lo, t_hi],
+       padded by the largest radius plus _BOX_SLACK * (1 + largest
+       absolute coordinate). A centre outside that box is more than a
+       radius from every point of the window.
+    3. Exact test: the candidates, minus the user's own body, go through
+       the cylinder arithmetic that a test of every triple uses, the same
+       operations in the same order, in chunks of at most
+       _CANDIDATE_CHUNK triples (more only when one cell row holds more
+       blockers), over blocks of about _PAIR_BLOCK pairs, so memory stays
+       bounded as users grow.
+
+    Exactness contract: the result equals, boolean for boolean, that
+    arithmetic applied to every (user, AP, blocker) triple, including
+    near-tangent bodies, level segments (AP at device height) and centres
+    outside the room. The dense oracle in the tests checks this.
     """
-    ap = np.asarray(ap_xyz, dtype=float)
-    dev = np.asarray(device_xy, dtype=float)
-    cen = np.asarray(centers_xy, dtype=float)
+    ap = np.asarray(ap_xyz, dtype=float).reshape(-1, 3)
+    dev = np.asarray(device_xy, dtype=float).reshape(-1, 2)
+    cen = np.asarray(centers_xy, dtype=float).reshape(-1, 2)
     n_usr, n_ap, n_blk = dev.shape[0], ap.shape[0], cen.shape[0]
+    radius = np.broadcast_to(np.asarray(radius_m, dtype=float), (n_blk,))
+    height = np.broadcast_to(np.asarray(height_m, dtype=float), (n_blk,))
+    if own_body and n_blk != n_usr:
+        raise ValueError(f"own_body needs one blocker per user, got {n_blk} for {n_usr}")
+    blocked = np.zeros((n_usr, n_ap), dtype=bool)
+    if blocked.size == 0 or n_blk == 0:
+        return blocked
 
-    # segment from AP (a) to device (b), per (user, ap) pair
-    a_xy = np.broadcast_to(ap[None, :, :2], (n_usr, n_ap, 2))
-    d_xy = dev[:, None, :] - ap[None, :, :2]
-    az = np.broadcast_to(ap[None, :, 2], (n_usr, n_ap))
+    az = ap[:, 2]
     dz = device_z - az
-
+    h_top = height.max()
     with np.errstate(divide="ignore", invalid="ignore"):
         t0 = (0.0 - az) / dz
-        t1 = (height_m - az) / dz
+        t1 = (h_top - az) / dz
+    level = dz == 0.0
+    level_inside = level & (az >= 0.0) & (az <= h_top)
+    t_lo = np.where(level, 0.0, np.maximum(np.minimum(t0, t1), 0.0))
+    t_hi = np.where(level, np.where(level_inside, 1.0, -1.0),
+                    np.minimum(np.maximum(t0, t1), 1.0))
+    live = np.flatnonzero((t_lo <= t_hi) & (t_hi > 0.0) & (t_lo < 1.0))
+    if live.size == 0:
+        return blocked
+
+    scale = max(np.abs(ap[:, :2]).max(), np.abs(dev).max(), np.abs(cen).max())
+    pad = radius.max() + _BOX_SLACK * (1.0 + scale)
+    cells = _CellList(cen, radius.max())
+    per_block = max(1, _PAIR_BLOCK // live.size)
+    for u0 in range(0, n_usr, per_block):
+        users = np.arange(u0, min(u0 + per_block, n_usr))
+        pu = np.repeat(users, live.size)
+        pa = np.tile(live, users.size)
+        a_xy = ap[pa, :2]
+        d_xy = dev[pu] - a_xy
+        ends = (a_xy + t_lo[pa, None] * d_xy, a_xy + t_hi[pa, None] * d_xy)
+        box_lo = np.minimum(*ends) - pad
+        box_hi = np.maximum(*ends) + pad
+        pair, start, count = cells.query(box_lo, box_hi)
+        cum = np.cumsum(count)
+        e0 = 0
+        while e0 < count.size:
+            limit = cum[e0] - count[e0] + _CANDIDATE_CHUNK
+            e1 = max(e0 + 1, int(np.searchsorted(cum, limit, side="right")))
+            entry, pos = _ranges(start[e0:e1], count[e0:e1])
+            p = pair[e0:e1][entry]
+            b = cells.order[pos]
+            c = cen[b]
+            keep = np.all((c >= box_lo[p]) & (c <= box_hi[p]), axis=1)
+            if own_body:
+                keep &= b != pu[p]
+            p, b = p[keep], b[keep]
+            hit = _cylinder_hits(a_xy[p], d_xy[p], az[pa[p]], dz[pa[p]],
+                                 cen[b], radius[b], height[b])
+            blocked[pu[p[hit]], pa[p[hit]]] = True
+            e0 = e1
+    return blocked
+
+
+class _CellList:
+    """Blocker centres binned into a uniform grid, sorted row by row.
+
+    Cells are about one blocker each on average, and never narrower than
+    a body, so a query box spans few rows and few cells per row.
+    """
+
+    def __init__(self, centers: np.ndarray, radius_max: float):
+        self.origin = centers.min(axis=0)
+        span = centers.max(axis=0) - self.origin
+        self.cell = max(math.sqrt(span[0] * span[1] / len(centers)),
+                        2.0 * radius_max) or 1.0
+        self.shape = np.minimum(span // self.cell, len(centers)).astype(np.intp) + 1
+        ix, iy = self._index(centers).T
+        flat = iy * self.shape[0] + ix
+        self.order = np.argsort(flat, kind="stable")
+        self.first = np.concatenate(
+            ([0], np.cumsum(np.bincount(flat, minlength=self.shape.prod())))
+        )
+
+    def _index(self, xy: np.ndarray) -> np.ndarray:
+        cell = np.floor((xy - self.origin) / self.cell)
+        return np.clip(cell, 0, self.shape - 1).astype(np.intp)
+
+    def query(self, box_lo: np.ndarray, box_hi: np.ndarray):
+        """Blockers in the cells each box overlaps, one run per cell row.
+
+        Returns (box, start, count): run k holds order[start[k]:start[k] +
+        count[k]] for box number box[k]. Empty runs are left out.
+        """
+        lo, hi = self._index(box_lo), self._index(box_hi)
+        box, row = _ranges(lo[:, 1], hi[:, 1] - lo[:, 1] + 1)
+        row_cell = row * self.shape[0]
+        start = self.first[row_cell + lo[box, 0]]
+        count = self.first[row_cell + hi[box, 0] + 1] - start
+        nonempty = count > 0
+        return box[nonempty], start[nonempty], count[nonempty]
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray):
+    """Concatenated integer ranges [starts[i], starts[i] + counts[i]),
+    each element paired with the index i of its range."""
+    owner = np.repeat(np.arange(counts.size), counts)
+    first = np.cumsum(counts) - counts
+    return owner, np.arange(owner.size) - first[owner] + starts[owner]
+
+
+def _cylinder_hits(a_xy, d_xy, az, dz, centers, radius, height) -> np.ndarray:
+    """Open segment a -> a + d against one solid cylinder, row by row.
+
+    a_xy, d_xy and centers are (N, 2); the rest are (N,). The segment is
+    hit when the parameter windows of its z span and of its xy track
+    within the disc overlap inside (0, 1); the endpoints themselves do not
+    count, since device and AP touch their own hulls.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t0 = (0.0 - az) / dz
+        t1 = (height - az) / dz
     z_lo = np.minimum(t0, t1)
     z_hi = np.maximum(t0, t1)
     level = (dz == 0.0)
-    inside_level = level & (az >= 0.0) & (az <= height_m)
+    inside_level = level & (az >= 0.0) & (az <= height)
     z_lo = np.where(level, np.where(inside_level, 0.0, np.inf), z_lo)
     z_hi = np.where(level, np.where(inside_level, 1.0, -np.inf), z_hi)
 
-    f_xy = a_xy[:, :, None, :] - cen[None, None, :, :]
-    qa = np.sum(d_xy * d_xy, axis=-1)[:, :, None]
-    qb = 2.0 * np.sum(f_xy * d_xy[:, :, None, :], axis=-1)
-    qc = np.sum(f_xy * f_xy, axis=-1) - radius_m * radius_m
+    f_xy = a_xy - centers
+    qa = np.sum(d_xy * d_xy, axis=-1)
+    qb = 2.0 * np.sum(f_xy * d_xy, axis=-1)
+    qc = np.sum(f_xy * f_xy, axis=-1) - radius * radius
     disc = qb * qb - 4.0 * qa * qc
     hit_possible = disc >= 0.0
     root = np.sqrt(np.where(hit_possible, disc, 0.0))
@@ -390,13 +486,9 @@ def blocked_matrix(
     xy_hi = np.where(degenerate, np.where(inside_disc, 1.0, -np.inf), xy_hi)
     hit_possible |= inside_disc
 
-    lo = np.maximum(np.maximum(xy_lo, z_lo[:, :, None]), 0.0)
-    hi = np.minimum(np.minimum(xy_hi, z_hi[:, :, None]), 1.0)
-    hits = hit_possible & (lo <= hi) & (hi > 0.0) & (lo < 1.0)
-    if n_blk == n_usr:
-        idx = np.arange(n_usr)
-        hits[idx, :, idx] = False
-    return hits.any(axis=-1)
+    lo = np.maximum(np.maximum(xy_lo, z_lo), 0.0)
+    hi = np.minimum(np.minimum(xy_hi, z_hi), 1.0)
+    return hit_possible & (lo <= hi) & (hi > 0.0) & (lo < 1.0)
 
 
 def write_constellation(con: Constellation, path) -> None:

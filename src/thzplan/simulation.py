@@ -231,28 +231,29 @@ def associate(
     """Strongest-signal association with view-sector and LOS feasibility.
 
     Ties go to the lowest AP id; users with no feasible AP stay
-    unassigned. When blockers has one cylinder per user (in user order),
-    blocker i is taken as user i's own body and skipped for their links.
+    unassigned. blockers, if given, holds one body per user, in user
+    order, and blocker i never blocks user i's links.
     """
     aps = _ApArrays(constellation)
     pos = np.array([[u.x, u.y] for u in users], dtype=float)
     tau = linkbudget.absorption_for(link)
     feasible = _feasible_view(pos, aps)
     if blockers:
-        own_body = len(blockers) == len(users)
-        for ui, u in enumerate(users):
-            for ai in range(len(constellation)):
-                if not feasible[ui, ai]:
-                    continue
-                ap = constellation.nodes[ai]
-                if geometry.los_blocked(
-                    (ap.x, ap.y, ap.z), (u.x, u.y, device_height_m), blockers,
-                    exclude=ui if own_body else None,
-                ):
-                    feasible[ui, ai] = False
+        feasible &= ~_blocked_by(aps, pos, device_height_m, blockers, own_body=True)
     snr = _snr_matrix(pos, device_height_m, aps, link, tau)
     best = _best_ap(snr, feasible)
     return LinkAssignment(tuple(int(b) for b in best))
+
+
+def _blocked_by(aps: _ApArrays, pos, device_z, blockers, own_body: bool):
+    """geometry.blocked_matrix for a sequence of BodyCylinder."""
+    return geometry.blocked_matrix(
+        aps.xyz, pos, device_z,
+        np.array([c.center for c in blockers], dtype=float),
+        np.array([c.radius_m for c in blockers]),
+        np.array([c.height_m for c in blockers]),
+        own_body=own_body,
+    )
 
 
 def run(cfg: SimConfig, record_events: bool = False) -> MetricsReport:
@@ -310,7 +311,7 @@ def run(cfg: SimConfig, record_events: bool = False) -> MetricsReport:
         if cfg.blockage_enabled:
             blocked = geometry.blocked_matrix(
                 aps.xyz, pos, device_z, pos, cfg.user_width_m / 2.0,
-                cfg.body_height_m,
+                cfg.body_height_m, own_body=True,
             )
             feasible = feasible & ~blocked
 
@@ -412,6 +413,8 @@ def heatmap(
     Cells below the probe rate are darkness unless a blocker is what
     pushed them under, in which case they are shadow. No time sharing:
     this is the per-point link capacity, not a loaded-system rate.
+    blockers is a sequence of BodyCylinder, each with its own size; none
+    of them is the body of the device at a cell.
     """
     if resolution_cells_per_m <= 0:
         raise ConfigError("resolution: must be positive")
@@ -434,16 +437,7 @@ def heatmap(
     best_clear = np.where(feasible, rate, 0.0).max(axis=1)
 
     if blockers:
-        centers = np.array([c.center for c in blockers])
-        radius = blockers[0].radius_m
-        height = blockers[0].height_m
-        blocked = np.empty((cells.shape[0], len(con)), dtype=bool)
-        chunk = 2048
-        for lo in range(0, cells.shape[0], chunk):
-            hi = lo + chunk
-            blocked[lo:hi] = geometry.blocked_matrix(
-                aps.xyz, cells[lo:hi], cfg.user_height_m, centers, radius, height
-            )
+        blocked = _blocked_by(aps, cells, cfg.user_height_m, blockers, own_body=False)
         best = np.where(feasible & ~blocked, rate, 0.0).max(axis=1)
     else:
         best = best_clear

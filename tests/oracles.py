@@ -1,0 +1,125 @@
+"""Reference blockage tests that the library kernel is checked against.
+
+`los_blocked` is the scalar segment-against-cylinders test, one blocker at
+a time. `blocked_matrix_dense` evaluates every (user, AP, blocker) triple
+at once with the same arithmetic as `geometry.blocked_matrix`, so the two
+must agree boolean for boolean.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+
+def segment_cylinder_hit(a, b, cyl) -> bool:
+    """Open segment (a, b) against one solid vertical cylinder."""
+    ax, ay, az = a
+    bx, by, bz = b
+    dx, dy, dz = bx - ax, by - ay, bz - az
+    cx, cy = cyl.center
+
+    # parameter window where z(t) lies within the cylinder's span
+    if dz == 0.0:
+        if not 0.0 <= az <= cyl.height_m:
+            return False
+        z_lo, z_hi = 0.0, 1.0
+    else:
+        t0 = (0.0 - az) / dz
+        t1 = (cyl.height_m - az) / dz
+        z_lo, z_hi = min(t0, t1), max(t0, t1)
+
+    # parameter window where the xy track lies within the disc
+    fx, fy = ax - cx, ay - cy
+    qa = dx * dx + dy * dy
+    qb = 2.0 * (fx * dx + fy * dy)
+    qc = fx * fx + fy * fy - cyl.radius_m * cyl.radius_m
+    if qa == 0.0:
+        if qc > 0.0:
+            return False
+        xy_lo, xy_hi = 0.0, 1.0
+    else:
+        disc = qb * qb - 4.0 * qa * qc
+        if disc < 0.0:
+            return False
+        root = math.sqrt(disc)
+        xy_lo = (-qb - root) / (2.0 * qa)
+        xy_hi = (-qb + root) / (2.0 * qa)
+
+    lo = max(xy_lo, z_lo, 0.0)
+    hi = min(xy_hi, z_hi, 1.0)
+    if lo > hi:
+        return False
+    # endpoints themselves do not count (device and AP touch their own hulls)
+    return hi > 0.0 and lo < 1.0
+
+
+def los_blocked(a, b, blockers, exclude: int | None = None) -> bool:
+    """True when the open segment a-b intersects any blocker cylinder.
+
+    a and b are (x, y, z) points; blockers is a sequence of BodyCylinder;
+    exclude skips the blocker at that index (the receiving user's own
+    body).
+    """
+    if tuple(a) == tuple(b):
+        raise ValueError("segment endpoints coincide")
+    for i, cyl in enumerate(blockers):
+        if i == exclude:
+            continue
+        if segment_cylinder_hit(a, b, cyl):
+            return True
+    return False
+
+
+def blocked_matrix_dense(
+    ap_xyz, device_xy, device_z, centers_xy, radius_m, height_m, *, own_body
+) -> np.ndarray:
+    """Every (user, AP, blocker) triple at once; same contract as
+    `geometry.blocked_matrix`. Memory grows as users x APs x blockers."""
+    ap = np.asarray(ap_xyz, dtype=float).reshape(-1, 3)
+    dev = np.asarray(device_xy, dtype=float).reshape(-1, 2)
+    cen = np.asarray(centers_xy, dtype=float).reshape(-1, 2)
+    n_usr, n_ap, n_blk = dev.shape[0], ap.shape[0], cen.shape[0]
+    radius = np.broadcast_to(np.asarray(radius_m, dtype=float), (n_blk,))
+    height = np.broadcast_to(np.asarray(height_m, dtype=float), (n_blk,))
+
+    # segment from AP (a) to device (b), per (user, ap) pair
+    a_xy = np.broadcast_to(ap[None, :, :2], (n_usr, n_ap, 2))
+    d_xy = dev[:, None, :] - ap[None, :, :2]
+    az = np.broadcast_to(ap[None, :, 2], (n_usr, n_ap))[:, :, None]
+    dz = device_z - az
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t0 = (0.0 - az) / dz
+        t1 = (height - az) / dz
+    z_lo = np.minimum(t0, t1)
+    z_hi = np.maximum(t0, t1)
+    level = (dz == 0.0)
+    inside_level = level & (az >= 0.0) & (az <= height)
+    z_lo = np.where(level, np.where(inside_level, 0.0, np.inf), z_lo)
+    z_hi = np.where(level, np.where(inside_level, 1.0, -np.inf), z_hi)
+
+    f_xy = a_xy[:, :, None, :] - cen[None, None, :, :]
+    qa = np.sum(d_xy * d_xy, axis=-1)[:, :, None]
+    qb = 2.0 * np.sum(f_xy * d_xy[:, :, None, :], axis=-1)
+    qc = np.sum(f_xy * f_xy, axis=-1) - radius * radius
+    disc = qb * qb - 4.0 * qa * qc
+    hit_possible = disc >= 0.0
+    root = np.sqrt(np.where(hit_possible, disc, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xy_lo = (-qb - root) / (2.0 * qa)
+        xy_hi = (-qb + root) / (2.0 * qa)
+    degenerate = (qa == 0.0)
+    inside_disc = degenerate & (qc <= 0.0)
+    xy_lo = np.where(degenerate, np.where(inside_disc, 0.0, np.inf), xy_lo)
+    xy_hi = np.where(degenerate, np.where(inside_disc, 1.0, -np.inf), xy_hi)
+    hit_possible |= inside_disc
+
+    lo = np.maximum(np.maximum(xy_lo, z_lo), 0.0)
+    hi = np.minimum(np.minimum(xy_hi, z_hi), 1.0)
+    hits = hit_possible & (lo <= hi) & (hi > 0.0) & (lo < 1.0)
+    if own_body:
+        idx = np.arange(n_usr)
+        hits[idx, :, idx] = False
+    return hits.any(axis=-1)

@@ -1,0 +1,167 @@
+"""The pruned blockage kernel against the dense every-triple oracle."""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import blocked_matrix_dense
+from thzplan import geometry as geo
+from thzplan import simulation as sim
+
+RADIUS = 0.1
+# relative offsets from exact tangency, outside and inside the body
+TANGENT_OFFSETS = (-1e-6, -1e-12, 0.0, 1e-12, 1e-9, 1e-6)
+
+
+def _crowd(rng, n, mode, length, width):
+    """n centres: uniform over the room and a margin outside it, in one
+    or two tight clusters, or on a lattice of body diameters."""
+    if mode == "uniform":
+        return rng.uniform((-1.0, -1.0), (length + 1.0, width + 1.0), (n, 2))
+    if mode == "clustered":
+        hubs = rng.uniform((0.0, 0.0), (length, width), (2, 2))
+        return hubs[rng.integers(0, 2, n)] + rng.normal(0.0, 0.4, (n, 2))
+    # a 1 m patch is dense enough that the kernel's cell size drops to one
+    # diameter, the lattice step, so centres sit on cell boundaries
+    corner = rng.uniform((0.0, 0.0), (length - 1.0, width - 1.0))
+    return corner + rng.integers(0, 6, (n, 2)) * (2 * RADIUS)
+
+
+def _tangent_bodies(rng, ap, dev, device_z, count):
+    """Centres at about one radius from random AP -> device links, near
+    where the link dips below body height: beside the link, or on it
+    just before the dip so the disc's rim reaches into the z-window."""
+    out = []
+    if len(dev) == 0:
+        return np.empty((0, 2))
+    for _ in range(count):
+        a = ap[rng.integers(len(ap))]
+        b = dev[rng.integers(len(dev))]
+        d = b - a[:2]
+        norm = math.hypot(*d)
+        if norm == 0.0 or a[2] == device_z:
+            continue
+        t_edge = (1.8 - a[2]) / (device_z - a[2])
+        t = float(np.clip(t_edge + rng.uniform(-0.02, 0.02), 0.0, 1.0))
+        along = d / norm
+        away = rng.choice((-1.0, 1.0)) * np.array([-along[1], along[0]])
+        if rng.random() < 0.5:
+            away, t = -along, float(np.clip(t_edge, 0.0, 1.0))
+        offset = 1.0 + rng.choice(TANGENT_OFFSETS)
+        out.append(a[:2] + t * d + RADIUS * offset * away)
+    return np.array(out).reshape(-1, 2)
+
+
+@st.composite
+def scenes(draw):
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    length = draw(st.floats(2.0, 20.0))
+    width = draw(st.floats(2.0, 20.0))
+    device_z = draw(st.sampled_from((1.5, 1.0, 1.8, 2.0)))
+    n_ap = draw(st.integers(1, 5))
+    ap_z = draw(st.lists(
+        st.one_of(st.just(device_z), st.just(1.8), st.floats(0.5, 6.0)),
+        min_size=n_ap, max_size=n_ap))
+    ap_xy = rng.uniform((0.0, 0.0), (length, width), (n_ap, 2))
+    ap = np.column_stack([ap_xy, ap_z])
+    n_usr = draw(st.integers(0, 40))
+    mode = draw(st.sampled_from(("uniform", "clustered", "lattice")))
+    dev = _crowd(rng, n_usr, mode, length, width)
+    extra = np.concatenate([
+        _crowd(rng, draw(st.integers(0, 40)), mode, length, width),
+        _tangent_bodies(rng, ap, dev, device_z, draw(st.integers(0, 10))),
+    ])
+    own_body = draw(st.booleans())
+    if own_body:
+        dev = np.concatenate([dev, extra])
+        centers = dev
+    else:
+        centers = extra
+    sizes = draw(st.sampled_from(("scalar", "mixed")))
+    if sizes == "scalar":
+        radius, height = RADIUS, 1.8
+    else:
+        radius = rng.choice((0.05, RADIUS, 0.25), len(centers))
+        height = rng.choice((1.2, 1.8, 2.1), len(centers))
+    return ap, dev, device_z, centers, radius, height, own_body
+
+
+@given(scenes())
+@settings(max_examples=300, deadline=None)
+def test_pruned_kernel_matches_dense_oracle(scene):
+    ap, dev, device_z, centers, radius, height, own_body = scene
+    got = geo.blocked_matrix(ap, dev, device_z, centers, radius, height,
+                             own_body=own_body)
+    want = blocked_matrix_dense(ap, dev, device_z, centers, radius, height,
+                                own_body=own_body)
+    assert got.shape == (len(dev), len(ap))
+    assert np.array_equal(got, want)
+
+
+def test_axis_aligned_near_tangent_bodies():
+    # an axis-aligned link's candidate box is tight. Rounding lets the
+    # exact test count a centre a few ulps farther than one radius from
+    # the link, beside it or just before it dips below body height, and
+    # the box must still hold every such centre
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        ax, ay = rng.uniform(0.0, 10.0, 2)
+        dy = rng.uniform(1.0, 8.0) * rng.choice((-1.0, 1.0))
+        y_dip = ay + (1.8 - 3.0) / (1.5 - 3.0) * dy
+        y_beside = y_dip + 0.1 * dy
+        back = -math.copysign(1.0, dy)
+        starts = [  # (first centre, direction of the ulp steps)
+            ((ax - RADIUS, y_beside), (-np.inf, y_beside)),
+            ((ax + RADIUS, y_beside), (np.inf, y_beside)),
+            ((ax, y_dip + back * RADIUS), (ax, back * np.inf)),
+            ((ax, y_dip + back * (RADIUS - 1e-9)), (ax, back * np.inf)),
+        ]
+        for centre, away in starts:
+            centre = np.array(centre)
+            for _ in range(8):
+                for swap in (False, True):
+                    pts = np.array([[ax, ay], [ax, ay + dy], centre])
+                    if swap:
+                        pts = pts[:, ::-1]
+                    ap = np.array([[*pts[0], 3.0]])
+                    args = (ap, pts[1:2], 1.5, pts[2:], RADIUS, 1.8)
+                    assert np.array_equal(
+                        geo.blocked_matrix(*args, own_body=False),
+                        blocked_matrix_dense(*args, own_body=False))
+                centre = np.nextafter(centre, away)
+
+
+def test_own_body_needs_one_blocker_per_user():
+    ap = np.array([[5.0, 5.0, 3.0]])
+    dev = np.array([[1.0, 1.0], [2.0, 2.0]])
+    with pytest.raises(ValueError, match="own_body"):
+        geo.blocked_matrix(ap, dev, 1.5, dev[:1], RADIUS, 1.8, own_body=True)
+
+
+def test_run_matches_dense_oracle(monkeypatch):
+    cfg = sim.SimConfig(n_users=200, duration_s=0.3, blockage_enabled=True, seed=7)
+    pruned = sim.run(cfg, record_events=True)
+    monkeypatch.setattr(geo, "blocked_matrix", blocked_matrix_dense)
+    dense = sim.run(cfg, record_events=True)
+    assert any(e[1] == sim.EVENT_BLOCKAGE_START for e in pruned.events)
+    assert pruned == dense
+
+
+def test_peak_memory_stays_flat_at_2000_users():
+    rng = np.random.default_rng(3)
+    ap = geo.place_type_b(geo.Room(), 16).positions()
+    pos = rng.uniform(0.0, 10.0, (2000, 2))
+    tracemalloc.start()
+    try:
+        blocked = geo.blocked_matrix(ap, pos, 1.5, pos, RADIUS, 1.8, own_body=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert blocked.any()
+    # one (user, AP, blocker) float64 array alone would take 512 MB here
+    assert peak < 32e6

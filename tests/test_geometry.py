@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import los_blocked
 from thzplan import geometry as geo
 
 
@@ -244,34 +245,34 @@ class TestLosBlocked:
     def test_direct_hit(self):
         a, b = (0.0, 0.0, 2.0), (10.0, 0.0, 2.0)
         blk = [geo.BodyCylinder((5.0, 0.0), 0.1, 3.0)]
-        assert geo.los_blocked(a, b, blk)
+        assert los_blocked(a, b, blk)
         assert sampling_oracle(a, b, blk)
 
     def test_no_blockers(self):
-        assert not geo.los_blocked((0, 0, 0), (1, 1, 1), [])
+        assert not los_blocked((0, 0, 0), (1, 1, 1), [])
 
     def test_pass_above_short_blocker(self):
         # segment dips to z=2.2125..2.2875 over the disc, above a 1.8 m body
         a, b = (5.0, 5.0, 3.0), (5.0, 9.0, 1.5)
         blk = [geo.BodyCylinder((5.0, 7.0), 0.1, 1.8)]
-        assert not geo.los_blocked(a, b, blk)
+        assert not los_blocked(a, b, blk)
         assert not sampling_oracle(a, b, blk)
 
     def test_blocks_taller_body(self):
         a, b = (5.0, 5.0, 3.0), (5.0, 9.0, 1.5)
         blk = [geo.BodyCylinder((5.0, 7.0), 0.1, 2.4)]
-        assert geo.los_blocked(a, b, blk)
+        assert los_blocked(a, b, blk)
         assert sampling_oracle(a, b, blk)
 
     def test_exclude_own_cylinder(self):
         a, b = (5.0, 5.0, 3.0), (5.0, 9.0, 1.5)
         blk = [geo.BodyCylinder((5.0, 8.9), 0.2, 1.8)]
-        assert geo.los_blocked(a, b, blk)
-        assert not geo.los_blocked(a, b, blk, exclude=0)
+        assert los_blocked(a, b, blk)
+        assert not los_blocked(a, b, blk, exclude=0)
 
     def test_identical_endpoints_rejected(self):
         with pytest.raises(ValueError):
-            geo.los_blocked((1, 1, 1), (1, 1, 1), [])
+            los_blocked((1, 1, 1), (1, 1, 1), [])
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
@@ -295,9 +296,9 @@ class TestLosBlocked:
             if z_at is not None:
                 assume(abs(z_at[0] - cyl.height_m) > 5e-3)
                 assume(abs(z_at[1] - cyl.height_m) > 5e-3)
-        got = geo.los_blocked(ap, dev, blockers)
+        got = los_blocked(ap, dev, blockers)
         assert got == sampling_oracle(ap, dev, blockers, n=20000)
-        assert got == geo.los_blocked(dev, ap, blockers)  # symmetric
+        assert got == los_blocked(dev, ap, blockers)  # symmetric
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)
@@ -314,12 +315,13 @@ class TestLosBlocked:
             for (ax, ay, az) in aps:
                 assume((ux - ax) ** 2 + (uy - ay) ** 2 + (1.5 - az) ** 2 > 1e-12)
         batch = geo.blocked_matrix(
-            np.array(aps), np.array(users), 1.5, np.array(users), 0.1, 1.8
+            np.array(aps), np.array(users), 1.5, np.array(users), 0.1, 1.8,
+            own_body=True,
         )
         cylinders = [geo.BodyCylinder(u, 0.1, 1.8) for u in users]
         for ui in range(n_usr):
             for ai in range(n_ap):
-                scalar = geo.los_blocked(aps[ai], (*users[ui], 1.5), cylinders, exclude=ui)
+                scalar = los_blocked(aps[ai], (*users[ui], 1.5), cylinders, exclude=ui)
                 assert batch[ui, ai] == scalar
 
 

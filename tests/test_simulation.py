@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles import los_blocked
 from thzplan import geometry as geo
 from thzplan import linkbudget as lb
 from thzplan import mobility as mob
@@ -135,7 +136,7 @@ class TestAssociate:
                 for node in con.nodes:
                     if not node.sees(u.x, u.y):
                         continue
-                    if blockers and geo.los_blocked(
+                    if blockers and los_blocked(
                         (node.x, node.y, node.z), (u.x, u.y, 1.5), blockers, exclude=i
                     ):
                         continue
@@ -315,6 +316,40 @@ class TestHeatmap:
         assert shaded.labels[ix, iy] == sim.LABEL_SHADOW
         assert clear.labels[ix, iy] == sim.LABEL_ILLUMINATION
         assert shaded.rates_bps[ix, iy] < clear.rates_bps[ix, iy]
+
+    @pytest.mark.parametrize("n_blockers", [3, 4])
+    def test_no_own_body_when_blocker_count_matches_cell_count(self, n_blockers):
+        # 4 cells at 0.2 cells/m; the body cuts the ray from the AP to cell
+        # (0, 0), the other blockers stand in far corners
+        cfg = make_config(placement_type="A", n_aps=1,
+                          link=lb.LinkBudgetParams(p_t_w=1e-3))
+        body = geo.BodyCylinder((2.75, 2.75), 0.1, 1.8)
+        corners = [geo.BodyCylinder(xy, 0.1, 1.8)
+                   for xy in ((9.9, 0.1), (0.1, 9.9), (9.9, 9.9))]
+        grid = sim.heatmap(cfg, 0.2, 1e9, blockers=[body, *corners[:n_blockers - 1]])
+        assert grid.labels.shape == (2, 2)
+        assert grid.labels[0, 0] == sim.LABEL_SHADOW
+        assert grid.rates_bps[0, 0] == 0.0
+
+    # the ray from the AP to a cell centre passes (2.75, 2.75) or its
+    # mirror image at z = 1.65 m; the offset bodies sit 0.08 m off the ray
+    _SHORT = geo.BodyCylinder((2.75, 2.75), 0.1, 1.6)
+    _TALL = geo.BodyCylinder((7.25, 7.25), 0.1, 1.8)
+    _THIN = geo.BodyCylinder((2.75 + 0.08 / math.sqrt(2), 7.25 + 0.08 / math.sqrt(2)), 0.05, 1.8)
+    _WIDE = geo.BodyCylinder((7.25 + 0.08 / math.sqrt(2), 2.75 + 0.08 / math.sqrt(2)), 0.2, 1.8)
+
+    @pytest.mark.parametrize("blockers,clear,shadow", [
+        ((_SHORT, _TALL), (0, 0), (1, 1)),
+        ((_TALL, _SHORT), (0, 0), (1, 1)),
+        ((_THIN, _WIDE), (0, 1), (1, 0)),
+        ((_WIDE, _THIN), (0, 1), (1, 0)),
+    ])
+    def test_each_blocker_keeps_its_own_size(self, blockers, clear, shadow):
+        cfg = make_config(placement_type="A", n_aps=1,
+                          link=lb.LinkBudgetParams(p_t_w=1e-3))
+        grid = sim.heatmap(cfg, 0.2, 1e9, blockers=list(blockers))
+        assert grid.labels[clear] == sim.LABEL_ILLUMINATION
+        assert grid.labels[shadow] == sim.LABEL_SHADOW
 
     def test_boundary_tracks_coverage_radius(self):
         cfg = make_config(placement_type="A", n_aps=1, p_o_w=0.5e-3,
