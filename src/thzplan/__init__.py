@@ -23,7 +23,7 @@ from .linkbudget import (
     lambert_w0,
     total_path_loss,
 )
-from .mobility import UserState, init_users, step_user, substream
+from .mobility import Crowd, UserState, init_users, step_user, substream
 from .reporting import CrossoverResult, detect_crossover, write_results
 from .simulation import (
     ConfigError,

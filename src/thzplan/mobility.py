@@ -8,7 +8,7 @@ substream i is numpy's PCG64 seeded with SeedSequence([seed, i]).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,40 +91,74 @@ def init_users(
     return users
 
 
+@dataclass(eq=False)
+class Crowd:
+    """Kinematic state of every user as arrays, row i for user i.
+
+    xy and wp are (m, 2) positions and waypoints; speed_mps and
+    pause_left_s are (m,). step_user updates all of them in place.
+    """
+
+    xy: np.ndarray
+    wp: np.ndarray
+    speed_mps: np.ndarray
+    pause_left_s: np.ndarray
+
+    @classmethod
+    def of(cls, users) -> "Crowd":
+        """The state of a sequence of UserState, in its order."""
+        return cls(
+            xy=np.array([(u.x, u.y) for u in users], dtype=float),
+            wp=np.array([(u.wp_x, u.wp_y) for u in users], dtype=float),
+            speed_mps=np.array([u.speed_mps for u in users], dtype=float),
+            pause_left_s=np.array([u.pause_left_s for u in users], dtype=float),
+        )
+
+
 def step_user(
-    u: UserState,
+    crowd: Crowd,
     dt_s: float,
-    rng: np.random.Generator,
+    rngs,
     room: Room,
     v_mean: float = DEFAULT_SPEED_MEAN,
     v_span: float = DEFAULT_SPEED_SPAN,
     pause_s: float = 0.0,
-) -> UserState:
-    """Advance one time step toward the waypoint.
+) -> None:
+    """Advance every user one time step toward its waypoint, in place.
 
-    Arriving within one step's travel pins the position to the waypoint
-    and draws a fresh waypoint and speed (after an optional pause). The
-    position never leaves the room: both endpoints of every leg are
-    interior and motion is linear between them.
+    A user that arrives within one step's travel is pinned to the
+    waypoint, then pauses for pause_s or draws a fresh waypoint and speed
+    from its own generator rngs[i]; a user whose pause ends draws them
+    too. Nobody else touches a generator. The position never leaves the
+    room: both endpoints of every leg are interior and motion is linear
+    between them.
     """
     if dt_s <= 0:
         raise ValueError("dt must be positive")
-    if u.pause_left_s > 0.0:
-        left = u.pause_left_s - dt_s
-        if left > 0.0:
-            return replace(u, pause_left_s=left)
-        wx, wy = _draw_waypoint(rng, room)
-        speed = _draw_speed(rng, v_mean, v_span)
-        return replace(u, wp_x=wx, wp_y=wy, speed_mps=speed, pause_left_s=0.0)
+    pausing = crowd.pause_left_s > 0.0
+    d = crowd.wp - crowd.xy
+    # float_power(x, 0.5) rounds exactly like Python's x ** 0.5 (np.sqrt
+    # does not always), and the arrival test below depends on the last bit
+    dist = np.float_power(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1], 0.5)
+    travel = crowd.speed_mps * dt_s
+    stop = (dist <= travel) | pausing
+    if not stop.any():
+        crowd.xy += d * (travel / dist)[:, None]
+        return
+    walk = ~stop
+    crowd.xy[walk] += d[walk] * (travel[walk] / dist[walk])[:, None]
+    arrive = stop & ~pausing
+    crowd.xy[arrive] = crowd.wp[arrive]
 
-    dx, dy = u.wp_x - u.x, u.wp_y - u.y
-    dist = (dx * dx + dy * dy) ** 0.5
-    travel = u.speed_mps * dt_s
-    if dist <= travel:
-        if pause_s > 0.0:
-            return replace(u, x=u.wp_x, y=u.wp_y, pause_left_s=pause_s)
-        wx, wy = _draw_waypoint(rng, room)
-        speed = _draw_speed(rng, v_mean, v_span)
-        return replace(u, x=u.wp_x, y=u.wp_y, wp_x=wx, wp_y=wy, speed_mps=speed)
-    f = travel / dist
-    return replace(u, x=u.x + dx * f, y=u.y + dy * f)
+    draw = arrive
+    if pause_s > 0.0:
+        crowd.pause_left_s[arrive] = pause_s
+        draw = np.zeros_like(arrive)
+    if pausing.any():
+        left = crowd.pause_left_s[pausing] - dt_s
+        crowd.pause_left_s[pausing] = np.where(left > 0.0, left, 0.0)
+        draw = draw | (pausing & (crowd.pause_left_s <= 0.0))
+    for i in np.flatnonzero(draw):
+        rng = rngs[i]
+        crowd.wp[i] = _draw_waypoint(rng, room)
+        crowd.speed_mps[i] = _draw_speed(rng, v_mean, v_span)

@@ -104,12 +104,14 @@ def write_events(events, path) -> None:
 def write_heatmap(grid: HeatmapGrid, rates_path, labels_path, meta_path) -> None:
     """Rate grid and label grid as CSV (rows indexed by x), sidecar JSON."""
     try:
+        # tolist() yields Python floats and ints, whose repr and str are
+        # exactly what fmt writes; one row at a time keeps memory flat
         with _AtomicText(rates_path) as fh:
             for row in grid.rates_bps:
-                fh.write(",".join(fmt(v) for v in row) + "\n")
+                fh.write(",".join(map(repr, row.tolist())) + "\n")
         with _AtomicText(labels_path) as fh:
             for row in grid.labels:
-                fh.write(",".join(str(int(v)) for v in row) + "\n")
+                fh.write(",".join(map(str, row.tolist())) + "\n")
         meta = {
             "resolution_cells_per_m": grid.resolution_cells_per_m,
             "length_m": grid.length_m,
@@ -188,9 +190,12 @@ def detect_crossover(
 ) -> CrossoverResult:
     """Locate the first sign change of (a - b) over a shared height grid.
 
-    Both series are (h, value) sequences on identical grids. The reported
-    height linearly interpolates the gap to zero inside the bracketing
-    interval.
+    Both series are (h, value) sequences on identical grids. The bracket
+    spans the two nearest grid points with nonzero gaps of opposite sign.
+    When grid points between them have a zero gap, the first of those is
+    the reported height; otherwise the gap is linearly interpolated to
+    zero inside the bracket. A gap that touches zero and keeps its sign
+    is not a crossing.
     """
     ha = [h for h, _ in series_a]
     hb = [h for h, _ in series_b]
@@ -199,10 +204,16 @@ def detect_crossover(
     if len(ha) < 2:
         raise ValueError("crossover detection needs at least two samples")
     gaps = [va - vb for (_, va), (_, vb) in zip(series_a, series_b)]
-    for i in range(len(gaps) - 1):
-        g0, g1 = gaps[i], gaps[i + 1]
-        if g0 * g1 < 0.0:
-            h0, h1 = ha[i], ha[i + 1]
-            h_star = h0 + (h1 - h0) * g0 / (g0 - g1)
+    last = None  # index of the latest nonzero gap
+    for i, g1 in enumerate(gaps):
+        if g1 == 0.0:
+            continue
+        if last is not None and (gaps[last] < 0.0) != (g1 < 0.0):
+            g0, h0, h1 = gaps[last], ha[last], ha[i]
+            if i == last + 1:
+                h_star = h0 + (h1 - h0) * g0 / (g0 - g1)
+            else:
+                h_star = ha[last + 1]
             return CrossoverResult(metric, name_a, name_b, h_star, (h0, h1), (g0, g1))
+        last = i
     return CrossoverResult(metric, name_a, name_b, None, None, None)

@@ -133,6 +133,8 @@ def parse_series(label: str) -> tuple[str, int]:
         raise ConfigError(f"series label {label!r} must start with a placement type")
     if len(label) == 1:
         return label, 1 if label == "A" else 4
+    if not label[1:].isdecimal():
+        raise ConfigError(f"series label {label!r}: AP count must be a whole number")
     return label[0], int(label[1:])
 
 
@@ -155,11 +157,9 @@ def build_constellation(cfg: SimConfig, apply_height_correction: bool = True) ->
 
 @dataclass(frozen=True)
 class LinkAssignment:
-    """Per-user AP choice (-1 when no feasible AP) plus link alignment state."""
+    """Per-user AP choice, -1 when no AP is feasible."""
 
     ap_for_user: tuple[int, ...]
-    align_left_s: tuple[float, ...] = ()
-    aligned: tuple[bool, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -184,41 +184,54 @@ class MetricsReport:
 
 
 class _ApArrays:
-    """Constellation unpacked for vectorized math."""
+    """Constellation and link budget unpacked for vectorized math, with
+    every per-AP constant of a run at one device height computed once."""
 
-    def __init__(self, con: Constellation):
+    def __init__(self, con: Constellation, link: LinkBudgetParams, device_z: float):
         self.xyz = con.positions()
-        self.view = np.array([n.view_deg for n in con.nodes])
         az = np.radians([n.facing_deg for n in con.nodes])
         self.face = np.stack([np.cos(az), np.sin(az)], axis=1)
         self.align = np.array([n.align_time_s for n in con.nodes])
-        self.wide = self.view >= 360.0
+        self.wide = np.array([n.view_deg >= 360.0 for n in con.nodes])
+        g = linkbudget.antenna_gain(link.tx_beamwidth_deg) * linkbudget.antenna_gain(
+            link.rx_beamwidth_deg
+        )
+        spread = (4.0 * math.pi * link.f_c_hz / SPEED_OF_LIGHT) ** 2
+        self.sig = link.p_t_w * g / (spread * link.noise_psd_w_hz * link.bandwidth_hz)
+        self.dz_sq = (self.xyz[:, 2] - device_z) ** 2
+        self.tau = linkbudget.absorption_for(link)
+
+    def offsets(self, pos: np.ndarray) -> np.ndarray:
+        """(n, APs, 2) horizontal offsets of each point from each AP."""
+        return pos[:, None, :] - self.xyz[None, :, :2]
+
+    def in_view(self, rel: np.ndarray) -> np.ndarray:
+        if self.wide.all():
+            return np.ones(rel.shape[:2], dtype=bool)
+        dot = np.einsum("una,na->un", rel, self.face)
+        norm = np.hypot(rel[:, :, 0], rel[:, :, 1])
+        return self.wide[None, :] | (dot >= -1e-12 * norm)
+
+    def snr(self, rel: np.ndarray) -> np.ndarray:
+        d_sq = rel[:, :, 0] ** 2 + rel[:, :, 1] ** 2 + self.dz_sq[None, :]
+        d = np.sqrt(d_sq)
+        return self.sig / (d_sq * np.exp(self.tau * d))
 
 
-def _feasible_view(pos: np.ndarray, aps: _ApArrays) -> np.ndarray:
-    rel = pos[:, None, :] - aps.xyz[None, :, :2]
-    dot = np.einsum("una,na->un", rel, aps.face)
-    norm = np.hypot(rel[:, :, 0], rel[:, :, 1])
-    return aps.wide[None, :] | (dot >= -1e-12 * norm)
+def _associate(pos: np.ndarray, aps: _ApArrays, blocked=None):
+    """Strongest-signal AP for each device among the APs that see it and,
+    if a blocked matrix is given, are not blocked from it.
 
-
-def _snr_matrix(pos, device_z, aps: _ApArrays, link: LinkBudgetParams, tau):
-    g = linkbudget.antenna_gain(link.tx_beamwidth_deg) * linkbudget.antenna_gain(
-        link.rx_beamwidth_deg
-    )
-    spread = (4.0 * math.pi * link.f_c_hz / SPEED_OF_LIGHT) ** 2
-    sig = link.p_t_w * g / (spread * link.noise_psd_w_hz * link.bandwidth_hz)
-    rel = pos[:, None, :] - aps.xyz[None, :, :2]
-    d_sq = rel[:, :, 0] ** 2 + rel[:, :, 1] ** 2 + (aps.xyz[None, :, 2] - device_z) ** 2
-    d = np.sqrt(d_sq)
-    return sig / (d_sq * np.exp(tau * d))
-
-
-def _best_ap(snr, feasible):
-    masked = np.where(feasible, snr, -np.inf)
-    best = masked.argmax(axis=1).astype(np.int64)
+    Ties go to the lowest AP id; a device with no feasible AP gets -1.
+    Returns (best AP per device, SNR matrix, in-view matrix).
+    """
+    rel = aps.offsets(pos)
+    in_view = aps.in_view(rel)
+    feasible = in_view if blocked is None else in_view & ~blocked
+    snr = aps.snr(rel)
+    best = np.where(feasible, snr, -np.inf).argmax(axis=1).astype(np.int64)
     best[~feasible.any(axis=1)] = -1
-    return best
+    return best, snr, in_view
 
 
 def associate(
@@ -234,14 +247,12 @@ def associate(
     unassigned. blockers, if given, holds one body per user, in user
     order, and blocker i never blocks user i's links.
     """
-    aps = _ApArrays(constellation)
+    aps = _ApArrays(constellation, link, device_height_m)
     pos = np.array([[u.x, u.y] for u in users], dtype=float)
-    tau = linkbudget.absorption_for(link)
-    feasible = _feasible_view(pos, aps)
+    blocked = None
     if blockers:
-        feasible &= ~_blocked_by(aps, pos, device_height_m, blockers, own_body=True)
-    snr = _snr_matrix(pos, device_height_m, aps, link, tau)
-    best = _best_ap(snr, feasible)
+        blocked = _blocked_by(aps, pos, device_height_m, blockers, own_body=True)
+    best, _, _ = _associate(pos, aps, blocked)
     return LinkAssignment(tuple(int(b) for b in best))
 
 
@@ -260,10 +271,8 @@ def run(cfg: SimConfig, record_events: bool = False) -> MetricsReport:
     """Execute the configured run and aggregate metrics."""
     cfg = cfg.validate()
     con = build_constellation(cfg)
-    aps = _ApArrays(con)
     n_ap = len(con)
     m = cfg.n_users
-    tau = linkbudget.absorption_for(cfg.link)
     n_steps = int(round(cfg.duration_s / cfg.dt_s))
     device_z = cfg.user_height_m
 
@@ -284,8 +293,12 @@ def run(cfg: SimConfig, record_events: bool = False) -> MetricsReport:
         rate_min_bps=cfg.rate_min_bps, rate_max_bps=cfg.rate_max_bps,
         body_radius_m=cfg.user_width_m / 2.0, body_height_m=cfg.body_height_m,
     )
+    # Fresh generators replay the draws init_users made, so each user's
+    # first new waypoint is its start point. The pinned results keep this.
     rngs = [mobility.substream(cfg.seed, u.id) for u in users]
     demand = np.array([u.demand_bps for u in users])
+    crowd = mobility.Crowd.of(users)
+    aps = _ApArrays(con, cfg.link, device_z)
 
     assign = np.full(m, -1, dtype=np.int64)
     align_left = np.zeros(m)
@@ -299,27 +312,20 @@ def run(cfg: SimConfig, record_events: bool = False) -> MetricsReport:
 
     for k in range(n_steps):
         t = (k + 1) * cfg.dt_s
-        users = [
-            mobility.step_user(u, cfg.dt_s, rngs[i], cfg.room,
-                               cfg.v_mean_mps, cfg.v_span_mps, cfg.pause_s)
-            for i, u in enumerate(users)
-        ]
-        pos = np.array([[u.x, u.y] for u in users])
+        mobility.step_user(crowd, cfg.dt_s, rngs, cfg.room,
+                           cfg.v_mean_mps, cfg.v_span_mps, cfg.pause_s)
+        pos = crowd.xy
 
-        feasible = _feasible_view(pos, aps)
-        feasible_unblocked = feasible
+        blocked = None
         if cfg.blockage_enabled:
             blocked = geometry.blocked_matrix(
                 aps.xyz, pos, device_z, pos, cfg.user_width_m / 2.0,
                 cfg.body_height_m, own_body=True,
             )
-            feasible = feasible & ~blocked
-
-        snr = _snr_matrix(pos, device_z, aps, cfg.link, tau)
-        best = _best_ap(snr, feasible)
+        best, snr, in_view = _associate(pos, aps, blocked)
 
         changed = best != assign
-        if np.any(changed):
+        if changed.any():
             handoff_mask = changed & (best >= 0) & (assign >= 0)
             handoffs += int(handoff_mask.sum())
             align_left = np.where(changed & (best >= 0), aps.align[np.clip(best, 0, None)], align_left)
@@ -329,7 +335,7 @@ def run(cfg: SimConfig, record_events: bool = False) -> MetricsReport:
                     events.append((t, EVENT_HANDOFF, int(u), int(best[u])))
 
         if cfg.blockage_enabled:
-            now_shadowed = (best < 0) & feasible_unblocked.any(axis=1)
+            now_shadowed = (best < 0) & in_view.any(axis=1)
             if record_events:
                 for u in np.flatnonzero(now_shadowed & ~shadowed):
                     events.append((t, EVENT_BLOCKAGE_START, int(u), int(assign[u])))
@@ -347,7 +353,7 @@ def run(cfg: SimConfig, record_events: bool = False) -> MetricsReport:
         serving = assigned & ~counting
         counts = np.bincount(best[assigned], minlength=n_ap)
         delivered = np.zeros(m)
-        if np.any(serving):
+        if serving.any():
             idx = np.flatnonzero(serving)
             ap_idx = best[idx]
             rate = cfg.link.bandwidth_hz * np.log2(1.0 + snr[idx, ap_idx])
@@ -421,8 +427,7 @@ def heatmap(
     cfg = cfg.resolve_height()
     cfg.validate()
     con = build_constellation(cfg, apply_height_correction)
-    aps = _ApArrays(con)
-    tau = linkbudget.absorption_for(cfg.link)
+    aps = _ApArrays(con, cfg.link, cfg.user_height_m)
     res = resolution_cells_per_m
     nx = math.ceil(cfg.room.length_m * res)
     ny = math.ceil(cfg.room.width_m * res)
@@ -431,8 +436,9 @@ def heatmap(
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     cells = np.stack([gx.ravel(), gy.ravel()], axis=1)
 
-    feasible = _feasible_view(cells, aps)
-    snr = _snr_matrix(cells, cfg.user_height_m, aps, cfg.link, tau)
+    rel = aps.offsets(cells)
+    feasible = aps.in_view(rel)
+    snr = aps.snr(rel)
     rate = cfg.link.bandwidth_hz * np.log2(1.0 + snr)
     best_clear = np.where(feasible, rate, 0.0).max(axis=1)
 

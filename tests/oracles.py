@@ -1,16 +1,63 @@
-"""Reference blockage tests that the library kernel is checked against.
+"""Reference implementations that the library kernels are checked against.
 
 `los_blocked` is the scalar segment-against-cylinders test, one blocker at
 a time. `blocked_matrix_dense` evaluates every (user, AP, blocker) triple
 at once with the same arithmetic as `geometry.blocked_matrix`, so the two
-must agree boolean for boolean.
+must agree boolean for boolean. `step_user` advances one `UserState` by
+one step; `mobility.step_user` must match it bit for bit on every user.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
+
+from thzplan.mobility import (
+    DEFAULT_SPEED_MEAN,
+    DEFAULT_SPEED_SPAN,
+    UserState,
+    _draw_speed,
+    _draw_waypoint,
+)
+
+
+def step_user(
+    u: UserState,
+    dt_s: float,
+    rng: np.random.Generator,
+    room,
+    v_mean: float = DEFAULT_SPEED_MEAN,
+    v_span: float = DEFAULT_SPEED_SPAN,
+    pause_s: float = 0.0,
+) -> UserState:
+    """Advance one user one time step toward the waypoint, with scalar math.
+
+    Arriving within one step's travel pins the position to the waypoint
+    and draws a fresh waypoint and speed (after an optional pause).
+    """
+    if dt_s <= 0:
+        raise ValueError("dt must be positive")
+    if u.pause_left_s > 0.0:
+        left = u.pause_left_s - dt_s
+        if left > 0.0:
+            return replace(u, pause_left_s=left)
+        wx, wy = _draw_waypoint(rng, room)
+        speed = _draw_speed(rng, v_mean, v_span)
+        return replace(u, wp_x=wx, wp_y=wy, speed_mps=speed, pause_left_s=0.0)
+
+    dx, dy = u.wp_x - u.x, u.wp_y - u.y
+    dist = (dx * dx + dy * dy) ** 0.5
+    travel = u.speed_mps * dt_s
+    if dist <= travel:
+        if pause_s > 0.0:
+            return replace(u, x=u.wp_x, y=u.wp_y, pause_left_s=pause_s)
+        wx, wy = _draw_waypoint(rng, room)
+        speed = _draw_speed(rng, v_mean, v_span)
+        return replace(u, x=u.wp_x, y=u.wp_y, wp_x=wx, wp_y=wy, speed_mps=speed)
+    f = travel / dist
+    return replace(u, x=u.x + dx * f, y=u.y + dy * f)
 
 
 def segment_cylinder_hit(a, b, cyl) -> bool:

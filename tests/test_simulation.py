@@ -77,6 +77,11 @@ class TestConfig:
         with pytest.raises(sim.ConfigError):
             sim.parse_series("X2")
 
+    @pytest.mark.parametrize("label", ["Bx", "C4.5", "B-4"])
+    def test_parse_series_bad_count_names_series(self, label):
+        with pytest.raises(sim.ConfigError, match=repr(label.upper())):
+            sim.parse_series(label)
+
 
 class TestBuildConstellation:
     def test_type_b_at_ceiling(self):
