@@ -1,5 +1,8 @@
 """Indoor terahertz access-point placement simulator and coverage planner."""
 
+# set before the submodule imports, so a submodule may read it
+__version__ = "0.1.0"
+
 from .geometry import (
     ApNode,
     BodyCylinder,
@@ -18,7 +21,6 @@ from .linkbudget import (
     achievable_rate,
     antenna_gain,
     coverage_radius,
-    coverage_radius_bruteforce,
     coverage_radius_ceiled,
     lambert_w0,
     total_path_loss,
@@ -35,5 +37,3 @@ from .simulation import (
     run,
     sweep,
 )
-
-__version__ = "0.1.0"

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from . import config as cfgmod
 from . import linkbudget, reporting, simulation
@@ -30,11 +31,10 @@ def _parse_values(spec: str) -> list[float]:
         start, stop, step = (float(p) for p in parts)
         if step <= 0:
             raise ConfigError("values: step must be positive")
+        # by index, so rounding does not accumulate along the range
         out = []
-        v = start
-        while v <= stop + 1e-9:
+        while (v := start + len(out) * step) <= stop + 1e-9:
             out.append(round(v, 9))
-            v += step
         return out
     return [float(p) for p in spec.split(",") if p.strip()]
 
@@ -61,7 +61,7 @@ def cmd_validate(args) -> int:
     cfg, settings = _load(args)
     print(f"configuration ok (hash {cfgmod.settings_hash(settings)[:12]})")
     print(f"placement {cfg.placement_type}{cfg.n_aps}, "
-          f"effective height {cfg.resolve_height().effective_height_m():g} m, "
+          f"effective height {cfg.effective_height_m():g} m, "
           f"per-AP power {cfg.link.p_t_w:g} W")
     return EXIT_OK
 
@@ -82,21 +82,17 @@ def cmd_coverage_sweep(args) -> int:
     widths = _parse_values(args.beamwidths_deg)
     if not freqs or not widths:
         raise ConfigError("coverage sweep needs non-empty frequency and beamwidth axes")
-    from dataclasses import replace
-
     lines = ["f_c_ghz,beamwidth_deg,radius_m"]
     for f in freqs:
         for bw in widths:
-            link = replace(cfg.link, f_c_hz=f * 1e9,
-                           tx_beamwidth_deg=bw, rx_beamwidth_deg=bw)
+            link = replace(cfg, f_c_hz=f * 1e9, beamwidth_deg=bw).link
             r = linkbudget.coverage_radius(link, args.spectral_efficiency)
             lines.append(f"{reporting.fmt(f)},{reporting.fmt(bw)},{reporting.fmt(r)}")
     text = "\n".join(lines)
     if args.out:
         out = _ensure_outdir(args.out)
         path = os.path.join(out, "coverage_sweep.csv")
-        with open(path, "w", newline="\n") as fh:
-            fh.write(text + "\n")
+        reporting.write_text(text + "\n", path)
         print(path)
     else:
         print(text)

@@ -3,7 +3,10 @@
 Files are INI-style sections of key = value pairs; every key carries its
 unit in the name and dB/dBm quantities are converted to linear exactly
 once, here. Anything not set falls back to the documented defaults, so a
-run is fully described by (file, overrides, seed).
+run is fully described by (file, overrides, seed). Each setting becomes
+one SimConfig value: p_o_dbm is the total budget (the per-AP power is
+derived from it), and h_override_m, when set, becomes the ceiling height
+h_override_m + user_height_m.
 """
 
 from __future__ import annotations
@@ -11,13 +14,9 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
-from dataclasses import replace
-
+from . import __version__ as TOOL_VERSION
 from .geometry import Room
-from .linkbudget import LinkBudgetParams
-from .simulation import ConfigError, SimConfig
-
-TOOL_VERSION = "0.1.0"
+from .simulation import ConfigError, SimConfig, with_effective_height
 
 DEFAULTS = {
     "radio": {
@@ -133,26 +132,18 @@ def build_sim_config(settings: dict) -> SimConfig:
 
 
 def _build_sim_config(settings: dict) -> SimConfig:
-    room = Room(settings["room_l_m"], settings["room_w_m"], settings["room_h_m"])
-    n_aps = 1 if settings["placement_type"] == "A" else settings["n_aps"]
-    p_o_w = dbm_to_watts(settings["p_o_dbm"])
-    link = LinkBudgetParams(
+    cfg = SimConfig(
+        room=Room(settings["room_l_m"], settings["room_w_m"], settings["room_h_m"]),
+        placement_type=settings["placement_type"],
+        n_aps=1 if settings["placement_type"] == "A" else settings["n_aps"],
+        p_o_w=dbm_to_watts(settings["p_o_dbm"]),
         f_c_hz=settings["f_c_ghz"] * 1e9,
         bandwidth_hz=settings["bandwidth_ghz"] * 1e9,
-        p_t_w=p_o_w / n_aps,
-        tx_beamwidth_deg=settings["beamwidth_deg"],
-        rx_beamwidth_deg=settings["beamwidth_deg"],
+        beamwidth_deg=settings["beamwidth_deg"],
         noise_psd_w_hz=db_to_linear(settings["nf_db_hz"]),
         humidity=settings["humidity_pct"] / 100.0,
         temperature_c=settings["temperature_c"],
         tau_override=settings["tau_override_per_m"],
-    )
-    cfg = SimConfig(
-        room=room,
-        placement_type=settings["placement_type"],
-        n_aps=n_aps,
-        p_o_w=p_o_w,
-        link=link,
         n_users=settings["n_users"],
         seed=settings["seed"],
         v_mean_mps=settings["velocity_mps_mean"],
@@ -166,10 +157,11 @@ def _build_sim_config(settings: dict) -> SimConfig:
         dt_s=settings["dt_ms"] / 1e3,
         blockage_enabled=settings["blockage"] == "on",
         t_align_s=settings["t_align_ms"] / 1e3,
-        h_override_m=settings["h_override_m"],
         share_mode=settings["share_mode"],
         pause_s=settings["pause_s"],
     )
+    if settings["h_override_m"] is not None:
+        cfg = with_effective_height(cfg, settings["h_override_m"])
     cfg.validate()
     return cfg
 
@@ -194,16 +186,3 @@ def run_manifest(settings: dict) -> dict:
         "seed": settings["seed"],
         "resolved_config": dict(sorted(settings.items())),
     }
-
-
-def example_config_text() -> str:
-    lines = []
-    for section, keys in DEFAULTS.items():
-        lines.append(f"[{section}]")
-        for key, value in keys.items():
-            if value is None:
-                lines.append(f"# {key} =")
-            else:
-                lines.append(f"{key} = {value}")
-        lines.append("")
-    return "\n".join(lines)

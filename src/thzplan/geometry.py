@@ -1,9 +1,8 @@
 """Room model, access-point constellations, and line-of-sight blockage.
 
 Placement layouts follow the lighting analogy: a single central ceiling
-fixture (type A), a uniform ceiling grid (B), wall-mounted perimeter units
-(C), plus the lowered-perimeter (D, E) and clustered-ceiling (F) variants
-that exist for layout export but are not part of the evaluation protocol.
+fixture (type A), a uniform ceiling grid (B) and wall-mounted perimeter
+units (C), the three layouts of the evaluation protocol.
 
 Blockage has one implementation, `blocked_matrix`: every AP -> device
 segment against every vertical body cylinder. A body of height h can only
@@ -17,14 +16,13 @@ booleans of a test of every (user, AP, blocker) triple.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 DEFAULT_T_ALIGN_S = 5e-3
 
-EVALUATED_TYPES = ("A", "B", "C")
-ALL_TYPES = ("A", "B", "C", "D", "E", "F")
+ALL_TYPES = ("A", "B", "C")
 GRID_COUNTS = (4, 8, 12, 16)
 
 # columns x rows of the ceiling partition per AP count
@@ -63,17 +61,6 @@ class ApNode:
             raise ValueError(f"view must be 180 or 360, got {self.view_deg}")
         if self.align_time_s <= 0:
             raise ValueError("align_time_s must be positive")
-
-    def sees(self, x: float, y: float) -> bool:
-        """True when (x, y) lies inside the node's azimuth sector."""
-        if self.view_deg >= 360.0:
-            return True
-        dx, dy = x - self.x, y - self.y
-        if dx == 0.0 and dy == 0.0:
-            return True
-        az = math.radians(self.facing_deg)
-        # half-angle test; 180 degrees reduces to the inward half plane
-        return dx * math.cos(az) + dy * math.sin(az) >= -1e-12 * math.hypot(dx, dy)
 
 
 @dataclass(frozen=True)
@@ -174,41 +161,6 @@ def place_type_c(
     return Constellation("C", nodes, height_correction_m)
 
 
-def place_type_d(
-    room: Room, n: int, z_m: float | None = None,
-    t_align_s: float = DEFAULT_T_ALIGN_S,
-) -> Constellation:
-    """Perimeter layout hung to mid height (layout export only)."""
-    z = room.height_m * 0.6 if z_m is None else z_m
-    con = place_type_c(room, n, room.height_m - z, t_align_s)
-    return replace(con, placement_type="D")
-
-
-def place_type_e(
-    room: Room, n: int, z_m: float = 1.2,
-    t_align_s: float = DEFAULT_T_ALIGN_S,
-) -> Constellation:
-    """Perimeter layout at or below head height (layout export only)."""
-    con = place_type_c(room, n, room.height_m - z_m, t_align_s)
-    return replace(con, placement_type="E")
-
-
-def place_type_f(
-    room: Room, n: int, span_m: float | None = None,
-    t_align_s: float = DEFAULT_T_ALIGN_S,
-) -> Constellation:
-    """Tight ceiling cluster around the room center (layout export only)."""
-    span = min(room.length_m, room.width_m) / 10.0 if span_m is None else span_m
-    cx, cy = room.length_m / 2.0, room.width_m / 2.0
-    sub = Room(span, span, room.height_m)
-    nodes = tuple(
-        _node(i, cx - span / 2.0 + x, cy - span / 2.0 + y, room.height_m,
-              360.0, 0.0, t_align_s)
-        for i, (x, y) in enumerate(_grid_centers(sub, n))
-    )
-    return Constellation("F", nodes)
-
-
 def place(
     room: Room, placement_type: str, n: int,
     height_correction_m: float = 0.0,
@@ -224,12 +176,6 @@ def place(
         return place_type_b(room, n, t_align_s)
     if t == "C":
         return place_type_c(room, n, height_correction_m, t_align_s)
-    if t == "D":
-        return place_type_d(room, n, t_align_s=t_align_s)
-    if t == "E":
-        return place_type_e(room, n, t_align_s=t_align_s)
-    if t == "F":
-        return place_type_f(room, n, t_align_s=t_align_s)
     raise ValueError(f"unknown placement type {placement_type!r}")
 
 
@@ -489,34 +435,3 @@ def _cylinder_hits(a_xy, d_xy, az, dz, centers, radius, height) -> np.ndarray:
     lo = np.maximum(np.maximum(xy_lo, z_lo), 0.0)
     hi = np.minimum(np.minimum(xy_hi, z_hi), 1.0)
     return hit_possible & (lo <= hi) & (hi > 0.0) & (lo < 1.0)
-
-
-def write_constellation(con: Constellation, path) -> None:
-    """Structured-text export, one record per AP."""
-    lines = ["id,x_m,y_m,z_m,view_deg,align_time_s,facing_deg"]
-    for n in con.nodes:
-        lines.append(
-            f"{n.id},{n.x!r},{n.y!r},{n.z!r},{n.view_deg!r},"
-            f"{n.align_time_s!r},{n.facing_deg!r}"
-        )
-    header = f"# placement_type={con.placement_type} height_correction_m={con.height_correction_m!r}"
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n" + "\n".join(lines) + "\n")
-
-
-def read_constellation(path) -> Constellation:
-    with open(path) as fh:
-        raw = [ln.strip() for ln in fh if ln.strip()]
-    meta = dict(item.split("=", 1) for item in raw[0].lstrip("# ").split())
-    nodes = []
-    for line in raw[2:]:
-        f = line.split(",")
-        nodes.append(ApNode(
-            id=int(f[0]), x=float(f[1]), y=float(f[2]), z=float(f[3]),
-            view_deg=float(f[4]), align_time_s=float(f[5]),
-            facing_deg=float(f[6]),
-        ))
-    return Constellation(
-        meta["placement_type"], tuple(nodes),
-        float(meta["height_correction_m"]),
-    )

@@ -84,8 +84,8 @@ def _default_table() -> AbsorptionTable:
 class LinkBudgetParams:
     """Radio and channel parameters of one access-point class.
 
-    p_t_w is the per-AP transmit power; when APs split a room budget the
-    caller divides before building the params.
+    p_t_w is the per-AP transmit power; SimConfig.link builds the params
+    with the room budget split equally among the APs.
     """
 
     f_c_hz: float = 570e9
@@ -258,41 +258,3 @@ def coverage_radius_ceiled(
 ) -> int:
     """coverage_radius rounded up to a whole meter."""
     return math.ceil(coverage_radius(params, spectral_efficiency, table))
-
-
-def coverage_radius_bruteforce(
-    params: LinkBudgetParams,
-    spectral_efficiency: float,
-    table: AbsorptionTable | None = None,
-) -> float:
-    """Bisection oracle for coverage_radius.
-
-    Works on log(r^2 e^(tau r) / K) = 2 ln r + tau r - ln K, which is
-    strictly increasing and overflow-free. The bracket doubles upward from
-    1 m until the sign flips, then bisects to an interval below 1e-9 m (or
-    to float resolution for very large radii).
-    """
-    k = _radius_constant(params, spectral_efficiency)
-    tau = absorption_for(params, table)
-    log_k = math.log(k)
-
-    def g(r):
-        return 2.0 * math.log(r) + tau * r - log_k
-
-    hi = 1.0
-    while g(hi) <= 0.0:
-        hi *= 2.0
-    lo = hi / 2.0
-    while g(lo) > 0.0:
-        lo /= 2.0
-    for _ in range(200):
-        if hi - lo < 1e-9:
-            break
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if g(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)

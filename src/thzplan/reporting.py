@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -48,11 +48,16 @@ class _AtomicText:
         return self.fh
 
     def __exit__(self, exc_type, exc, tb):
-        self.fh.close()
-        if exc_type is None:
-            os.replace(self.tmp, self.path)
-        else:
-            os.unlink(self.tmp)
+        replaced = False
+        try:
+            # close flushes, so a full disk can fail here, not in write
+            self.fh.close()
+            if exc_type is None:
+                os.replace(self.tmp, self.path)
+                replaced = True
+        finally:
+            if not replaced:
+                os.unlink(self.tmp)
         return False
 
 
@@ -142,34 +147,26 @@ def read_heatmap(rates_path, labels_path, meta_path) -> HeatmapGrid:
     )
 
 
-def write_json(payload: dict, path) -> None:
+def write_text(text: str, path) -> None:
     try:
         with _AtomicText(path) as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(text)
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
 
 
+def write_json(payload: dict, path) -> None:
+    write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", path)
+
+
 def summary_payload(report: MetricsReport) -> dict:
-    return {
-        "placement_type": report.placement_type,
-        "n_aps": report.n_aps,
-        "effective_height_m": report.effective_height_m,
-        "seed": report.seed,
-        "n_steps": report.n_steps,
-        "blockage_enabled": report.blockage_enabled,
-        "user_coverage": report.user_coverage,
-        "mean_throughput_bps": report.mean_throughput_bps,
-        "ap_idle_fraction": report.ap_idle_fraction,
-        "handoff_count": report.handoff_count,
-        "p_t_w": report.p_t_w,
-        "p_o_w": report.p_o_w,
-        "height_correction_m": report.height_correction_m,
-        "per_user_coverage": list(report.per_user_coverage),
-        "per_user_throughput_bps": list(report.per_user_throughput_bps),
-        "per_ap_idle_fraction": list(report.per_ap_idle_fraction),
-    }
+    """Every MetricsReport field but the event log, tuples as lists."""
+    payload = {}
+    for f in fields(MetricsReport):
+        if f.name != "events":
+            value = getattr(report, f.name)
+            payload[f.name] = list(value) if isinstance(value, tuple) else value
+    return payload
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ pairs; an AP is idle in a step when nothing is assigned to it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,13 +33,26 @@ EVENT_ALIGNMENT_DONE = "alignment_done"
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Complete, reproducible description of one experiment run."""
+    """Complete, reproducible description of one experiment run.
+
+    Every setting is stored once. p_o_w is the room's total transmit
+    budget, split equally among the APs; `link` derives the per-AP radio
+    parameters from it and the radio fields. The effective height H is
+    room.height_m - user_height_m: an H setting moves the ceiling (see
+    with_effective_height).
+    """
 
     room: Room = Room()
     placement_type: str = "B"
     n_aps: int = 4
     p_o_w: float = 1e-3
-    link: LinkBudgetParams = field(default_factory=lambda: LinkBudgetParams(p_t_w=1e-3 / 4))
+    f_c_hz: float = LinkBudgetParams.f_c_hz
+    bandwidth_hz: float = LinkBudgetParams.bandwidth_hz
+    beamwidth_deg: float = LinkBudgetParams.tx_beamwidth_deg
+    noise_psd_w_hz: float = LinkBudgetParams.noise_psd_w_hz
+    humidity: float = LinkBudgetParams.humidity
+    temperature_c: float = LinkBudgetParams.temperature_c
+    tau_override: float | None = None
     n_users: int = 30
     seed: int = 1
     v_mean_mps: float = mobility.DEFAULT_SPEED_MEAN
@@ -53,11 +66,25 @@ class SimConfig:
     dt_s: float = 0.010
     blockage_enabled: bool = False
     t_align_s: float = 5e-3
-    h_override_m: float | None = None
     share_mode: str = "equal_share"
     pause_s: float = 0.0
 
-    def validate(self) -> "SimConfig":
+    @property
+    def link(self) -> LinkBudgetParams:
+        """Per-AP radio parameters: the budget p_o_w split over n_aps."""
+        return LinkBudgetParams(
+            f_c_hz=self.f_c_hz,
+            bandwidth_hz=self.bandwidth_hz,
+            p_t_w=self.p_o_w / self.n_aps,
+            tx_beamwidth_deg=self.beamwidth_deg,
+            rx_beamwidth_deg=self.beamwidth_deg,
+            noise_psd_w_hz=self.noise_psd_w_hz,
+            humidity=self.humidity,
+            temperature_c=self.temperature_c,
+            tau_override=self.tau_override,
+        )
+
+    def validate(self) -> None:
         t = self.placement_type.upper()
         if t not in geometry.ALL_TYPES:
             raise ConfigError(f"placement_type: unknown type {self.placement_type!r}")
@@ -70,11 +97,10 @@ class SimConfig:
             )
         if self.p_o_w <= 0:
             raise ConfigError("p_o_w: total power must be positive")
-        if abs(self.link.p_t_w * self.n_aps - self.p_o_w) > 1e-12 * self.p_o_w:
-            raise ConfigError(
-                "link.p_t_w: per-AP power must equal the total budget split "
-                f"{self.p_o_w}/{self.n_aps}"
-            )
+        try:
+            self.link
+        except ValueError as exc:  # LinkBudgetParams names the radio field
+            raise ConfigError(str(exc)) from exc
         if self.dt_s <= 0:
             raise ConfigError("dt_s: time step must be positive")
         if self.duration_s < self.dt_s:
@@ -93,37 +119,25 @@ class SimConfig:
             raise ConfigError("user_width_m/body_height_m: must be positive")
         if self.pause_s < 0:
             raise ConfigError("pause_s: must be >= 0")
-        resolved = self.resolve_height()
-        if resolved.user_height_m >= resolved.room.height_m:
+        if self.user_height_m >= self.room.height_m:
             raise ConfigError("user_height_m: device sits above the ceiling")
-        return resolved
 
     def effective_height_m(self) -> float:
         return self.room.height_m - self.user_height_m
-
-    def resolve_height(self) -> "SimConfig":
-        """Apply an effective-height override by moving the ceiling."""
-        if self.h_override_m is None:
-            return self
-        if self.h_override_m <= 0:
-            raise ConfigError("h_override_m: effective height must be positive")
-        room = replace(self.room, height_m=self.h_override_m + self.user_height_m)
-        return replace(self, room=room, h_override_m=None)
-
-
-def with_power_budget(cfg: SimConfig, p_o_w: float, n_aps: int) -> SimConfig:
-    link = replace(cfg.link, p_t_w=p_o_w / n_aps)
-    return replace(cfg, p_o_w=p_o_w, n_aps=n_aps, link=link)
 
 
 def with_placement(cfg: SimConfig, placement_type: str, n_aps: int | None = None) -> SimConfig:
     t = placement_type.upper()
     n = 1 if t == "A" else (n_aps if n_aps is not None else cfg.n_aps)
-    return with_power_budget(replace(cfg, placement_type=t), cfg.p_o_w, n)
+    return replace(cfg, placement_type=t, n_aps=n)
 
 
 def with_effective_height(cfg: SimConfig, h_eff_m: float) -> SimConfig:
-    return replace(cfg, h_override_m=h_eff_m).resolve_height()
+    """Move the ceiling so the effective height is h_eff_m (the
+    h_override_m setting)."""
+    if h_eff_m <= 0:
+        raise ConfigError("h_override_m: effective height must be positive")
+    return replace(cfg, room=replace(cfg.room, height_m=h_eff_m + cfg.user_height_m))
 
 
 def parse_series(label: str) -> tuple[str, int]:
@@ -139,9 +153,8 @@ def parse_series(label: str) -> tuple[str, int]:
 
 
 def build_constellation(cfg: SimConfig, apply_height_correction: bool = True) -> Constellation:
-    """Constellation for a resolved config; wall mounts get the height
-    correction matching the ceiling grid unless disabled."""
-    cfg = cfg.resolve_height()
+    """Constellation for a config; wall mounts get the height correction
+    matching the ceiling grid unless disabled."""
     t = cfg.placement_type.upper()
     h_c = 0.0
     if t == "C" and apply_height_correction:
@@ -269,7 +282,8 @@ def _blocked_by(aps: _ApArrays, pos, device_z, blockers, own_body: bool):
 
 def run(cfg: SimConfig, record_events: bool = False) -> MetricsReport:
     """Execute the configured run and aggregate metrics."""
-    cfg = cfg.validate()
+    cfg.validate()
+    link = cfg.link
     con = build_constellation(cfg)
     n_ap = len(con)
     m = cfg.n_users
@@ -283,7 +297,7 @@ def run(cfg: SimConfig, record_events: bool = False) -> MetricsReport:
             n_steps=n_steps, blockage_enabled=cfg.blockage_enabled,
             user_coverage=0.0, mean_throughput_bps=0.0, ap_idle_fraction=1.0,
             handoff_count=0, per_user_coverage=(), per_user_throughput_bps=(),
-            per_ap_idle_fraction=(1.0,) * n_ap, p_t_w=cfg.link.p_t_w,
+            per_ap_idle_fraction=(1.0,) * n_ap, p_t_w=link.p_t_w,
             p_o_w=cfg.p_o_w, height_correction_m=con.height_correction_m,
         )
 
@@ -298,7 +312,7 @@ def run(cfg: SimConfig, record_events: bool = False) -> MetricsReport:
     rngs = [mobility.substream(cfg.seed, u.id) for u in users]
     demand = np.array([u.demand_bps for u in users])
     crowd = mobility.Crowd.of(users)
-    aps = _ApArrays(con, cfg.link, device_z)
+    aps = _ApArrays(con, link, device_z)
 
     assign = np.full(m, -1, dtype=np.int64)
     align_left = np.zeros(m)
@@ -356,13 +370,13 @@ def run(cfg: SimConfig, record_events: bool = False) -> MetricsReport:
         if serving.any():
             idx = np.flatnonzero(serving)
             ap_idx = best[idx]
-            rate = cfg.link.bandwidth_hz * np.log2(1.0 + snr[idx, ap_idx])
+            rate = link.bandwidth_hz * np.log2(1.0 + snr[idx, ap_idx])
             if cfg.share_mode == "equal_share":
                 delivered[idx] = rate / counts[ap_idx]
             else:  # single_user: strongest assigned user takes the step
                 for a in np.unique(ap_idx):
                     mine = idx[ap_idx == a]
-                    delivered[mine[np.argmax(snr[mine, a])]] = cfg.link.bandwidth_hz * np.log2(
+                    delivered[mine[np.argmax(snr[mine, a])]] = link.bandwidth_hz * np.log2(
                         1.0 + snr[mine, a].max()
                     )
 
@@ -385,7 +399,7 @@ def run(cfg: SimConfig, record_events: bool = False) -> MetricsReport:
         per_user_coverage=tuple(covered_steps / n_steps),
         per_user_throughput_bps=tuple(thr_sum / n_steps),
         per_ap_idle_fraction=tuple(idle_steps / n_steps),
-        p_t_w=cfg.link.p_t_w,
+        p_t_w=link.p_t_w,
         p_o_w=cfg.p_o_w,
         height_correction_m=con.height_correction_m,
         events=tuple(events),
@@ -424,10 +438,10 @@ def heatmap(
     """
     if resolution_cells_per_m <= 0:
         raise ConfigError("resolution: must be positive")
-    cfg = cfg.resolve_height()
     cfg.validate()
+    link = cfg.link
     con = build_constellation(cfg, apply_height_correction)
-    aps = _ApArrays(con, cfg.link, cfg.user_height_m)
+    aps = _ApArrays(con, link, cfg.user_height_m)
     res = resolution_cells_per_m
     nx = math.ceil(cfg.room.length_m * res)
     ny = math.ceil(cfg.room.width_m * res)
@@ -439,7 +453,7 @@ def heatmap(
     rel = aps.offsets(cells)
     feasible = aps.in_view(rel)
     snr = aps.snr(rel)
-    rate = cfg.link.bandwidth_hz * np.log2(1.0 + snr)
+    rate = link.bandwidth_hz * np.log2(1.0 + snr)
     best_clear = np.where(feasible, rate, 0.0).max(axis=1)
 
     if blockers:
@@ -466,7 +480,7 @@ def apply_axis(cfg: SimConfig, axis: str, value) -> SimConfig:
     if axis == "H":
         return with_effective_height(cfg, float(value))
     if axis == "N":
-        return with_power_budget(cfg, cfg.p_o_w, int(value))
+        return replace(cfg, n_aps=int(value))
     if axis == "placement_type":
         return with_placement(cfg, str(value))
     raise ConfigError(f"axis: unknown sweep axis {axis!r}")

@@ -5,6 +5,9 @@ a time. `blocked_matrix_dense` evaluates every (user, AP, blocker) triple
 at once with the same arithmetic as `geometry.blocked_matrix`, so the two
 must agree boolean for boolean. `step_user` advances one `UserState` by
 one step; `mobility.step_user` must match it bit for bit on every user.
+`sees` is the scalar view-sector test of one AP, and
+`coverage_radius_bruteforce` finds the illumination radius by bisection
+instead of through Lambert W.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from thzplan.linkbudget import _radius_constant, absorption_for
 from thzplan.mobility import (
     DEFAULT_SPEED_MEAN,
     DEFAULT_SPEED_SPAN,
@@ -170,3 +174,49 @@ def blocked_matrix_dense(
         idx = np.arange(n_usr)
         hits[idx, :, idx] = False
     return hits.any(axis=-1)
+
+
+def sees(node, x: float, y: float) -> bool:
+    """True when (x, y) lies inside the AP node's azimuth sector."""
+    if node.view_deg >= 360.0:
+        return True
+    dx, dy = x - node.x, y - node.y
+    if dx == 0.0 and dy == 0.0:
+        return True
+    az = math.radians(node.facing_deg)
+    # half-angle test; 180 degrees reduces to the inward half plane
+    return dx * math.cos(az) + dy * math.sin(az) >= -1e-12 * math.hypot(dx, dy)
+
+
+def coverage_radius_bruteforce(params, spectral_efficiency: float, table=None) -> float:
+    """Bisection oracle for `linkbudget.coverage_radius`.
+
+    Works on log(r^2 e^(tau r) / K) = 2 ln r + tau r - ln K, which is
+    strictly increasing and overflow-free. The bracket doubles upward from
+    1 m until the sign flips, then bisects to an interval below 1e-9 m (or
+    to float resolution for very large radii).
+    """
+    k = _radius_constant(params, spectral_efficiency)
+    tau = absorption_for(params, table)
+    log_k = math.log(k)
+
+    def g(r):
+        return 2.0 * math.log(r) + tau * r - log_k
+
+    hi = 1.0
+    while g(hi) <= 0.0:
+        hi *= 2.0
+    lo = hi / 2.0
+    while g(lo) > 0.0:
+        lo /= 2.0
+    for _ in range(200):
+        if hi - lo < 1e-9:
+            break
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if g(mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)

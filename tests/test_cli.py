@@ -1,3 +1,11 @@
+import os
+import subprocess
+import sys
+
+import pytest
+
+import thzplan
+from test_config import BAD_CONFIGS
 from thzplan import cli
 
 
@@ -7,3 +15,89 @@ def test_sweep_bad_series_count_exits_2_naming_series(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "'BX'" in err
     assert "invalid literal" not in err
+
+
+def test_sweep_removed_layout_exits_2_naming_series(tmp_path, capsys):
+    code = cli.main(["sweep", "--types", "F8", "--values", "2", "--out", str(tmp_path)])
+    assert code == cli.EXIT_CONFIG
+    assert "'F8'" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("text,field", BAD_CONFIGS)
+def test_bad_config_exits_2_naming_field(tmp_path, capsys, text, field):
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    out = tmp_path / "out"
+    code = cli.main(["simulate", "--config", str(path), "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    assert f"configuration error: {field}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_parse_values_builds_ranges_by_index():
+    values = cli._parse_values("0:7000:0.7")
+    assert len(values) == 10001
+    assert values[-1] == 7000.0
+    assert cli._parse_values("2:7:0.5") == [2.0 + 0.5 * i for i in range(11)]
+
+
+# Caps the size of any file the process writes at 16 bytes, so the CSV
+# write fails part way through.
+_FAILING_WRITE = """
+import resource, signal, sys
+from thzplan import cli
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, (16, 16))
+sys.exit(cli.main(["coverage-sweep", "--out", sys.argv[1]]))
+"""
+
+
+def test_failed_coverage_sweep_write_keeps_existing_file(tmp_path):
+    old = tmp_path / "coverage_sweep.csv"
+    old.write_text("f_c_ghz,beamwidth_deg,radius_m\n570.0,10.0,11.0\n")
+    before = old.read_bytes()
+    src = os.path.dirname(os.path.dirname(thzplan.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FAILING_WRITE, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == cli.EXIT_RUNTIME, proc.stderr
+    assert "coverage_sweep.csv" in proc.stderr
+    assert old.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["coverage_sweep.csv"]
+
+
+_GOLDEN_CONFIG = """[users]
+n_users = 12
+[simulation]
+duration_s = 0.5
+seed = 3
+blockage = on
+"""
+
+
+def _run_golden(tmp_path, name):
+    cfg = tmp_path / "golden.ini"
+    cfg.write_text(_GOLDEN_CONFIG)
+    out = tmp_path / name
+    assert cli.main(["simulate", "--config", str(cfg), "--events",
+                     "--out", str(out / "simulate")]) == cli.EXIT_OK
+    assert cli.main(["sweep", "--config", str(cfg), "--types", "B4,C4",
+                     "--out", str(out / "sweep")]) == cli.EXIT_OK
+    return {p.relative_to(out).as_posix(): p.read_bytes()
+            for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def test_same_config_and_seed_give_byte_identical_files(tmp_path, capsys):
+    first = _run_golden(tmp_path, "first")
+    second = _run_golden(tmp_path, "second")
+    assert sorted(first) == [
+        "simulate/events.csv", "simulate/results.csv", "simulate/summary.json",
+        "sweep/manifest.json", "sweep/sweep.csv",
+    ]
+    assert first["simulate/events.csv"].count(b"\n") > 1
+    assert first["sweep/sweep.csv"].count(b"\n") == 1 + 2 * 11
+    assert first == second

@@ -14,3 +14,37 @@ def test_boolean_blockage_override_is_honoured(value):
 def test_unreadable_blockage_override_names_field():
     with pytest.raises(ConfigError, match="^blockage:"):
         cfgmod.load_config(overrides={"blockage": 2})
+
+
+# (file text, field the error must name); each is rejected at load time
+BAD_CONFIGS = [
+    ("[radio]\nfrequency_ghz = 300\n", "frequency_ghz"),
+    ("[users]\nn_users = 2.5\n", "n_users"),
+    ("[simulation]\nh_override_m = 0\n", "h_override_m"),
+    ("[placement]\nplacement_type = D\n", "placement_type"),
+]
+
+
+@pytest.mark.parametrize("text,field", BAD_CONFIGS)
+def test_bad_config_names_field(tmp_path, text, field):
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=f"^{field}:"):
+        cfgmod.load_config(path)
+
+
+def test_per_ap_power_is_the_budget_split(tmp_path):
+    path = tmp_path / "c12.ini"
+    path.write_text("[radio]\np_o_dbm = 7.3\n[placement]\nplacement_type = C\nn_aps = 12\n")
+    cfg, _ = cfgmod.load_config(path)
+    assert cfg.p_o_w == cfgmod.dbm_to_watts(7.3)
+    assert cfg.link.p_t_w == cfgmod.dbm_to_watts(7.3) / 12
+
+
+def test_height_override_moves_the_ceiling(tmp_path):
+    path = tmp_path / "h.ini"
+    path.write_text("[users]\nuser_height_m = 1.25\n[simulation]\nh_override_m = 4.5\n")
+    cfg, settings = cfgmod.load_config(path)
+    assert cfg.room.height_m == 4.5 + 1.25
+    assert cfg.effective_height_m() == 4.5
+    assert settings["h_override_m"] == 4.5

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import los_blocked
+from oracles import los_blocked, sees
 from thzplan import geometry as geo
 
 
@@ -137,30 +137,21 @@ class TestPlacementC:
     def test_inward_view(self):
         con = geo.place_type_c(geo.Room(), 4)
         for node in con.nodes:
-            assert node.sees(5.0, 5.0)
+            assert sees(node, 5.0, 5.0)
         south = next(n for n in con.nodes if n.y == 0.0)
-        assert not south.sees(5.0, -1.0)
-        assert south.sees(9.0, 0.0)  # along its own wall counts
+        assert not sees(south, 5.0, -1.0)
+        assert sees(south, 9.0, 0.0)  # along its own wall counts
 
 
 class TestVariants:
-    def test_layout_only_types(self):
-        room = geo.Room()
-        d = geo.place_type_d(room, 4)
-        e = geo.place_type_e(room, 4)
-        f = geo.place_type_f(room, 8)
-        assert d.placement_type == "D" and all(n.z == pytest.approx(1.8) for n in d.nodes)
-        assert e.placement_type == "E" and all(n.z == pytest.approx(1.2) for n in e.nodes)
-        assert f.placement_type == "F" and len(f) == 8
-        spread = f.positions()[:, :2]
-        assert np.ptp(spread, axis=0).max() < 1.0  # tight cluster
-
     def test_dispatch(self):
+        assert geo.ALL_TYPES == ("A", "B", "C")
         for t in geo.ALL_TYPES:
             con = geo.place(geo.Room(), t, 1 if t == "A" else 4)
             assert con.placement_type == t
-        with pytest.raises(ValueError):
-            geo.place(geo.Room(), "Z", 4)
+        for t in ("Z", "D", "E", "F"):
+            with pytest.raises(ValueError):
+                geo.place(geo.Room(), t, 4)
         with pytest.raises(ValueError):
             geo.place(geo.Room(), "A", 4)
 
@@ -353,18 +344,3 @@ def _z_at_circle_crossing(a, b, cyl):
     t1 = (-qb - math.sqrt(disc)) / (2 * qa)
     t2 = (-qb + math.sqrt(disc)) / (2 * qa)
     return az + t1 * (bz - az), az + t2 * (bz - az)
-
-
-class TestConstellationIO:
-    def test_round_trip(self, tmp_path):
-        con = geo.place_type_c(geo.Room(), 8, 0.75)
-        path = tmp_path / "layout.csv"
-        geo.write_constellation(con, path)
-        back = geo.read_constellation(path)
-        assert back == con
-
-    def test_round_trip_single(self, tmp_path):
-        con = geo.place_type_a(geo.Room(4, 6, 2.5))
-        path = tmp_path / "layout.csv"
-        geo.write_constellation(con, path)
-        assert geo.read_constellation(path) == con

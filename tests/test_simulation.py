@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import los_blocked
+from oracles import los_blocked, sees
 from thzplan import geometry as geo
 from thzplan import linkbudget as lb
 from thzplan import mobility as mob
@@ -23,11 +23,7 @@ def make_config(**kw):
         dt_s=0.010,
     )
     defaults.update(kw)
-    n = defaults["n_aps"]
-    link = defaults.pop("link", None)
-    if link is None:
-        link = lb.LinkBudgetParams(p_t_w=defaults["p_o_w"] / n)
-    return sim.SimConfig(link=link, **defaults)
+    return sim.SimConfig(**defaults)
 
 
 class TestConfig:
@@ -45,29 +41,29 @@ class TestConfig:
         (dict(share_mode="round_robin"), "share_mode"),
         (dict(rate_min_bps=0.0), "rate_min"),
         (dict(pause_s=-1.0), "pause_s"),
+        (dict(f_c_hz=0.0), "f_c_hz"),
+        (dict(beamwidth_deg=400.0), "beamwidth_deg"),
     ])
     def test_validation_names_field(self, kw, field):
         with pytest.raises(sim.ConfigError, match=field):
             make_config(**kw).validate()
-
-    def test_power_split_mismatch_rejected(self):
-        cfg = make_config(link=lb.LinkBudgetParams(p_t_w=1e-3))
-        with pytest.raises(sim.ConfigError, match="p_t_w"):
-            cfg.validate()
 
     def test_device_above_ceiling(self):
         with pytest.raises(sim.ConfigError, match="user_height_m"):
             make_config(user_height_m=3.5).validate()
 
     def test_height_override_moves_ceiling(self):
-        cfg = make_config(h_override_m=4.0).resolve_height()
+        cfg = sim.with_effective_height(make_config(), 4.0)
         assert cfg.room.height_m == 5.5
         assert cfg.effective_height_m() == 4.0
-        assert cfg.h_override_m is None
+        for h in (0.0, -1.0):
+            with pytest.raises(sim.ConfigError, match="h_override_m"):
+                sim.with_effective_height(make_config(), h)
 
     def test_with_power_budget_split(self):
         for n in (1, 4, 8, 12, 16):
-            cfg = sim.with_power_budget(make_config(), 1e-3, n)
+            cfg = replace(make_config(), n_aps=n)
+            assert cfg.link.p_t_w == 1e-3 / n
             assert math.fsum([cfg.link.p_t_w] * n) == pytest.approx(1e-3, rel=5e-16)
 
     def test_parse_series(self):
@@ -139,7 +135,7 @@ class TestAssociate:
             for i, u in enumerate(users):
                 best, best_d = -1, None
                 for node in con.nodes:
-                    if not node.sees(u.x, u.y):
+                    if not sees(node, u.x, u.y):
                         continue
                     if blockers and los_blocked(
                         (node.x, node.y, node.z), (u.x, u.y, 1.5), blockers, exclude=i
@@ -187,7 +183,6 @@ class TestRunBasics:
         cfg = make_config(
             placement_type="A", n_aps=1, p_o_w=10.0, n_users=1,
             v_mean_mps=1e-6, v_span_mps=1e-7, duration_s=1.0,
-            link=lb.LinkBudgetParams(p_t_w=10.0),
         )
         r = sim.run(cfg)
         k = math.ceil(cfg.t_align_s / cfg.dt_s)
@@ -211,7 +206,7 @@ class TestAlignmentWindow:
         con = sim.build_constellation(cfg)
         rate = max(
             lb.achievable_rate(math.dist((n.x, n.y, n.z), (u.x, u.y, 1.5)), cfg.link)
-            for n in con.nodes if n.sees(u.x, u.y)
+            for n in con.nodes if sees(n, u.x, u.y)
         )
         thr = r.per_user_throughput_bps[0]
         return round(r.n_steps * (1.0 - thr / rate))
@@ -294,8 +289,7 @@ class TestEvents:
 
 class TestHeatmap:
     def test_central_ap_field_is_symmetric(self):
-        cfg = make_config(placement_type="A", n_aps=1,
-                          link=lb.LinkBudgetParams(p_t_w=1e-3))
+        cfg = make_config(placement_type="A", n_aps=1)
         grid = sim.heatmap(cfg, 10.0, 1e9)
         r = grid.rates_bps
         assert r.shape == (100, 100)
@@ -310,8 +304,7 @@ class TestHeatmap:
         assert not np.any(grid.labels == sim.LABEL_SHADOW)
 
     def test_shadow_requires_blockers(self):
-        cfg = make_config(placement_type="A", n_aps=1,
-                          link=lb.LinkBudgetParams(p_t_w=1e-3))
+        cfg = make_config(placement_type="A", n_aps=1)
         clear = sim.heatmap(cfg, 10.0, 1e9)
         assert not np.any(clear.labels == sim.LABEL_SHADOW)
         blocker = geo.BodyCylinder((5.05, 8.8), 0.1, 1.8)
@@ -326,8 +319,7 @@ class TestHeatmap:
     def test_no_own_body_when_blocker_count_matches_cell_count(self, n_blockers):
         # 4 cells at 0.2 cells/m; the body cuts the ray from the AP to cell
         # (0, 0), the other blockers stand in far corners
-        cfg = make_config(placement_type="A", n_aps=1,
-                          link=lb.LinkBudgetParams(p_t_w=1e-3))
+        cfg = make_config(placement_type="A", n_aps=1)
         body = geo.BodyCylinder((2.75, 2.75), 0.1, 1.8)
         corners = [geo.BodyCylinder(xy, 0.1, 1.8)
                    for xy in ((9.9, 0.1), (0.1, 9.9), (9.9, 9.9))]
@@ -350,15 +342,13 @@ class TestHeatmap:
         ((_WIDE, _THIN), (0, 1), (1, 0)),
     ])
     def test_each_blocker_keeps_its_own_size(self, blockers, clear, shadow):
-        cfg = make_config(placement_type="A", n_aps=1,
-                          link=lb.LinkBudgetParams(p_t_w=1e-3))
+        cfg = make_config(placement_type="A", n_aps=1)
         grid = sim.heatmap(cfg, 0.2, 1e9, blockers=list(blockers))
         assert grid.labels[clear] == sim.LABEL_ILLUMINATION
         assert grid.labels[shadow] == sim.LABEL_SHADOW
 
     def test_boundary_tracks_coverage_radius(self):
-        cfg = make_config(placement_type="A", n_aps=1, p_o_w=0.5e-3,
-                          link=lb.LinkBudgetParams(p_t_w=0.5e-3))
+        cfg = make_config(placement_type="A", n_aps=1, p_o_w=0.5e-3)
         probe = 10e9
         grid = sim.heatmap(cfg, 10.0, probe)
         r_star = lb.coverage_radius(cfg.link, probe / cfg.link.bandwidth_hz)
