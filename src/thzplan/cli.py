@@ -101,8 +101,8 @@ def cmd_coverage_sweep(args) -> int:
 
 def cmd_heatmap(args) -> int:
     cfg, settings = _load(args)
-    if args.type:
-        cfg = simulation.with_placement(cfg, args.type, args.n)
+    if args.type or args.n is not None:
+        cfg = simulation.with_placement(cfg, args.type or cfg.placement_type, args.n)
         settings = dict(settings, placement_type=cfg.placement_type, n_aps=cfg.n_aps)
     grid = simulation.heatmap(cfg, args.resolution, args.probe_rate_gbps * 1e9)
     out = _ensure_outdir(args.out)
@@ -132,7 +132,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg, settings = _load(args)
-    values = _parse_values(args.values)
+    if args.axis == "placement_type":
+        values = [v.strip() for v in args.values.split(",") if v.strip()]
+    else:
+        values = _parse_values(args.values)
     series = [s for s in args.types.split(",") if s.strip()] if args.types else [None]
     reports = []
     for label in series:

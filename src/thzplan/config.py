@@ -95,7 +95,8 @@ def _parse_value(key: str, raw: str):
 
 
 def load_settings(path=None, overrides: dict | None = None) -> dict:
-    """Flat key -> value mapping with defaults, file, then overrides."""
+    """Flat key -> value mapping with defaults, file, then overrides;
+    an override is parsed from str(value) exactly like file text."""
     settings = {k: v for sec in DEFAULTS.values() for k, v in sec.items()}
     if path is not None:
         parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
@@ -114,11 +115,7 @@ def load_settings(path=None, overrides: dict | None = None) -> dict:
     for key, value in (overrides or {}).items():
         if key not in _KEY_SECTION:
             raise ConfigError(f"{key}: unknown configuration key")
-        settings[key] = (
-            _parse_value(key, str(value))
-            if isinstance(value, str) or key == "blockage"
-            else value
-        )
+        settings[key] = _parse_value(key, str(value))
     return settings
 
 

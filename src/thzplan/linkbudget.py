@@ -4,6 +4,10 @@ Pure functions for path loss, antenna gain, achievable rate, and the
 closed-form illumination radius of a single access point. All quantities
 are linear (W, W/Hz, dimensionless gains); dB conversions belong to the
 config boundary. Distance arguments accept scalars or numpy arrays.
+
+A link's SNR is snr_scale(params) / (d^2 e^(tau d)) and its rate is
+shannon_rate(snr, B): achievable_rate and the simulation's runs, heat
+maps and associate() all compute a link through these two functions.
 """
 
 from __future__ import annotations
@@ -91,8 +95,7 @@ class LinkBudgetParams:
     f_c_hz: float = 570e9
     bandwidth_hz: float = 10e9
     p_t_w: float = 1e-3
-    tx_beamwidth_deg: float = 10.0
-    rx_beamwidth_deg: float = 10.0
+    beamwidth_deg: float = 10.0  # of the AP and the device antenna alike
     noise_psd_w_hz: float = 10 ** (-193.85 / 10)
     humidity: float = 0.60
     temperature_c: float = 25.0
@@ -102,10 +105,8 @@ class LinkBudgetParams:
         for name in ("f_c_hz", "bandwidth_hz", "p_t_w", "noise_psd_w_hz"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        for name in ("tx_beamwidth_deg", "rx_beamwidth_deg"):
-            bw = getattr(self, name)
-            if not 0 < bw <= 360:
-                raise ValueError(f"{name} must be in (0, 360]")
+        if not 0 < self.beamwidth_deg <= 360:
+            raise ValueError("beamwidth_deg must be in (0, 360]")
         if not 0 <= self.humidity <= 1:
             raise ValueError("humidity must be a fraction in [0, 1]")
         if self.tau_override is not None and self.tau_override < 0:
@@ -124,28 +125,24 @@ def absorption_coefficient(
     humidity: float,
     temperature_c: float = 25.0,
     tau_override: float | None = None,
-    table: AbsorptionTable | None = None,
 ) -> float:
     """Medium absorption coefficient (1/m).
 
     An explicit tau_override bypasses the table entirely. Otherwise the
-    bundled (or supplied) table is interpolated at f_c and scaled to the
-    requested humidity. temperature_c is accepted for interface
-    completeness; the default table has no temperature dependence.
+    bundled table is interpolated at f_c and scaled to the requested
+    humidity. temperature_c is accepted for interface completeness; the
+    bundled table has no temperature dependence.
     """
     if tau_override is not None:
         if tau_override < 0:
             raise ValueError("tau_override must be >= 0")
         return float(tau_override)
-    if table is None:
-        table = _default_table()
-    return table.tau(f_c_hz, humidity)
+    return _default_table().tau(f_c_hz, humidity)
 
 
-def absorption_for(params: LinkBudgetParams, table: AbsorptionTable | None = None) -> float:
+def absorption_for(params: LinkBudgetParams) -> float:
     return absorption_coefficient(
-        params.f_c_hz, params.humidity, params.temperature_c,
-        params.tau_override, table,
+        params.f_c_hz, params.humidity, params.temperature_c, params.tau_override,
     )
 
 
@@ -156,24 +153,34 @@ def _check_distance(d):
     return d
 
 
-def total_path_loss(d_m, params: LinkBudgetParams, table: AbsorptionTable | None = None):
+def total_path_loss(d_m, params: LinkBudgetParams):
     """Spreading loss times exponential medium absorption (linear, >= 1
     for any distance beyond a few wavelengths). Strictly increasing in d."""
     d = _check_distance(d_m)
-    tau = absorption_for(params, table)
+    tau = absorption_for(params)
     spreading = (4.0 * math.pi * params.f_c_hz / SPEED_OF_LIGHT) ** 2 * d * d
     loss = spreading * np.exp(tau * d)
     return float(loss) if loss.ndim == 0 else loss
 
 
-def achievable_rate(d_m, params: LinkBudgetParams, table: AbsorptionTable | None = None):
+def snr_scale(params: LinkBudgetParams) -> float:
+    """SNR of the link at 1 m without absorption: p_t g^2 / (spreading
+    at 1 m * N0 * B). The SNR at distance d is this over d^2 e^(tau d)."""
+    g = antenna_gain(params.beamwidth_deg) * antenna_gain(params.beamwidth_deg)
+    spread = (4.0 * math.pi * params.f_c_hz / SPEED_OF_LIGHT) ** 2
+    return params.p_t_w * g / (spread * params.noise_psd_w_hz * params.bandwidth_hz)
+
+
+def shannon_rate(snr, bandwidth_hz: float):
+    """Shannon rate (bit/s) of a link with the given SNR."""
+    return bandwidth_hz * np.log2(1.0 + snr)
+
+
+def achievable_rate(d_m, params: LinkBudgetParams):
     """Shannon rate (bit/s) over the noise-limited link at distance d."""
     d = _check_distance(d_m)
-    g_t = antenna_gain(params.tx_beamwidth_deg)
-    g_r = antenna_gain(params.rx_beamwidth_deg)
-    loss = total_path_loss(d, params, table)
-    snr = params.p_t_w * g_t * g_r / (loss * params.noise_psd_w_hz * params.bandwidth_hz)
-    rate = params.bandwidth_hz * np.log2(1.0 + snr)
+    snr = snr_scale(params) / (d * d * np.exp(absorption_for(params) * d))
+    rate = shannon_rate(snr, params.bandwidth_hz)
     return float(rate) if np.ndim(rate) == 0 else rate
 
 
@@ -219,9 +226,8 @@ def lambert_w0(x: float) -> float:
 def _radius_constant(params: LinkBudgetParams, spectral_efficiency: float) -> float:
     if spectral_efficiency <= 0:
         raise ValueError("spectral efficiency must be positive")
-    g_t = antenna_gain(params.tx_beamwidth_deg)
-    g_r = antenna_gain(params.rx_beamwidth_deg)
-    k = params.p_t_w * g_t * g_r / (
+    g = antenna_gain(params.beamwidth_deg)
+    k = params.p_t_w * g * g / (
         params.noise_psd_w_hz
         * params.bandwidth_hz
         * (4.0 * math.pi * params.f_c_hz / SPEED_OF_LIGHT) ** 2
@@ -232,11 +238,7 @@ def _radius_constant(params: LinkBudgetParams, spectral_efficiency: float) -> fl
     return k
 
 
-def coverage_radius(
-    params: LinkBudgetParams,
-    spectral_efficiency: float,
-    table: AbsorptionTable | None = None,
-) -> float:
+def coverage_radius(params: LinkBudgetParams, spectral_efficiency: float) -> float:
     """Distance (m) at which the link sustains the given spectral
     efficiency: the unique positive root of r^2 e^(tau r) = K.
 
@@ -245,16 +247,12 @@ def coverage_radius(
     No ceiling is applied; see coverage_radius_ceiled.
     """
     k = _radius_constant(params, spectral_efficiency)
-    tau = absorption_for(params, table)
+    tau = absorption_for(params)
     if tau == 0.0:
         return math.sqrt(k)
     return 2.0 * lambert_w0(tau * math.sqrt(k) / 2.0) / tau
 
 
-def coverage_radius_ceiled(
-    params: LinkBudgetParams,
-    spectral_efficiency: float,
-    table: AbsorptionTable | None = None,
-) -> int:
+def coverage_radius_ceiled(params: LinkBudgetParams, spectral_efficiency: float) -> int:
     """coverage_radius rounded up to a whole meter."""
-    return math.ceil(coverage_radius(params, spectral_efficiency, table))
+    return math.ceil(coverage_radius(params, spectral_efficiency))

@@ -5,6 +5,9 @@ AP (view sector, optional body blockage), new or changed links pay the
 AP's beam-alignment dead time, and an AP's rate is time-shared equally
 among its assigned users. Metrics are plain averages over (user, step)
 pairs; an AP is idle in a step when nothing is assigned to it.
+
+run(), heatmap() and associate() share one best-AP rule (_best_ap) and
+the linkbudget SNR and rate, so the static and dynamic views agree.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import numpy as np
 
 from . import geometry, linkbudget, mobility
 from .geometry import Constellation, Room
-from .linkbudget import LinkBudgetParams, SPEED_OF_LIGHT
+from .linkbudget import LinkBudgetParams
 
 
 class ConfigError(ValueError):
@@ -48,7 +51,7 @@ class SimConfig:
     p_o_w: float = 1e-3
     f_c_hz: float = LinkBudgetParams.f_c_hz
     bandwidth_hz: float = LinkBudgetParams.bandwidth_hz
-    beamwidth_deg: float = LinkBudgetParams.tx_beamwidth_deg
+    beamwidth_deg: float = LinkBudgetParams.beamwidth_deg
     noise_psd_w_hz: float = LinkBudgetParams.noise_psd_w_hz
     humidity: float = LinkBudgetParams.humidity
     temperature_c: float = LinkBudgetParams.temperature_c
@@ -76,8 +79,7 @@ class SimConfig:
             f_c_hz=self.f_c_hz,
             bandwidth_hz=self.bandwidth_hz,
             p_t_w=self.p_o_w / self.n_aps,
-            tx_beamwidth_deg=self.beamwidth_deg,
-            rx_beamwidth_deg=self.beamwidth_deg,
+            beamwidth_deg=self.beamwidth_deg,
             noise_psd_w_hz=self.noise_psd_w_hz,
             humidity=self.humidity,
             temperature_c=self.temperature_c,
@@ -128,6 +130,8 @@ class SimConfig:
 
 def with_placement(cfg: SimConfig, placement_type: str, n_aps: int | None = None) -> SimConfig:
     t = placement_type.upper()
+    if t == "A" and n_aps not in (None, 1):
+        raise ConfigError(f"n: type A has exactly 1 AP, got {n_aps}")
     n = 1 if t == "A" else (n_aps if n_aps is not None else cfg.n_aps)
     return replace(cfg, placement_type=t, n_aps=n)
 
@@ -152,12 +156,12 @@ def parse_series(label: str) -> tuple[str, int]:
     return label[0], int(label[1:])
 
 
-def build_constellation(cfg: SimConfig, apply_height_correction: bool = True) -> Constellation:
+def build_constellation(cfg: SimConfig) -> Constellation:
     """Constellation for a config; wall mounts get the height correction
-    matching the ceiling grid unless disabled."""
+    matching the ceiling grid."""
     t = cfg.placement_type.upper()
     h_c = 0.0
-    if t == "C" and apply_height_correction:
+    if t == "C":
         d_grid, d_perim = geometry.reference_distances(
             cfg.room, cfg.n_aps, cfg.user_height_m
         )
@@ -166,13 +170,6 @@ def build_constellation(cfg: SimConfig, apply_height_correction: bool = True) ->
             cfg.effective_height_m(), d_grid, d_perim, tau
         )
     return geometry.place(cfg.room, t, cfg.n_aps, h_c, cfg.t_align_s)
-
-
-@dataclass(frozen=True)
-class LinkAssignment:
-    """Per-user AP choice, -1 when no AP is feasible."""
-
-    ap_for_user: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -206,11 +203,7 @@ class _ApArrays:
         self.face = np.stack([np.cos(az), np.sin(az)], axis=1)
         self.align = np.array([n.align_time_s for n in con.nodes])
         self.wide = np.array([n.view_deg >= 360.0 for n in con.nodes])
-        g = linkbudget.antenna_gain(link.tx_beamwidth_deg) * linkbudget.antenna_gain(
-            link.rx_beamwidth_deg
-        )
-        spread = (4.0 * math.pi * link.f_c_hz / SPEED_OF_LIGHT) ** 2
-        self.sig = link.p_t_w * g / (spread * link.noise_psd_w_hz * link.bandwidth_hz)
+        self.sig = linkbudget.snr_scale(link)
         self.dz_sq = (self.xyz[:, 2] - device_z) ** 2
         self.tau = linkbudget.absorption_for(link)
 
@@ -231,20 +224,30 @@ class _ApArrays:
         return self.sig / (d_sq * np.exp(self.tau * d))
 
 
-def _associate(pos: np.ndarray, aps: _ApArrays, blocked=None):
-    """Strongest-signal AP for each device among the APs that see it and,
-    if a blocked matrix is given, are not blocked from it.
-
-    Ties go to the lowest AP id; a device with no feasible AP gets -1.
-    Returns (best AP per device, SNR matrix, in-view matrix).
-    """
-    rel = aps.offsets(pos)
-    in_view = aps.in_view(rel)
-    feasible = in_view if blocked is None else in_view & ~blocked
-    snr = aps.snr(rel)
+def _best_ap(snr: np.ndarray, feasible: np.ndarray) -> np.ndarray:
+    """The association rule: per device, the feasible AP with the highest
+    SNR. Ties go to the lowest AP id; a device with no feasible AP gets -1."""
     best = np.where(feasible, snr, -np.inf).argmax(axis=1).astype(np.int64)
     best[~feasible.any(axis=1)] = -1
+    return best
+
+
+def _associate(pos: np.ndarray, aps: _ApArrays, blocked=None):
+    """_best_ap over the APs that see each device and are not blocked from
+    it; returns (best AP per device, SNR matrix, in-view matrix)."""
+    rel = aps.offsets(pos)
+    in_view = aps.in_view(rel)
+    snr = aps.snr(rel)
+    best = _best_ap(snr, in_view if blocked is None else in_view & ~blocked)
     return best, snr, in_view
+
+
+def _best_rate(best: np.ndarray, snr: np.ndarray, bandwidth_hz: float) -> np.ndarray:
+    """Link rate from each device to its chosen AP; 0.0 where it has none."""
+    rate = np.zeros(best.shape)
+    idx = np.flatnonzero(best >= 0)
+    rate[idx] = linkbudget.shannon_rate(snr[idx, best[idx]], bandwidth_hz)
+    return rate
 
 
 def associate(
@@ -253,12 +256,12 @@ def associate(
     link: LinkBudgetParams,
     blockers=None,
     device_height_m: float = mobility.DEFAULT_DEVICE_HEIGHT_M,
-) -> LinkAssignment:
-    """Strongest-signal association with view-sector and LOS feasibility.
+) -> tuple[int, ...]:
+    """AP id per user by run()'s rule: the strongest AP that sees the user
+    and, with blockers, is not blocked from it; -1 when there is none.
 
-    Ties go to the lowest AP id; users with no feasible AP stay
-    unassigned. blockers, if given, holds one body per user, in user
-    order, and blocker i never blocks user i's links.
+    Ties go to the lowest AP id. blockers, if given, holds one body per
+    user, in user order, and blocker i never blocks user i's links.
     """
     aps = _ApArrays(constellation, link, device_height_m)
     pos = np.array([[u.x, u.y] for u in users], dtype=float)
@@ -266,7 +269,7 @@ def associate(
     if blockers:
         blocked = _blocked_by(aps, pos, device_height_m, blockers, own_body=True)
     best, _, _ = _associate(pos, aps, blocked)
-    return LinkAssignment(tuple(int(b) for b in best))
+    return tuple(best.tolist())
 
 
 def _blocked_by(aps: _ApArrays, pos, device_z, blockers, own_body: bool):
@@ -370,15 +373,14 @@ def run(cfg: SimConfig, record_events: bool = False) -> MetricsReport:
         if serving.any():
             idx = np.flatnonzero(serving)
             ap_idx = best[idx]
-            rate = link.bandwidth_hz * np.log2(1.0 + snr[idx, ap_idx])
+            rate = linkbudget.shannon_rate(snr[idx, ap_idx], link.bandwidth_hz)
             if cfg.share_mode == "equal_share":
                 delivered[idx] = rate / counts[ap_idx]
             else:  # single_user: strongest assigned user takes the step
                 for a in np.unique(ap_idx):
-                    mine = idx[ap_idx == a]
-                    delivered[mine[np.argmax(snr[mine, a])]] = link.bandwidth_hz * np.log2(
-                        1.0 + snr[mine, a].max()
-                    )
+                    mine = np.flatnonzero(ap_idx == a)
+                    top = mine[np.argmax(snr[idx[mine], a])]
+                    delivered[idx[top]] = rate[top]
 
         covered_steps += delivered >= demand
         thr_sum += delivered
@@ -426,10 +428,11 @@ def heatmap(
     resolution_cells_per_m: float,
     probe_rate_bps: float,
     blockers=None,
-    apply_height_correction: bool = True,
 ) -> HeatmapGrid:
     """Static best-AP rate field at device height.
 
+    Each cell is a device served by the AP run() would pick for it (see
+    _best_ap) at that link's rate; a cell with no feasible AP reads 0.0.
     Cells below the probe rate are darkness unless a blocker is what
     pushed them under, in which case they are shadow. No time sharing:
     this is the per-point link capacity, not a loaded-system rate.
@@ -440,7 +443,7 @@ def heatmap(
         raise ConfigError("resolution: must be positive")
     cfg.validate()
     link = cfg.link
-    con = build_constellation(cfg, apply_height_correction)
+    con = build_constellation(cfg)
     aps = _ApArrays(con, link, cfg.user_height_m)
     res = resolution_cells_per_m
     nx = math.ceil(cfg.room.length_m * res)
@@ -450,28 +453,23 @@ def heatmap(
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     cells = np.stack([gx.ravel(), gy.ravel()], axis=1)
 
-    rel = aps.offsets(cells)
-    feasible = aps.in_view(rel)
-    snr = aps.snr(rel)
-    rate = link.bandwidth_hz * np.log2(1.0 + snr)
-    best_clear = np.where(feasible, rate, 0.0).max(axis=1)
-
+    best, snr, in_view = _associate(cells, aps)
+    clear = _best_rate(best, snr, link.bandwidth_hz)
+    rates = clear
     if blockers:
         blocked = _blocked_by(aps, cells, cfg.user_height_m, blockers, own_body=False)
-        best = np.where(feasible & ~blocked, rate, 0.0).max(axis=1)
-    else:
-        best = best_clear
+        rates = _best_rate(_best_ap(snr, in_view & ~blocked), snr, link.bandwidth_hz)
 
     labels = np.full(cells.shape[0], LABEL_DARKNESS, dtype=np.int8)
-    labels[best >= probe_rate_bps] = LABEL_ILLUMINATION
-    labels[(best < probe_rate_bps) & (best_clear >= probe_rate_bps)] = LABEL_SHADOW
+    labels[rates >= probe_rate_bps] = LABEL_ILLUMINATION
+    labels[(rates < probe_rate_bps) & (clear >= probe_rate_bps)] = LABEL_SHADOW
     return HeatmapGrid(
         resolution_cells_per_m=res,
         length_m=cfg.room.length_m,
         width_m=cfg.room.width_m,
         device_height_m=cfg.user_height_m,
         probe_rate_bps=probe_rate_bps,
-        rates_bps=best.reshape(nx, ny),
+        rates_bps=rates.reshape(nx, ny),
         labels=labels.reshape(nx, ny),
     )
 
@@ -480,6 +478,8 @@ def apply_axis(cfg: SimConfig, axis: str, value) -> SimConfig:
     if axis == "H":
         return with_effective_height(cfg, float(value))
     if axis == "N":
+        if not float(value).is_integer():
+            raise ConfigError(f"values: an AP count must be a whole number, got {value!r}")
         return replace(cfg, n_aps=int(value))
     if axis == "placement_type":
         return with_placement(cfg, str(value))

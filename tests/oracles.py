@@ -188,7 +188,7 @@ def sees(node, x: float, y: float) -> bool:
     return dx * math.cos(az) + dy * math.sin(az) >= -1e-12 * math.hypot(dx, dy)
 
 
-def coverage_radius_bruteforce(params, spectral_efficiency: float, table=None) -> float:
+def coverage_radius_bruteforce(params, spectral_efficiency: float) -> float:
     """Bisection oracle for `linkbudget.coverage_radius`.
 
     Works on log(r^2 e^(tau r) / K) = 2 ln r + tau r - ln K, which is
@@ -197,7 +197,7 @@ def coverage_radius_bruteforce(params, spectral_efficiency: float, table=None) -
     to float resolution for very large radii).
     """
     k = _radius_constant(params, spectral_efficiency)
-    tau = absorption_for(params, table)
+    tau = absorption_for(params)
     log_k = math.log(k)
 
     def g(r):

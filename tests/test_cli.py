@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -101,3 +102,55 @@ def test_same_config_and_seed_give_byte_identical_files(tmp_path, capsys):
     assert first["simulate/events.csv"].count(b"\n") > 1
     assert first["sweep/sweep.csv"].count(b"\n") == 1 + 2 * 11
     assert first == second
+
+
+_TINY_CONFIG = """[users]
+n_users = 3
+[simulation]
+duration_s = 0.05
+"""
+
+
+def _tiny_config(tmp_path):
+    path = tmp_path / "tiny.ini"
+    path.write_text(_TINY_CONFIG)
+    return str(path)
+
+
+def test_non_whole_ap_count_in_sweep_exits_2_naming_values(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = cli.main(["sweep", "--config", _tiny_config(tmp_path), "--axis", "N",
+                     "--values", "4.5,8", "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    assert "configuration error: values:" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
+
+
+def test_heatmap_type_a_with_other_count_exits_2_naming_n(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = cli.main(["heatmap", "--type", "A", "--n", "16", "--resolution", "1",
+                     "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    assert "configuration error: n:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_heatmap_n_without_type_sets_the_count(tmp_path):
+    out = tmp_path / "out"
+    assert cli.main(["heatmap", "--n", "8", "--resolution", "1",
+                     "--out", str(out)]) == cli.EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["resolved_config"]["n_aps"] == 8
+
+
+@pytest.mark.parametrize("argv,rows", [
+    (["--types", "A", "--values", "2"], ["A,1,2.0"]),
+    (["--axis", "placement_type", "--values", "A,B,C"], ["A,1,", "B,4,", "C,4,"]),
+])
+def test_sweep_runs_type_a_with_one_ap(tmp_path, capsys, argv, rows):
+    out = tmp_path / "out"
+    code = cli.main(["sweep", "--config", _tiny_config(tmp_path), *argv, "--out", str(out)])
+    assert code == cli.EXIT_OK
+    lines = (out / "sweep.csv").read_text().splitlines()[1:]
+    assert len(lines) == len(rows)
+    assert all(line.startswith(row) for line, row in zip(lines, rows))

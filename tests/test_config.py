@@ -1,7 +1,7 @@
 import pytest
 
 from thzplan import config as cfgmod
-from thzplan.simulation import ConfigError
+from thzplan.simulation import ConfigError, SimConfig
 
 
 @pytest.mark.parametrize("value", [True, False])
@@ -48,3 +48,16 @@ def test_height_override_moves_the_ceiling(tmp_path):
     assert cfg.room.height_m == 4.5 + 1.25
     assert cfg.effective_height_m() == 4.5
     assert settings["h_override_m"] == 4.5
+
+
+def test_config_defaults_are_the_library_defaults():
+    assert cfgmod.load_config()[0] == SimConfig()
+
+
+def test_non_string_override_is_parsed_like_file_text():
+    with pytest.raises(ConfigError, match="^n_users:"):
+        cfgmod.load_config(overrides={"n_users": 2.5})
+    cfg, settings = cfgmod.load_config(overrides={"seed": 7, "p_o_dbm": -3.0})
+    assert type(cfg.seed) is int and cfg.seed == 7
+    assert settings["p_o_dbm"] == -3.0
+    assert cfg.p_o_w == cfgmod.dbm_to_watts(-3.0)

@@ -122,7 +122,7 @@ class TestAchievableRate:
         d = 3.0
         base = table_params(tau_override=0.02)
         loss = lb.total_path_loss(d, base)
-        g = lb.antenna_gain(base.tx_beamwidth_deg) ** 2
+        g = lb.antenna_gain(base.beamwidth_deg) ** 2
         p_t = loss * base.noise_psd_w_hz * base.bandwidth_hz / g
         p = table_params(tau_override=0.02, p_t_w=p_t)
         assert lb.achievable_rate(d, p) == pytest.approx(p.bandwidth_hz, rel=1e-12)
@@ -189,7 +189,7 @@ class TestCoverageRadius:
         # contrive P_t so the radius constant is exactly 25
         s = 0.5
         base = table_params(tau_override=0.0)
-        g = lb.antenna_gain(base.tx_beamwidth_deg) ** 2
+        g = lb.antenna_gain(base.beamwidth_deg) ** 2
         k_unit = g / (
             base.noise_psd_w_hz * base.bandwidth_hz
             * (4 * math.pi * base.f_c_hz / lb.SPEED_OF_LIGHT) ** 2
@@ -205,7 +205,7 @@ class TestCoverageRadius:
         s = 0.5
         tau = 0.5
         base = table_params(tau_override=tau)
-        g = lb.antenna_gain(base.tx_beamwidth_deg) ** 2
+        g = lb.antenna_gain(base.beamwidth_deg) ** 2
         k_unit = g / (
             base.noise_psd_w_hz * base.bandwidth_hz
             * (4 * math.pi * base.f_c_hz / lb.SPEED_OF_LIGHT) ** 2
@@ -245,8 +245,8 @@ class TestCoverageRadius:
 class TestParams:
     @pytest.mark.parametrize("field,value", [
         ("f_c_hz", 0.0), ("bandwidth_hz", -1.0), ("p_t_w", 0.0),
-        ("noise_psd_w_hz", 0.0), ("tx_beamwidth_deg", 0.0),
-        ("rx_beamwidth_deg", 400.0), ("humidity", 1.5), ("tau_override", -0.1),
+        ("noise_psd_w_hz", 0.0), ("beamwidth_deg", 0.0),
+        ("beamwidth_deg", 400.0), ("humidity", 1.5), ("tau_override", -0.1),
     ])
     def test_invalid_fields(self, field, value):
         with pytest.raises(ValueError):

@@ -106,7 +106,7 @@ class TestAssociate:
         users = mob.init_users(geo.Room(), 3, seed=5)
         link = lb.LinkBudgetParams()
         got = sim.associate(users, con, link)
-        assert got.ap_for_user == (0, 0, 0)
+        assert got == (0, 0, 0)
 
     def test_equidistant_tie_prefers_low_id(self):
         room = geo.Room()
@@ -114,7 +114,7 @@ class TestAssociate:
         u = mob.UserState(id=0, x=5.0, y=5.0, speed_mps=1, wp_x=1, wp_y=1,
                           demand_bps=1e9)
         got = sim.associate([u], con, lb.LinkBudgetParams(p_t_w=0.25e-3))
-        assert got.ap_for_user == (0,)
+        assert got == (0,)
 
     def test_brute_force_enumeration_oracle(self):
         rng = np.random.default_rng(17)
@@ -144,7 +144,7 @@ class TestAssociate:
                     d = math.dist((node.x, node.y, node.z), (u.x, u.y, 1.5))
                     if best_d is None or d < best_d:
                         best, best_d = node.id, d
-                assert got.ap_for_user[i] == best
+                assert got[i] == best
 
 
 class TestRunBasics:
@@ -189,6 +189,27 @@ class TestRunBasics:
         assert r.ap_idle_fraction == 0.0
         assert r.user_coverage == pytest.approx((r.n_steps - k) / r.n_steps)
         assert r.handoff_count == 0
+
+    def test_single_user_share_serves_only_the_strongest_link(self):
+        cfg = make_config(
+            placement_type="A", n_aps=1, n_users=5, share_mode="single_user",
+            v_mean_mps=1e-6, v_span_mps=1e-7, duration_s=0.5,
+        )
+        r = sim.run(cfg)
+        users = mob.init_users(cfg.room, cfg.n_users, cfg.seed,
+                               v_mean=cfg.v_mean_mps, v_span=cfg.v_span_mps)
+        ap = sim.build_constellation(cfg).nodes[0]
+        d = [math.dist((ap.x, ap.y, ap.z), (u.x, u.y, 1.5)) for u in users]
+        strongest = d.index(min(d))
+        k = math.ceil(cfg.t_align_s / cfg.dt_s)
+        thr = r.per_user_throughput_bps
+        assert thr[strongest] == pytest.approx(
+            lb.achievable_rate(d[strongest], cfg.link) * (r.n_steps - k) / r.n_steps,
+            rel=1e-6,  # the users creep at 1e-6 m/s
+        )
+        assert [t for i, t in enumerate(thr) if i != strongest] == [0.0] * 4
+        shared = sim.run(replace(cfg, share_mode="equal_share"))
+        assert all(t > 0.0 for t in shared.per_user_throughput_bps)
 
     def test_effective_height_reported(self):
         r = sim.run(sim.with_effective_height(make_config(duration_s=0.05), 4.0))
@@ -250,8 +271,8 @@ class TestBlockageCrossing:
                                    wp_x=9, wp_y=7.7, demand_bps=1e9)
             users = [watcher, walker]
             got = sim.associate(users, con, link, blockers=[u.body for u in users])
-            assert got.ap_for_user[1] == 0  # walker keeps its own link
-            if got.ap_for_user[0] == -1:
+            assert got[1] == 0  # walker keeps its own link
+            if got[0] == -1:
                 blocked_steps.append(t)
         assert blocked_steps, "crossing never blocked the watcher"
         start, end = min(blocked_steps), max(blocked_steps)
