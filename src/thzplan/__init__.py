@@ -17,15 +17,12 @@ from .geometry import (
 from .linkbudget import (
     AbsorptionTable,
     LinkBudgetParams,
-    absorption_coefficient,
-    achievable_rate,
     antenna_gain,
     coverage_radius,
     coverage_radius_ceiled,
     lambert_w0,
-    total_path_loss,
 )
-from .mobility import Crowd, UserState, init_users, step_user, substream
+from .mobility import Crowd, init_users, step_user, substream
 from .reporting import CrossoverResult, detect_crossover, write_results
 from .simulation import (
     ConfigError,

@@ -8,6 +8,7 @@ from a library call, never from CLI-side math. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -21,22 +22,29 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
 
-def _parse_values(spec: str) -> list[float]:
-    """'2:7:0.5' or '2,3.5,5'."""
+def _parse_values(spec: str, flag: str) -> list[float]:
+    """'2:7:0.5' or '2,3.5,5'; an error names the flag the spec came from."""
     spec = spec.strip()
-    if ":" in spec:
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise ConfigError(f"values: expected start:stop:step, got {spec!r}")
-        start, stop, step = (float(p) for p in parts)
-        if step <= 0:
-            raise ConfigError("values: step must be positive")
-        # by index, so rounding does not accumulate along the range
-        out = []
-        while (v := start + len(out) * step) <= stop + 1e-9:
-            out.append(round(v, 9))
-        return out
-    return [float(p) for p in spec.split(",") if p.strip()]
+    ranged = ":" in spec
+    parts = spec.split(":") if ranged else [p for p in spec.split(",") if p.strip()]
+    if ranged and len(parts) != 3:
+        raise ConfigError(f"{flag}: expected start:stop:step, got {spec!r}")
+    try:
+        numbers = [float(p) for p in parts]
+    except ValueError as exc:
+        raise ConfigError(f"{flag}: expected numbers, got {spec!r}") from exc
+    if not all(map(math.isfinite, numbers)):
+        raise ConfigError(f"{flag}: expected finite numbers, got {spec!r}")
+    if not ranged:
+        return numbers
+    start, stop, step = numbers
+    if step <= 0:
+        raise ConfigError(f"{flag}: step must be positive")
+    # by index, so rounding does not accumulate along the range
+    out = []
+    while (v := start + len(out) * step) <= stop + 1e-9:
+        out.append(round(v, 9))
+    return out
 
 
 def _overrides_from_args(args) -> dict:
@@ -78,8 +86,8 @@ def cmd_radius(args) -> int:
 
 def cmd_coverage_sweep(args) -> int:
     cfg, _ = _load(args)
-    freqs = _parse_values(args.frequencies_ghz)
-    widths = _parse_values(args.beamwidths_deg)
+    freqs = _parse_values(args.frequencies_ghz, "frequencies")
+    widths = _parse_values(args.beamwidths_deg, "beamwidths")
     if not freqs or not widths:
         raise ConfigError("coverage sweep needs non-empty frequency and beamwidth axes")
     lines = ["f_c_ghz,beamwidth_deg,radius_m"]
@@ -135,7 +143,7 @@ def cmd_sweep(args) -> int:
     if args.axis == "placement_type":
         values = [v.strip() for v in args.values.split(",") if v.strip()]
     else:
-        values = _parse_values(args.values)
+        values = _parse_values(args.values, "values")
     series = [s for s in args.types.split(",") if s.strip()] if args.types else [None]
     reports = []
     for label in series:

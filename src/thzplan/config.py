@@ -2,11 +2,12 @@
 
 Files are INI-style sections of key = value pairs; every key carries its
 unit in the name and dB/dBm quantities are converted to linear exactly
-once, here. Anything not set falls back to the documented defaults, so a
-run is fully described by (file, overrides, seed). Each setting becomes
-one SimConfig value: p_o_dbm is the total budget (the per-AP power is
-derived from it), and h_override_m, when set, becomes the ceiling height
-h_override_m + user_height_m.
+once, here. Every number must be finite; an unknown key or an unreadable
+value is a ConfigError that names the key. Anything not set falls back to
+the documented defaults, so a run is fully described by (file, overrides,
+seed). Each setting becomes one SimConfig value: p_o_dbm is the total
+budget (the per-AP power is derived from it), and h_override_m, when set,
+becomes the ceiling height h_override_m + user_height_m.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
+import math
+
 from . import __version__ as TOOL_VERSION
 from .geometry import Room
 from .simulation import ConfigError, SimConfig, with_effective_height
@@ -26,7 +29,6 @@ DEFAULTS = {
         "beamwidth_deg": 10.0,
         "nf_db_hz": -193.85,
         "humidity_pct": 60.0,
-        "temperature_c": 25.0,
         "tau_override_per_m": None,
     },
     "room": {
@@ -89,9 +91,12 @@ def _parse_value(key: str, raw: str):
         except ValueError as exc:
             raise ConfigError(f"{key}: expected an integer, got {raw!r}") from exc
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError as exc:
         raise ConfigError(f"{key}: expected a number, got {raw!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: expected a finite number, got {raw!r}")
+    return value
 
 
 def load_settings(path=None, overrides: dict | None = None) -> dict:
@@ -139,7 +144,6 @@ def _build_sim_config(settings: dict) -> SimConfig:
         beamwidth_deg=settings["beamwidth_deg"],
         noise_psd_w_hz=db_to_linear(settings["nf_db_hz"]),
         humidity=settings["humidity_pct"] / 100.0,
-        temperature_c=settings["temperature_c"],
         tau_override=settings["tau_override_per_m"],
         n_users=settings["n_users"],
         seed=settings["seed"],

@@ -42,9 +42,6 @@ class Room:
             if getattr(self, name) <= 0:
                 raise ValueError(f"room {name} must be positive")
 
-    def contains_xy(self, x: float, y: float) -> bool:
-        return 0.0 <= x <= self.length_m and 0.0 <= y <= self.width_m
-
 
 @dataclass(frozen=True)
 class ApNode:

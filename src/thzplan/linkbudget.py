@@ -1,13 +1,14 @@
 """Terahertz link-budget kernel.
 
-Pure functions for path loss, antenna gain, achievable rate, and the
-closed-form illumination radius of a single access point. All quantities
-are linear (W, W/Hz, dimensionless gains); dB conversions belong to the
-config boundary. Distance arguments accept scalars or numpy arrays.
+Pure functions for medium absorption, antenna gain, the link's SNR
+scale and Shannon rate, and the closed-form illumination radius of a
+single access point. All quantities are linear (W, W/Hz, dimensionless
+gains); dB conversions belong to the config boundary.
 
-A link's SNR is snr_scale(params) / (d^2 e^(tau d)) and its rate is
-shannon_rate(snr, B): achievable_rate and the simulation's runs, heat
-maps and associate() all compute a link through these two functions.
+A link's SNR is snr_scale(params) / (d^2 e^(tau d)), with tau from
+absorption_for(params), and its rate is shannon_rate(snr, B): the
+simulation's runs, heat maps and associate() all compute a link through
+these functions.
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ class AbsorptionTable:
 
     The table stores tau (1/m) sampled at a reference relative humidity;
     lookups interpolate linearly in frequency and scale linearly in
-    humidity. Temperature is carried through the parameter set but the
-    bundled table was generated at a fixed 25 C and ignores it.
+    humidity. The bundled table was generated at a fixed 25 C.
     """
 
     def __init__(self, frequency_hz, tau_per_m, reference_humidity: float):
@@ -60,10 +60,6 @@ class AbsorptionTable:
         if len(set(refs)) != 1:
             raise ValueError(f"{path}: mixed reference humidities")
         return cls(freqs, taus, refs[0])
-
-    @classmethod
-    def default(cls) -> "AbsorptionTable":
-        return _default_table()
 
     def tau(self, f_c_hz: float, humidity: float) -> float:
         """Absorption coefficient (1/m) at a carrier frequency and RH."""
@@ -98,7 +94,6 @@ class LinkBudgetParams:
     beamwidth_deg: float = 10.0  # of the AP and the device antenna alike
     noise_psd_w_hz: float = 10 ** (-193.85 / 10)
     humidity: float = 0.60
-    temperature_c: float = 25.0
     tau_override: float | None = None
 
     def __post_init__(self):
@@ -120,47 +115,15 @@ def antenna_gain(beamwidth_deg: float) -> float:
     return GAIN_NUMERATOR / (beamwidth_deg * beamwidth_deg)
 
 
-def absorption_coefficient(
-    f_c_hz: float,
-    humidity: float,
-    temperature_c: float = 25.0,
-    tau_override: float | None = None,
-) -> float:
-    """Medium absorption coefficient (1/m).
+def absorption_for(params: LinkBudgetParams) -> float:
+    """Medium absorption coefficient (1/m) of the link.
 
     An explicit tau_override bypasses the table entirely. Otherwise the
-    bundled table is interpolated at f_c and scaled to the requested
-    humidity. temperature_c is accepted for interface completeness; the
-    bundled table has no temperature dependence.
+    bundled table is interpolated at f_c and scaled to the humidity.
     """
-    if tau_override is not None:
-        if tau_override < 0:
-            raise ValueError("tau_override must be >= 0")
-        return float(tau_override)
-    return _default_table().tau(f_c_hz, humidity)
-
-
-def absorption_for(params: LinkBudgetParams) -> float:
-    return absorption_coefficient(
-        params.f_c_hz, params.humidity, params.temperature_c, params.tau_override,
-    )
-
-
-def _check_distance(d):
-    d = np.asarray(d, dtype=float)
-    if np.any(d <= 0):
-        raise ValueError("distance must be positive")
-    return d
-
-
-def total_path_loss(d_m, params: LinkBudgetParams):
-    """Spreading loss times exponential medium absorption (linear, >= 1
-    for any distance beyond a few wavelengths). Strictly increasing in d."""
-    d = _check_distance(d_m)
-    tau = absorption_for(params)
-    spreading = (4.0 * math.pi * params.f_c_hz / SPEED_OF_LIGHT) ** 2 * d * d
-    loss = spreading * np.exp(tau * d)
-    return float(loss) if loss.ndim == 0 else loss
+    if params.tau_override is not None:
+        return float(params.tau_override)
+    return _default_table().tau(params.f_c_hz, params.humidity)
 
 
 def snr_scale(params: LinkBudgetParams) -> float:
@@ -174,14 +137,6 @@ def snr_scale(params: LinkBudgetParams) -> float:
 def shannon_rate(snr, bandwidth_hz: float):
     """Shannon rate (bit/s) of a link with the given SNR."""
     return bandwidth_hz * np.log2(1.0 + snr)
-
-
-def achievable_rate(d_m, params: LinkBudgetParams):
-    """Shannon rate (bit/s) over the noise-limited link at distance d."""
-    d = _check_distance(d_m)
-    snr = snr_scale(params) / (d * d * np.exp(absorption_for(params) * d))
-    rate = shannon_rate(snr, params.bandwidth_hz)
-    return float(rate) if np.ndim(rate) == 0 else rate
 
 
 def lambert_w0(x: float) -> float:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BodyCylinder, Room
+from .geometry import Room
 
 DEFAULT_SPEED_MEAN = 1.0
 DEFAULT_SPEED_SPAN = 0.5
@@ -28,67 +28,12 @@ def substream(seed: int, user_id: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, user_id])))
 
 
-@dataclass(frozen=True)
-class UserState:
-    """A mobile receiver that doubles as a blocker for everyone else."""
-
-    id: int
-    x: float
-    y: float
-    speed_mps: float
-    wp_x: float
-    wp_y: float
-    demand_bps: float
-    body_radius_m: float = DEFAULT_BODY_WIDTH_M / 2.0
-    body_height_m: float = DEFAULT_BODY_HEIGHT_M
-    pause_left_s: float = 0.0
-
-    @property
-    def body(self) -> BodyCylinder:
-        return BodyCylinder((self.x, self.y), self.body_radius_m, self.body_height_m)
-
-
 def _draw_waypoint(rng, room: Room):
     return rng.uniform(0.0, room.length_m), rng.uniform(0.0, room.width_m)
 
 
 def _draw_speed(rng, v_mean, v_span):
     return rng.uniform(v_mean - v_span, v_mean + v_span)
-
-
-def init_users(
-    room: Room,
-    m: int,
-    seed: int,
-    v_mean: float = DEFAULT_SPEED_MEAN,
-    v_span: float = DEFAULT_SPEED_SPAN,
-    rate_min_bps: float = DEFAULT_RATE_MIN_BPS,
-    rate_max_bps: float = DEFAULT_RATE_MAX_BPS,
-    body_radius_m: float = DEFAULT_BODY_WIDTH_M / 2.0,
-    body_height_m: float = DEFAULT_BODY_HEIGHT_M,
-) -> list[UserState]:
-    """Users with uniform positions and waypoints over the floor.
-
-    Draw order per user (from that user's substream): position x, y,
-    waypoint x, y, speed, demanded rate.
-    """
-    if m <= 0:
-        raise ValueError("user count must be positive")
-    if v_mean - v_span <= 0:
-        raise ValueError("speed range must stay positive")
-    users = []
-    for i in range(m):
-        rng = substream(seed, i)
-        x, y = _draw_waypoint(rng, room)
-        wx, wy = _draw_waypoint(rng, room)
-        speed = _draw_speed(rng, v_mean, v_span)
-        demand = rng.uniform(rate_min_bps, rate_max_bps)
-        users.append(UserState(
-            id=i, x=x, y=y, speed_mps=speed, wp_x=wx, wp_y=wy,
-            demand_bps=demand, body_radius_m=body_radius_m,
-            body_height_m=body_height_m,
-        ))
-    return users
 
 
 @dataclass(eq=False)
@@ -104,15 +49,35 @@ class Crowd:
     speed_mps: np.ndarray
     pause_left_s: np.ndarray
 
-    @classmethod
-    def of(cls, users) -> "Crowd":
-        """The state of a sequence of UserState, in its order."""
-        return cls(
-            xy=np.array([(u.x, u.y) for u in users], dtype=float),
-            wp=np.array([(u.wp_x, u.wp_y) for u in users], dtype=float),
-            speed_mps=np.array([u.speed_mps for u in users], dtype=float),
-            pause_left_s=np.array([u.pause_left_s for u in users], dtype=float),
-        )
+
+def init_users(
+    room: Room,
+    m: int,
+    seed: int,
+    v_mean: float = DEFAULT_SPEED_MEAN,
+    v_span: float = DEFAULT_SPEED_SPAN,
+    rate_min_bps: float = DEFAULT_RATE_MIN_BPS,
+    rate_max_bps: float = DEFAULT_RATE_MAX_BPS,
+) -> tuple[Crowd, np.ndarray]:
+    """m users with uniform positions and waypoints over the floor.
+
+    Returns the Crowd, with nobody pausing, and the (m,) demanded rates
+    in bit/s. Draw order per user (from that user's substream): position
+    x, y, waypoint x, y, speed, demanded rate.
+    """
+    if m <= 0:
+        raise ValueError("user count must be positive")
+    if v_mean - v_span <= 0:
+        raise ValueError("speed range must stay positive")
+    xy, wp = np.empty((m, 2)), np.empty((m, 2))
+    speed, demand = np.empty(m), np.empty(m)
+    for i in range(m):
+        rng = substream(seed, i)
+        xy[i] = _draw_waypoint(rng, room)
+        wp[i] = _draw_waypoint(rng, room)
+        speed[i] = _draw_speed(rng, v_mean, v_span)
+        demand[i] = rng.uniform(rate_min_bps, rate_max_bps)
+    return Crowd(xy, wp, speed, np.zeros(m)), demand
 
 
 def step_user(

@@ -13,12 +13,13 @@ the linkbudget SNR and rate, so the static and dynamic views agree.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import geometry, linkbudget, mobility
-from .geometry import Constellation, Room
+from .geometry import BodyCylinder, Constellation, Room
 from .linkbudget import LinkBudgetParams
 
 
@@ -54,7 +55,6 @@ class SimConfig:
     beamwidth_deg: float = LinkBudgetParams.beamwidth_deg
     noise_psd_w_hz: float = LinkBudgetParams.noise_psd_w_hz
     humidity: float = LinkBudgetParams.humidity
-    temperature_c: float = LinkBudgetParams.temperature_c
     tau_override: float | None = None
     n_users: int = 30
     seed: int = 1
@@ -82,7 +82,6 @@ class SimConfig:
             beamwidth_deg=self.beamwidth_deg,
             noise_psd_w_hz=self.noise_psd_w_hz,
             humidity=self.humidity,
-            temperature_c=self.temperature_c,
             tau_override=self.tau_override,
         )
 
@@ -111,6 +110,8 @@ class SimConfig:
             raise ConfigError("t_align_s: alignment time must be positive")
         if self.n_users < 0:
             raise ConfigError("n_users: must be >= 0")
+        if self.seed < 0:
+            raise ConfigError("seed: must be >= 0")
         if self.v_mean_mps - self.v_span_mps <= 0:
             raise ConfigError("v_span_mps: speed range must stay positive")
         if not 0 < self.rate_min_bps <= self.rate_max_bps:
@@ -251,20 +252,22 @@ def _best_rate(best: np.ndarray, snr: np.ndarray, bandwidth_hz: float) -> np.nda
 
 
 def associate(
-    users,
+    positions,
     constellation: Constellation,
     link: LinkBudgetParams,
-    blockers=None,
+    blockers: Sequence[BodyCylinder] | None = None,
     device_height_m: float = mobility.DEFAULT_DEVICE_HEIGHT_M,
 ) -> tuple[int, ...]:
     """AP id per user by run()'s rule: the strongest AP that sees the user
     and, with blockers, is not blocked from it; -1 when there is none.
 
-    Ties go to the lowest AP id. blockers, if given, holds one body per
-    user, in user order, and blocker i never blocks user i's links.
+    positions is an (m, 2) array of the users' floor coordinates (a
+    Crowd's xy). Ties go to the lowest AP id. blockers, if given, holds
+    one body per user, in user order, and blocker i never blocks user i's
+    links.
     """
+    pos = np.asarray(positions, dtype=float)
     aps = _ApArrays(constellation, link, device_height_m)
-    pos = np.array([[u.x, u.y] for u in users], dtype=float)
     blocked = None
     if blockers:
         blocked = _blocked_by(aps, pos, device_height_m, blockers, own_body=True)
@@ -304,17 +307,14 @@ def run(cfg: SimConfig, record_events: bool = False) -> MetricsReport:
             p_o_w=cfg.p_o_w, height_correction_m=con.height_correction_m,
         )
 
-    users = mobility.init_users(
+    crowd, demand = mobility.init_users(
         cfg.room, m, cfg.seed,
         v_mean=cfg.v_mean_mps, v_span=cfg.v_span_mps,
         rate_min_bps=cfg.rate_min_bps, rate_max_bps=cfg.rate_max_bps,
-        body_radius_m=cfg.user_width_m / 2.0, body_height_m=cfg.body_height_m,
     )
     # Fresh generators replay the draws init_users made, so each user's
     # first new waypoint is its start point. The pinned results keep this.
-    rngs = [mobility.substream(cfg.seed, u.id) for u in users]
-    demand = np.array([u.demand_bps for u in users])
-    crowd = mobility.Crowd.of(users)
+    rngs = [mobility.substream(cfg.seed, i) for i in range(m)]
     aps = _ApArrays(con, link, device_z)
 
     assign = np.full(m, -1, dtype=np.int64)
@@ -427,7 +427,7 @@ def heatmap(
     cfg: SimConfig,
     resolution_cells_per_m: float,
     probe_rate_bps: float,
-    blockers=None,
+    blockers: Sequence[BodyCylinder] | None = None,
 ) -> HeatmapGrid:
     """Static best-AP rate field at device height.
 
@@ -439,8 +439,8 @@ def heatmap(
     blockers is a sequence of BodyCylinder, each with its own size; none
     of them is the body of the device at a cell.
     """
-    if resolution_cells_per_m <= 0:
-        raise ConfigError("resolution: must be positive")
+    if not (math.isfinite(resolution_cells_per_m) and resolution_cells_per_m > 0):
+        raise ConfigError("resolution: must be a finite positive number")
     cfg.validate()
     link = cfg.link
     con = build_constellation(cfg)

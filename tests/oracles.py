@@ -3,28 +3,89 @@
 `los_blocked` is the scalar segment-against-cylinders test, one blocker at
 a time. `blocked_matrix_dense` evaluates every (user, AP, blocker) triple
 at once with the same arithmetic as `geometry.blocked_matrix`, so the two
-must agree boolean for boolean. `step_user` advances one `UserState` by
-one step; `mobility.step_user` must match it bit for bit on every user.
-`sees` is the scalar view-sector test of one AP, and
-`coverage_radius_bruteforce` finds the illumination radius by bisection
-instead of through Lambert W.
+must agree boolean for boolean. `UserState` is one user as scalars:
+`init_users` draws them one at a time and `step_user` advances one by one
+step; `mobility.init_users` and `mobility.step_user` must match them bit
+for bit on every user, compared through `crowd_of`. `achievable_rate` is
+the scalar rate of one link at a distance. `sees` is the scalar
+view-sector test of one AP, and `coverage_radius_bruteforce` finds the
+illumination radius by bisection instead of through Lambert W.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from thzplan.linkbudget import _radius_constant, absorption_for
+from thzplan.geometry import BodyCylinder
+from thzplan.linkbudget import _radius_constant, absorption_for, shannon_rate, snr_scale
 from thzplan.mobility import (
+    DEFAULT_BODY_HEIGHT_M,
+    DEFAULT_BODY_WIDTH_M,
+    DEFAULT_RATE_MAX_BPS,
+    DEFAULT_RATE_MIN_BPS,
     DEFAULT_SPEED_MEAN,
     DEFAULT_SPEED_SPAN,
-    UserState,
+    Crowd,
     _draw_speed,
     _draw_waypoint,
+    substream,
 )
+
+
+@dataclass(frozen=True)
+class UserState:
+    """A mobile receiver that doubles as a blocker for everyone else."""
+
+    id: int
+    x: float
+    y: float
+    speed_mps: float
+    wp_x: float
+    wp_y: float
+    demand_bps: float
+    body_radius_m: float = DEFAULT_BODY_WIDTH_M / 2.0
+    body_height_m: float = DEFAULT_BODY_HEIGHT_M
+    pause_left_s: float = 0.0
+
+    @property
+    def body(self) -> BodyCylinder:
+        return BodyCylinder((self.x, self.y), self.body_radius_m, self.body_height_m)
+
+
+def crowd_of(users) -> Crowd:
+    """The state of a sequence of UserState, in its order."""
+    return Crowd(
+        xy=np.array([(u.x, u.y) for u in users], dtype=float),
+        wp=np.array([(u.wp_x, u.wp_y) for u in users], dtype=float),
+        speed_mps=np.array([u.speed_mps for u in users], dtype=float),
+        pause_left_s=np.array([u.pause_left_s for u in users], dtype=float),
+    )
+
+
+def init_users(
+    room,
+    m: int,
+    seed: int,
+    v_mean: float = DEFAULT_SPEED_MEAN,
+    v_span: float = DEFAULT_SPEED_SPAN,
+    rate_min_bps: float = DEFAULT_RATE_MIN_BPS,
+    rate_max_bps: float = DEFAULT_RATE_MAX_BPS,
+) -> list[UserState]:
+    """Users drawn one at a time; per user, from its substream: position
+    x, y, waypoint x, y, speed, demanded rate."""
+    users = []
+    for i in range(m):
+        rng = substream(seed, i)
+        x, y = _draw_waypoint(rng, room)
+        wx, wy = _draw_waypoint(rng, room)
+        speed = _draw_speed(rng, v_mean, v_span)
+        demand = rng.uniform(rate_min_bps, rate_max_bps)
+        users.append(UserState(id=i, x=x, y=y, speed_mps=speed, wp_x=wx, wp_y=wy,
+                               demand_bps=demand))
+    return users
 
 
 def step_user(
@@ -62,6 +123,16 @@ def step_user(
         return replace(u, x=u.wp_x, y=u.wp_y, wp_x=wx, wp_y=wy, speed_mps=speed)
     f = travel / dist
     return replace(u, x=u.x + dx * f, y=u.y + dy * f)
+
+
+def achievable_rate(d_m, params):
+    """Shannon rate (bit/s) over the noise-limited link at distance d."""
+    d = np.asarray(d_m, dtype=float)
+    if np.any(d <= 0):
+        raise ValueError("distance must be positive")
+    snr = snr_scale(params) / (d * d * np.exp(absorption_for(params) * d))
+    rate = shannon_rate(snr, params.bandwidth_hz)
+    return float(rate) if np.ndim(rate) == 0 else rate
 
 
 def segment_cylinder_hit(a, b, cyl) -> bool:

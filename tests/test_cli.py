@@ -37,10 +37,11 @@ def test_bad_config_exits_2_naming_field(tmp_path, capsys, text, field):
 
 
 def test_parse_values_builds_ranges_by_index():
-    values = cli._parse_values("0:7000:0.7")
+    values = cli._parse_values("0:7000:0.7", "values")
     assert len(values) == 10001
     assert values[-1] == 7000.0
-    assert cli._parse_values("2:7:0.5") == [2.0 + 0.5 * i for i in range(11)]
+    assert cli._parse_values("2:7:0.5", "values") == [2.0 + 0.5 * i for i in range(11)]
+
 
 
 # Caps the size of any file the process writes at 16 bytes, so the CSV
@@ -124,6 +125,22 @@ def test_non_whole_ap_count_in_sweep_exits_2_naming_values(tmp_path, capsys):
     assert code == cli.EXIT_CONFIG
     assert "configuration error: values:" in capsys.readouterr().err
     assert not (out / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["sweep", "--values", "2,abc"], "values"),
+    (["sweep", "--values", "2:x:1"], "values"),
+    (["sweep", "--values", "2:inf:1"], "values"),
+    (["coverage-sweep", "--frequencies", "abc"], "frequencies"),
+    (["coverage-sweep", "--beamwidths", "5,nan"], "beamwidths"),
+    (["heatmap", "--resolution", "nan"], "resolution"),
+])
+def test_unreadable_number_exits_2_naming_flag(tmp_path, capsys, argv, flag):
+    out = tmp_path / "out"
+    code = cli.main([*argv, "--config", _tiny_config(tmp_path), "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    assert f"configuration error: {flag}:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_heatmap_type_a_with_other_count_exits_2_naming_n(tmp_path, capsys):

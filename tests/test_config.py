@@ -22,6 +22,10 @@ BAD_CONFIGS = [
     ("[users]\nn_users = 2.5\n", "n_users"),
     ("[simulation]\nh_override_m = 0\n", "h_override_m"),
     ("[placement]\nplacement_type = D\n", "placement_type"),
+    ("[simulation]\nduration_s = nan\n", "duration_s"),
+    ("[radio]\np_o_dbm = nan\n", "p_o_dbm"),
+    ("[room]\nroom_l_m = inf\n", "room_l_m"),
+    ("[simulation]\nseed = -1\n", "seed"),
 ]
 
 

@@ -121,7 +121,7 @@ class TestPlacementC:
                 node.x in (0.0, room.length_m) or node.y in (0.0, room.width_m)
             )
             assert on_wall
-            assert room.contains_xy(node.x, node.y)
+            assert 0.0 <= node.x <= room.length_m and 0.0 <= node.y <= room.width_m
 
     def test_eight_thirds_spacing(self):
         con = geo.place_type_c(geo.Room(), 8)

@@ -15,46 +15,61 @@ from thzplan.geometry import Room
 def _one(**kw):
     state = dict(id=0, x=0.0, y=0.0, speed_mps=1.0, wp_x=1.0, wp_y=1.0, demand_bps=1e9)
     state.update(kw)
-    return mob.Crowd.of([mob.UserState(**state)])
+    return oracles.crowd_of([oracles.UserState(**state)])
 
 
 def _bits(values) -> bytes:
     return np.asarray(values, dtype=float).tobytes()
 
 
+def _state(crowd, demand) -> bytes:
+    return b"".join(a.tobytes() for a in (
+        crowd.xy, crowd.wp, crowd.speed_mps, crowd.pause_left_s, demand))
+
+
 def test_same_seed_identical_users():
     room = Room()
     a = mob.init_users(room, 30, seed=42)
     b = mob.init_users(room, 30, seed=42)
-    assert a == b
+    assert _state(*a) == _state(*b)
 
 
 def test_different_seeds_differ():
     room = Room()
     a = mob.init_users(room, 5, seed=1)
     b = mob.init_users(room, 5, seed=2)
-    assert a != b
+    assert _state(*a) != _state(*b)
+
+
+def test_init_users_matches_scalar_draws_bit_for_bit():
+    room = Room(7.0, 4.5, 3.0)
+    crowd, demand = mob.init_users(room, 40, 8, v_mean=1.2, v_span=0.3,
+                                   rate_min_bps=2e9, rate_max_bps=3e9)
+    users = oracles.init_users(room, 40, 8, v_mean=1.2, v_span=0.3,
+                               rate_min_bps=2e9, rate_max_bps=3e9)
+    want = oracles.crowd_of(users)
+    assert _state(crowd, demand) == _state(want, np.array([u.demand_bps for u in users]))
 
 
 def test_velocity_and_demand_ranges():
-    users = mob.init_users(Room(), 30, seed=3)
-    for u in users:
-        assert 0.5 <= u.speed_mps <= 1.5
-        assert 1e9 <= u.demand_bps <= 10e9
+    crowd, demand = mob.init_users(Room(), 30, seed=3)
+    assert np.all((0.5 <= crowd.speed_mps) & (crowd.speed_mps <= 1.5))
+    assert np.all((1e9 <= demand) & (demand <= 10e9))
+    assert np.all(crowd.pause_left_s == 0.0)
 
 
 def test_positions_inside_floor():
     room = Room(10, 10, 3)
-    for u in mob.init_users(room, 1, seed=9):
-        assert 0 <= u.x <= 10 and 0 <= u.y <= 10
-        assert 0 <= u.wp_x <= 10 and 0 <= u.wp_y <= 10
+    crowd, _ = mob.init_users(room, 1, seed=9)
+    for xy in (crowd.xy, crowd.wp):
+        assert np.all((0 <= xy) & (xy <= 10))
 
 
 def test_trajectory_is_pure_function_of_seed_and_id():
     room = Room()
     runs = []
     for _ in range(2):
-        crowd = mob.Crowd.of(mob.init_users(room, 3, seed=77))
+        crowd, _ = mob.init_users(room, 3, seed=77)
         rngs = [mob.substream(77, i) for i in range(3)]
         for _ in range(500):
             mob.step_user(crowd, 0.05, rngs, room)
@@ -93,7 +108,7 @@ def test_pause_holds_position():
 
 def test_speed_consistency_between_arrivals():
     room = Room()
-    crowd = mob.Crowd.of(mob.init_users(room, 10, seed=21))
+    crowd, _ = mob.init_users(room, 10, seed=21)
     rngs = [mob.substream(21, i) for i in range(10)]
     dt = 0.01
     for _ in range(2000):
@@ -106,7 +121,7 @@ def test_speed_consistency_between_arrivals():
 
 def test_million_user_steps_stay_inside():
     room = Room(6.0, 4.0, 3.0)
-    crowd = mob.Crowd.of(mob.init_users(room, 10, seed=13))
+    crowd, _ = mob.init_users(room, 10, seed=13)
     rngs = [mob.substream(13, i) for i in range(10)]
     for _ in range(100_000):
         mob.step_user(crowd, 0.2, rngs, room)
@@ -125,11 +140,12 @@ def test_arrival_uses_python_rounding_of_the_leg_length():
             legs.setdefault(exact > dist, (dx, dy, dist))
     (ax, ay, a), (bx, by, b) = legs[True], legs[False]
     users = [  # user 0 travels exactly its leg, user 1 one ulp less
-        mob.UserState(id=0, x=0.0, y=0.0, speed_mps=a, wp_x=ax, wp_y=ay, demand_bps=1e9),
-        mob.UserState(id=1, x=0.0, y=0.0, speed_mps=math.nextafter(b, 0.0),
-                      wp_x=bx, wp_y=by, demand_bps=1e9),
+        oracles.UserState(id=0, x=0.0, y=0.0, speed_mps=a, wp_x=ax, wp_y=ay,
+                          demand_bps=1e9),
+        oracles.UserState(id=1, x=0.0, y=0.0, speed_mps=math.nextafter(b, 0.0),
+                          wp_x=bx, wp_y=by, demand_bps=1e9),
     ]
-    crowd = mob.Crowd.of(users)
+    crowd = oracles.crowd_of(users)
     mob.step_user(crowd, 1.0, [mob.substream(4, i) for i in range(2)], Room(), pause_s=1.0)
     want = [oracles.step_user(u, 1.0, mob.substream(4, i), Room(), pause_s=1.0)
             for i, u in enumerate(users)]
@@ -148,7 +164,7 @@ def _walks(draw):
     # dyadic steps and unit speeds make an exact arrival representable
     dt = draw(st.sampled_from([0.125, 0.25, 0.5]) if exact else st.floats(1e-3, 1.0))
     pause_s = draw(st.sampled_from([0.0, 0.0, 0.3, 0.25, 1.0, 1.7]))
-    users = mob.init_users(room, m, seed)
+    users = oracles.init_users(room, m, seed)
     for i in range(m):
         kind = draw(st.sampled_from(["free", "free", "arrive", "paused"]))
         u = users[i]
@@ -168,7 +184,7 @@ def _walks(draw):
 @settings(max_examples=60, deadline=None)
 def test_kernel_matches_scalar_oracle_bit_for_bit(walk):
     room, seed, users, dt, pause_s, n_steps = walk
-    crowd = mob.Crowd.of(users)
+    crowd = oracles.crowd_of(users)
     rngs = [mob.substream(seed, i) for i in range(len(users))]
     oracle_rngs = [mob.substream(seed, i) for i in range(len(users))]
     for _ in range(n_steps):
@@ -203,8 +219,8 @@ def test_rejects_bad_args():
 
 
 def test_body_cylinder_tracks_position():
-    u = mob.UserState(id=0, x=2.0, y=3.0, speed_mps=1, wp_x=1, wp_y=1,
-                      demand_bps=1e9, body_radius_m=0.1, body_height_m=1.8)
+    u = oracles.UserState(id=0, x=2.0, y=3.0, speed_mps=1, wp_x=1, wp_y=1,
+                          demand_bps=1e9, body_radius_m=0.1, body_height_m=1.8)
     assert u.body.center == (2.0, 3.0)
     assert u.body.radius_m == 0.1
     assert u.body.height_m == 1.8
@@ -214,7 +230,7 @@ def test_body_cylinder_tracks_position():
                    "from a fresh substream; fixing it changes the pinned results")
 def test_first_new_waypoint_is_not_start_point(monkeypatch):
     cfg = sim.SimConfig(n_users=5, duration_s=20.0, seed=1)
-    start = mob.init_users(cfg.room, cfg.n_users, cfg.seed)
+    start, _ = mob.init_users(cfg.room, cfg.n_users, cfg.seed)
     first_new = {}
     kernel = mob.step_user
 
@@ -228,4 +244,4 @@ def test_first_new_waypoint_is_not_start_point(monkeypatch):
     sim.run(cfg)
     assert first_new, "no user reached a waypoint"
     for i, wp in first_new.items():
-        assert wp != (start[i].x, start[i].y)
+        assert wp != tuple(start.xy[i])

@@ -1,8 +1,11 @@
+import json
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from thzplan import reporting
-from thzplan.simulation import HeatmapGrid
+from thzplan.simulation import HeatmapGrid, MetricsReport
 
 
 def _grid(rates, labels):
@@ -69,3 +72,62 @@ def test_strict_sign_change_interpolates():
     assert got.crossover_h_m == 2.125
     assert got.bracket == (2.0, 2.5)
     assert got.gaps == (1.0, -3.0)
+
+
+def _report(**kw):
+    values = dict(
+        placement_type="C", n_aps=12, effective_height_m=0.1 + 0.2, seed=7,
+        n_steps=3, blockage_enabled=True, user_coverage=1 / 3,
+        mean_throughput_bps=5776719369.73632, ap_idle_fraction=5e-324,
+        handoff_count=2**40, per_user_coverage=(0.5, 1 / 3),
+        per_user_throughput_bps=(1e300, 0.0), per_ap_idle_fraction=(2 / 3,),
+        p_t_w=1e-3 / 12, p_o_w=1e-3, height_correction_m=0.7000000000000001,
+        events=((0.01, "handoff", 0, 3),),
+    )
+    values.update(kw)
+    return MetricsReport(**values)
+
+
+def test_results_round_trip_exactly(tmp_path):
+    reports = [_report(), _report(placement_type="A", n_aps=1, user_coverage=0.0,
+                                  mean_throughput_bps=123456789012345.67)]
+    path = tmp_path / "results.csv"
+    reporting.write_results(reports, path)
+    rows = reporting.read_results(path)
+    assert [tuple(row[c] for c in reporting.RESULT_COLUMNS) for row in rows] == [
+        reporting.result_row(r) for r in reports
+    ]
+    assert [type(v) for v in rows[0].values()] == [str, int, float, int, float, float,
+                                                   float, int]
+
+
+def test_event_log_text(tmp_path):
+    path = tmp_path / "events.csv"
+    reporting.write_events([(0.01, "handoff", 3, 1), (0.1 + 0.2, "blockage_start", 0, -1),
+                            (2.0, "alignment_done", 12, 0)], path)
+    assert path.read_bytes() == (
+        b"t_s,event_kind,user_id,ap_id\n"
+        b"0.01,handoff,3,1\n"
+        b"0.30000000000000004,blockage_start,0,-1\n"
+        b"2.0,alignment_done,12,0\n"
+    )
+
+
+def test_summary_payload_is_every_field_but_events():
+    report = _report()
+    payload = reporting.summary_payload(report)
+    assert set(payload) == {f.name for f in fields(MetricsReport)} - {"events"}
+    assert payload["per_user_coverage"] == [0.5, 1 / 3]
+    assert payload["handoff_count"] == 2**40
+    assert json.loads(json.dumps(payload)) == payload
+
+
+def test_atomic_text_keeps_target_when_body_raises(tmp_path):
+    target = tmp_path / "out.csv"
+    target.write_text("old\n")
+    with pytest.raises(RuntimeError):
+        with reporting._AtomicText(target) as fh:
+            fh.write("partial")
+            raise RuntimeError("interrupted")
+    assert target.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]

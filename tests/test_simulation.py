@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import los_blocked, sees
+from oracles import achievable_rate, los_blocked, sees
 from thzplan import geometry as geo
 from thzplan import linkbudget as lb
 from thzplan import mobility as mob
@@ -43,6 +43,7 @@ class TestConfig:
         (dict(pause_s=-1.0), "pause_s"),
         (dict(f_c_hz=0.0), "f_c_hz"),
         (dict(beamwidth_deg=400.0), "beamwidth_deg"),
+        (dict(seed=-1), "seed"),
     ])
     def test_validation_names_field(self, kw, field):
         with pytest.raises(sim.ConfigError, match=field):
@@ -103,17 +104,15 @@ class TestBuildConstellation:
 class TestAssociate:
     def test_single_visible_ap(self):
         con = geo.place_type_a(geo.Room())
-        users = mob.init_users(geo.Room(), 3, seed=5)
+        crowd, _ = mob.init_users(geo.Room(), 3, seed=5)
         link = lb.LinkBudgetParams()
-        got = sim.associate(users, con, link)
+        got = sim.associate(crowd.xy, con, link)
         assert got == (0, 0, 0)
 
     def test_equidistant_tie_prefers_low_id(self):
         room = geo.Room()
         con = geo.place_type_b(room, 4)
-        u = mob.UserState(id=0, x=5.0, y=5.0, speed_mps=1, wp_x=1, wp_y=1,
-                          demand_bps=1e9)
-        got = sim.associate([u], con, lb.LinkBudgetParams(p_t_w=0.25e-3))
+        got = sim.associate([[5.0, 5.0]], con, lb.LinkBudgetParams(p_t_w=0.25e-3))
         assert got == (0,)
 
     def test_brute_force_enumeration_oracle(self):
@@ -124,24 +123,20 @@ class TestAssociate:
             kind = ("A", "B", "C")[trial % 3]
             con = geo.place(room, kind, 1 if kind == "A" else int(rng.choice([4, 8])))
             m = int(rng.integers(1, 6))
-            users = [
-                mob.UserState(id=i, x=rng.uniform(0, room.length_m),
-                              y=rng.uniform(0, room.width_m), speed_mps=1,
-                              wp_x=1, wp_y=1, demand_bps=1e9)
-                for i in range(m)
-            ]
-            blockers = [u.body for u in users] if trial % 2 else None
-            got = sim.associate(users, con, link, blockers=blockers)
-            for i, u in enumerate(users):
+            xy = [(rng.uniform(0, room.length_m), rng.uniform(0, room.width_m))
+                  for _ in range(m)]
+            blockers = [geo.BodyCylinder(p, 0.1, 1.8) for p in xy] if trial % 2 else None
+            got = sim.associate(np.array(xy), con, link, blockers=blockers)
+            for i, (x, y) in enumerate(xy):
                 best, best_d = -1, None
                 for node in con.nodes:
-                    if not sees(node, u.x, u.y):
+                    if not sees(node, x, y):
                         continue
                     if blockers and los_blocked(
-                        (node.x, node.y, node.z), (u.x, u.y, 1.5), blockers, exclude=i
+                        (node.x, node.y, node.z), (x, y, 1.5), blockers, exclude=i
                     ):
                         continue
-                    d = math.dist((node.x, node.y, node.z), (u.x, u.y, 1.5))
+                    d = math.dist((node.x, node.y, node.z), (x, y, 1.5))
                     if best_d is None or d < best_d:
                         best, best_d = node.id, d
                 assert got[i] == best
@@ -196,15 +191,15 @@ class TestRunBasics:
             v_mean_mps=1e-6, v_span_mps=1e-7, duration_s=0.5,
         )
         r = sim.run(cfg)
-        users = mob.init_users(cfg.room, cfg.n_users, cfg.seed,
-                               v_mean=cfg.v_mean_mps, v_span=cfg.v_span_mps)
+        crowd, _ = mob.init_users(cfg.room, cfg.n_users, cfg.seed,
+                                  v_mean=cfg.v_mean_mps, v_span=cfg.v_span_mps)
         ap = sim.build_constellation(cfg).nodes[0]
-        d = [math.dist((ap.x, ap.y, ap.z), (u.x, u.y, 1.5)) for u in users]
+        d = [math.dist((ap.x, ap.y, ap.z), (x, y, 1.5)) for x, y in crowd.xy.tolist()]
         strongest = d.index(min(d))
         k = math.ceil(cfg.t_align_s / cfg.dt_s)
         thr = r.per_user_throughput_bps
         assert thr[strongest] == pytest.approx(
-            lb.achievable_rate(d[strongest], cfg.link) * (r.n_steps - k) / r.n_steps,
+            achievable_rate(d[strongest], cfg.link) * (r.n_steps - k) / r.n_steps,
             rel=1e-6,  # the users creep at 1e-6 m/s
         )
         assert [t for i, t in enumerate(thr) if i != strongest] == [0.0] * 4
@@ -221,13 +216,13 @@ class TestAlignmentWindow:
         """Initial association is an assignment change, so the run starts
         with one alignment window; recover its step count from throughput."""
         r = sim.run(cfg)
-        users = mob.init_users(cfg.room, 1, cfg.seed,
-                               v_mean=cfg.v_mean_mps, v_span=cfg.v_span_mps)
-        u = users[0]
+        crowd, _ = mob.init_users(cfg.room, 1, cfg.seed,
+                                  v_mean=cfg.v_mean_mps, v_span=cfg.v_span_mps)
+        x, y = crowd.xy[0].tolist()
         con = sim.build_constellation(cfg)
         rate = max(
-            lb.achievable_rate(math.dist((n.x, n.y, n.z), (u.x, u.y, 1.5)), cfg.link)
-            for n in con.nodes if sees(n, u.x, u.y)
+            achievable_rate(math.dist((n.x, n.y, n.z), (x, y, 1.5)), cfg.link)
+            for n in con.nodes if sees(n, x, y)
         )
         thr = r.per_user_throughput_bps[0]
         return round(r.n_steps * (1.0 - thr / rate))
@@ -261,16 +256,13 @@ class TestBlockageCrossing:
         room = geo.Room()
         con = geo.place_type_a(room)
         link = lb.LinkBudgetParams()
-        watcher = mob.UserState(id=0, x=5.0, y=8.0, speed_mps=1, wp_x=5, wp_y=8,
-                                demand_bps=1e9)
         dt, speed = 0.01, 1.0
         blocked_steps = []
         for k in range(400):
             t = k * dt
-            walker = mob.UserState(id=1, x=3.0 + speed * t, y=7.7, speed_mps=speed,
-                                   wp_x=9, wp_y=7.7, demand_bps=1e9)
-            users = [watcher, walker]
-            got = sim.associate(users, con, link, blockers=[u.body for u in users])
+            xy = [(5.0, 8.0), (3.0 + speed * t, 7.7)]  # watcher, walker
+            bodies = [geo.BodyCylinder(p, 0.1, 1.8) for p in xy]
+            got = sim.associate(np.array(xy), con, link, blockers=bodies)
             assert got[1] == 0  # walker keeps its own link
             if got[0] == -1:
                 blocked_steps.append(t)
@@ -382,8 +374,9 @@ class TestHeatmap:
         assert not np.any(illuminated[slant >= r_star + cell])
 
     def test_resolution_must_be_positive(self):
-        with pytest.raises(sim.ConfigError):
-            sim.heatmap(make_config(), 0.0, 1e9)
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(sim.ConfigError, match="^resolution:"):
+                sim.heatmap(make_config(), bad, 1e9)
 
 
 class TestSweep:
