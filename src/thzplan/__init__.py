@@ -4,14 +4,11 @@
 __version__ = "0.1.0"
 
 from .geometry import (
-    ApNode,
     BodyCylinder,
     Constellation,
     Room,
     height_correction,
-    place_type_a,
-    place_type_b,
-    place_type_c,
+    place,
     reference_distances,
 )
 from .linkbudget import (
@@ -19,7 +16,6 @@ from .linkbudget import (
     LinkBudgetParams,
     antenna_gain,
     coverage_radius,
-    coverage_radius_ceiled,
     lambert_w0,
 )
 from .mobility import Crowd, init_users, step_user, substream

@@ -47,6 +47,14 @@ def _parse_values(spec: str, flag: str) -> list[float]:
     return out
 
 
+def _positive_number(text: str) -> float:
+    """argparse type of a float flag; argparse names the flag on error."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
+    return value
+
+
 def _overrides_from_args(args) -> dict:
     overrides = {}
     if getattr(args, "seed", None) is not None:
@@ -76,11 +84,8 @@ def cmd_validate(args) -> int:
 
 def cmd_radius(args) -> int:
     cfg, _ = _load(args)
-    if args.ceil:
-        print(linkbudget.coverage_radius_ceiled(cfg.link, args.spectral_efficiency))
-    else:
-        r = linkbudget.coverage_radius(cfg.link, args.spectral_efficiency)
-        print(f"{r:.6f}")
+    r = linkbudget.coverage_radius(cfg.link, args.spectral_efficiency)
+    print(math.ceil(r) if args.ceil else f"{r:.6f}")
     return EXIT_OK
 
 
@@ -183,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("radius", help="illumination radius for a spectral efficiency")
     common(sp)
-    sp.add_argument("--spectral-efficiency", "-s", type=float, default=0.1,
+    sp.add_argument("--spectral-efficiency", "-s", type=_positive_number, default=0.1,
                     dest="spectral_efficiency", help="bit/s/Hz")
     sp.add_argument("--ceil", action="store_true", help="round up to whole meters")
     sp.set_defaults(func=cmd_radius)
@@ -194,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="GHz list or start:stop:step")
     sp.add_argument("--beamwidths", dest="beamwidths_deg", default="5,10,20",
                     help="degrees list or start:stop:step")
-    sp.add_argument("--spectral-efficiency", "-s", type=float, default=0.1,
+    sp.add_argument("--spectral-efficiency", "-s", type=_positive_number, default=0.1,
                     dest="spectral_efficiency")
     sp.add_argument("--out", default=None, help="write CSV here instead of stdout")
     sp.set_defaults(func=cmd_coverage_sweep)
@@ -204,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--type", default=None, help="placement type letter override")
     sp.add_argument("--n", type=int, default=None, help="AP count override")
     sp.add_argument("--resolution", type=float, default=10.0, help="cells per meter")
-    sp.add_argument("--probe-rate", dest="probe_rate_gbps", type=float, default=1.0,
+    sp.add_argument("--probe-rate", dest="probe_rate_gbps", type=_positive_number, default=1.0,
                     help="darkness threshold, Gbps")
     sp.set_defaults(func=cmd_heatmap)
 

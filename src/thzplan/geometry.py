@@ -2,7 +2,10 @@
 
 Placement layouts follow the lighting analogy: a single central ceiling
 fixture (type A), a uniform ceiling grid (B) and wall-mounted perimeter
-units (C), the three layouts of the evaluation protocol.
+units (C), the three layouts of the evaluation protocol. `place` builds
+each of them as a `Constellation` of arrays with one row per AP: the
+positions, the inward facing of wall mounts (None for ceiling mounts,
+which see everywhere) and one alignment time for the whole layout.
 
 Blockage has one implementation, `blocked_matrix`: every AP -> device
 segment against every vertical body cylinder. A body of height h can only
@@ -20,13 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_T_ALIGN_S = 5e-3
-
 ALL_TYPES = ("A", "B", "C")
 GRID_COUNTS = (4, 8, 12, 16)
 
-# columns x rows of the ceiling partition per AP count
-_GRID_SHAPE = {4: (2, 2), 8: (4, 2), 12: (4, 3), 16: (4, 4)}
+# columns x rows of the ceiling partition per AP count; type A is the
+# 1 x 1 grid, whose one cell centre is the room centre
+_GRID_SHAPE = {1: (1, 1), 4: (2, 2), 8: (4, 2), 12: (4, 3), 16: (4, 4)}
 
 
 @dataclass(frozen=True)
@@ -43,34 +45,24 @@ class Room:
                 raise ValueError(f"room {name} must be positive")
 
 
-@dataclass(frozen=True)
-class ApNode:
-    id: int
-    x: float
-    y: float
-    z: float
-    view_deg: float  # 360 for ceiling mounts, 180 for wall mounts
-    facing_deg: float  # azimuth of the sector axis; ignored for 360
-    align_time_s: float
-
-    def __post_init__(self):
-        if self.view_deg not in (180.0, 360.0):
-            raise ValueError(f"view must be 180 or 360, got {self.view_deg}")
-        if self.align_time_s <= 0:
-            raise ValueError("align_time_s must be positive")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Constellation:
+    """One AP layout as arrays, AP id = row index.
+
+    xyz is (n, 3). facing_deg is (n,), the azimuth of each wall mount's
+    inward normal, for a layout that sees only the inward half plane, and
+    None for ceiling mounts, which see everywhere. No layout mixes the two.
+    align_time_s is every AP's beam-alignment dead time.
+    """
+
     placement_type: str
-    nodes: tuple[ApNode, ...]
+    xyz: np.ndarray
+    facing_deg: np.ndarray | None
+    align_time_s: float
     height_correction_m: float = 0.0
 
-    def positions(self) -> np.ndarray:
-        return np.array([[n.x, n.y, n.z] for n in self.nodes], dtype=float)
-
     def __len__(self):
-        return len(self.nodes)
+        return len(self.xyz)
 
 
 @dataclass(frozen=True)
@@ -86,94 +78,54 @@ class BodyCylinder:
             raise ValueError("cylinder radius and height must be positive")
 
 
-def _node(i, x, y, z, view, facing, align):
-    return ApNode(id=i, x=x, y=y, z=z, view_deg=view, facing_deg=facing,
-                  align_time_s=align)
-
-
-def place_type_a(room: Room, t_align_s: float = DEFAULT_T_ALIGN_S) -> Constellation:
-    """Single ceiling AP at the room center."""
-    node = _node(0, room.length_m / 2.0, room.width_m / 2.0, room.height_m,
-                 360.0, 0.0, t_align_s)
-    return Constellation("A", (node,))
-
-
-def _grid_centers(room: Room, n: int):
-    if n not in _GRID_SHAPE:
-        raise ValueError(f"unsupported grid AP count {n}; choose from {GRID_COUNTS}")
+def _grid_xy(room: Room, n: int) -> np.ndarray:
+    """(n, 2) cell centres of a uniform room partition, row by row."""
     cols, rows = _GRID_SHAPE[n]
     xs = [(i + 0.5) * room.length_m / cols for i in range(cols)]
     ys = [(j + 0.5) * room.width_m / rows for j in range(rows)]
-    return [(x, y) for y in ys for x in xs]
+    return np.array([(x, y) for y in ys for x in xs])
 
 
-def place_type_b(room: Room, n: int, t_align_s: float = DEFAULT_T_ALIGN_S) -> Constellation:
-    """Ceiling grid at the cell centers of a uniform room partition."""
-    nodes = tuple(
-        _node(i, x, y, room.height_m, 360.0, 0.0, t_align_s)
-        for i, (x, y) in enumerate(_grid_centers(room, n))
-    )
-    return Constellation("B", nodes)
-
-
-def _perimeter_points(room: Room, n: int):
-    if n not in _GRID_SHAPE:
-        raise ValueError(f"unsupported perimeter AP count {n}; choose from {GRID_COUNTS}")
+def _wall_xy(room: Room, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(n, 2) wall points equally spaced along the south, east, north and
+    west walls, and the azimuth of each one's inward normal."""
     per_wall = n // 4
     fracs = [(k + 1) / (per_wall + 1) for k in range(per_wall)]
-    pts = []
-    # south, east, north, west; facing is the inward normal
-    for f in fracs:
-        pts.append((f * room.length_m, 0.0, 90.0))
-    for f in fracs:
-        pts.append((room.length_m, f * room.width_m, 180.0))
-    for f in fracs:
-        pts.append((f * room.length_m, room.width_m, 270.0))
-    for f in fracs:
-        pts.append((0.0, f * room.width_m, 0.0))
-    return pts
+    length, width = room.length_m, room.width_m
+    xy = ([(f * length, 0.0) for f in fracs] + [(length, f * width) for f in fracs]
+          + [(f * length, width) for f in fracs] + [(0.0, f * width) for f in fracs])
+    return np.array(xy), np.repeat([90.0, 180.0, 270.0, 0.0], per_wall)
 
 
-def place_type_c(
-    room: Room,
-    n: int,
+def place(
+    room: Room, placement_type: str, n: int, t_align_s: float,
     height_correction_m: float = 0.0,
-    t_align_s: float = DEFAULT_T_ALIGN_S,
 ) -> Constellation:
-    """Wall-mounted perimeter APs, equally spaced, facing inward.
+    """Layout A (one ceiling AP at the room centre), B (a ceiling grid at
+    the cell centres of a uniform room partition) or C (wall mounts facing
+    inward, which align in half the ceiling alignment time).
 
-    Wall mounts see only the inward half plane and align in half the
-    ceiling alignment time. The nodes sit at the ceiling minus the height
-    correction.
+    Every AP hangs height_correction_m below the ceiling.
     """
+    t = placement_type.upper()
+    if t not in ALL_TYPES:
+        raise ValueError(f"unknown placement type {placement_type!r}")
+    if t == "A" and n != 1:
+        raise ValueError("type A always uses a single AP")
+    if t != "A" and n not in GRID_COUNTS:
+        raise ValueError(f"unsupported type {t} AP count {n}; choose from {GRID_COUNTS}")
     if not 0.0 <= height_correction_m < room.height_m:
         raise ValueError(
             f"height correction {height_correction_m} outside [0, {room.height_m})"
         )
-    z = room.height_m - height_correction_m
-    nodes = tuple(
-        _node(i, x, y, z, 180.0, facing, t_align_s / 2.0)
-        for i, (x, y, facing) in enumerate(_perimeter_points(room, n))
-    )
-    return Constellation("C", nodes, height_correction_m)
-
-
-def place(
-    room: Room, placement_type: str, n: int,
-    height_correction_m: float = 0.0,
-    t_align_s: float = DEFAULT_T_ALIGN_S,
-) -> Constellation:
-    """Dispatch on placement type letter."""
-    t = placement_type.upper()
-    if t == "A":
-        if n != 1:
-            raise ValueError("type A always uses a single AP")
-        return place_type_a(room, t_align_s)
-    if t == "B":
-        return place_type_b(room, n, t_align_s)
+    facing = None
     if t == "C":
-        return place_type_c(room, n, height_correction_m, t_align_s)
-    raise ValueError(f"unknown placement type {placement_type!r}")
+        xy, facing = _wall_xy(room, n)
+        t_align_s = t_align_s / 2.0
+    else:
+        xy = _grid_xy(room, n)
+    xyz = np.column_stack([xy, np.full(n, room.height_m - height_correction_m)])
+    return Constellation(t, xyz, facing, t_align_s, height_correction_m)
 
 
 def height_correction(
@@ -224,10 +176,13 @@ def reference_distances(
     """Reference link distances feeding the height correction: grid-average
     nearest-AP distance for the ceiling grid and for the full-height
     perimeter layout."""
-    grid_nodes = place_type_b(room, n).positions()
-    perim_nodes = place_type_c(room, n, 0.0).positions()
-    d_grid = mean_nearest_distance(room, grid_nodes, probe_height_m, grid)
-    d_perim = mean_nearest_distance(room, perim_nodes, probe_height_m, grid)
+    if n not in GRID_COUNTS:
+        raise ValueError(f"unsupported AP count {n}; choose from {GRID_COUNTS}")
+    z = np.full(n, room.height_m)
+    d_grid = mean_nearest_distance(
+        room, np.column_stack([_grid_xy(room, n), z]), probe_height_m, grid)
+    d_perim = mean_nearest_distance(
+        room, np.column_stack([_wall_xy(room, n)[0], z]), probe_height_m, grid)
     return d_grid, d_perim
 
 

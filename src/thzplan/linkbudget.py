@@ -199,15 +199,9 @@ def coverage_radius(params: LinkBudgetParams, spectral_efficiency: float) -> flo
 
     Solved in closed form through the Lambert W principal branch,
     r = 2 W(tau sqrt(K) / 2) / tau, degenerating to sqrt(K) for tau = 0.
-    No ceiling is applied; see coverage_radius_ceiled.
     """
     k = _radius_constant(params, spectral_efficiency)
     tau = absorption_for(params)
     if tau == 0.0:
         return math.sqrt(k)
     return 2.0 * lambert_w0(tau * math.sqrt(k) / 2.0) / tau
-
-
-def coverage_radius_ceiled(params: LinkBudgetParams, spectral_efficiency: float) -> int:
-    """coverage_radius rounded up to a whole meter."""
-    return math.ceil(coverage_radius(params, spectral_efficiency))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -86,6 +86,11 @@ class SimConfig:
         )
 
     def validate(self) -> None:
+        numbers = [(f.name, getattr(self, f.name)) for f in fields(self)]
+        numbers += [(f"room.{f.name}", getattr(self.room, f.name)) for f in fields(self.room)]
+        for name, value in numbers:
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{name}: must be a finite number, got {value!r}")
         t = self.placement_type.upper()
         if t not in geometry.ALL_TYPES:
             raise ConfigError(f"placement_type: unknown type {self.placement_type!r}")
@@ -140,8 +145,10 @@ def with_placement(cfg: SimConfig, placement_type: str, n_aps: int | None = None
 def with_effective_height(cfg: SimConfig, h_eff_m: float) -> SimConfig:
     """Move the ceiling so the effective height is h_eff_m (the
     h_override_m setting)."""
-    if h_eff_m <= 0:
-        raise ConfigError("h_override_m: effective height must be positive")
+    if not (math.isfinite(h_eff_m) and h_eff_m > 0):
+        raise ConfigError(
+            f"h_override_m: effective height must be finite and positive, got {h_eff_m!r}"
+        )
     return replace(cfg, room=replace(cfg.room, height_m=h_eff_m + cfg.user_height_m))
 
 
@@ -170,7 +177,7 @@ def build_constellation(cfg: SimConfig) -> Constellation:
         h_c = geometry.height_correction(
             cfg.effective_height_m(), d_grid, d_perim, tau
         )
-    return geometry.place(cfg.room, t, cfg.n_aps, h_c, cfg.t_align_s)
+    return geometry.place(cfg.room, t, cfg.n_aps, cfg.t_align_s, h_c)
 
 
 @dataclass(frozen=True)
@@ -195,15 +202,16 @@ class MetricsReport:
 
 
 class _ApArrays:
-    """Constellation and link budget unpacked for vectorized math, with
-    every per-AP constant of a run at one device height computed once."""
+    """Constellation and link budget with every per-AP constant of a run
+    at one device height computed once."""
 
     def __init__(self, con: Constellation, link: LinkBudgetParams, device_z: float):
-        self.xyz = con.positions()
-        az = np.radians([n.facing_deg for n in con.nodes])
-        self.face = np.stack([np.cos(az), np.sin(az)], axis=1)
-        self.align = np.array([n.align_time_s for n in con.nodes])
-        self.wide = np.array([n.view_deg >= 360.0 for n in con.nodes])
+        self.xyz = con.xyz
+        self.face = None  # ceiling mounts: every AP sees every point
+        if con.facing_deg is not None:
+            az = np.radians(con.facing_deg)
+            self.face = np.stack([np.cos(az), np.sin(az)], axis=1)
+        self.align = con.align_time_s
         self.sig = linkbudget.snr_scale(link)
         self.dz_sq = (self.xyz[:, 2] - device_z) ** 2
         self.tau = linkbudget.absorption_for(link)
@@ -213,11 +221,11 @@ class _ApArrays:
         return pos[:, None, :] - self.xyz[None, :, :2]
 
     def in_view(self, rel: np.ndarray) -> np.ndarray:
-        if self.wide.all():
+        if self.face is None:
             return np.ones(rel.shape[:2], dtype=bool)
         dot = np.einsum("una,na->un", rel, self.face)
         norm = np.hypot(rel[:, :, 0], rel[:, :, 1])
-        return self.wide[None, :] | (dot >= -1e-12 * norm)
+        return dot >= -1e-12 * norm
 
     def snr(self, rel: np.ndarray) -> np.ndarray:
         d_sq = rel[:, :, 0] ** 2 + rel[:, :, 1] ** 2 + self.dz_sq[None, :]
@@ -345,7 +353,7 @@ def run(cfg: SimConfig, record_events: bool = False) -> MetricsReport:
         if changed.any():
             handoff_mask = changed & (best >= 0) & (assign >= 0)
             handoffs += int(handoff_mask.sum())
-            align_left = np.where(changed & (best >= 0), aps.align[np.clip(best, 0, None)], align_left)
+            align_left = np.where(changed & (best >= 0), aps.align, align_left)
             align_left = np.where(best < 0, 0.0, align_left)
             if record_events:
                 for u in np.flatnonzero(handoff_mask):
@@ -442,14 +450,17 @@ def heatmap(
     if not (math.isfinite(resolution_cells_per_m) and resolution_cells_per_m > 0):
         raise ConfigError("resolution: must be a finite positive number")
     cfg.validate()
-    link = cfg.link
-    con = build_constellation(cfg)
-    aps = _ApArrays(con, link, cfg.user_height_m)
     res = resolution_cells_per_m
     nx = math.ceil(cfg.room.length_m * res)
     ny = math.ceil(cfg.room.width_m * res)
     xs = (np.arange(nx) + 0.5) / res
     ys = (np.arange(ny) + 0.5) / res
+    if xs[-1] > cfg.room.length_m or ys[-1] > cfg.room.width_m:
+        raise ConfigError(
+            f"resolution: {res} cells/m centres the last cell outside the room"
+        )
+    link = cfg.link
+    aps = _ApArrays(build_constellation(cfg), link, cfg.user_height_m)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     cells = np.stack([gx.ravel(), gy.ravel()], axis=1)
 

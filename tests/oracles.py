@@ -7,9 +7,10 @@ must agree boolean for boolean. `UserState` is one user as scalars:
 `init_users` draws them one at a time and `step_user` advances one by one
 step; `mobility.init_users` and `mobility.step_user` must match them bit
 for bit on every user, compared through `crowd_of`. `achievable_rate` is
-the scalar rate of one link at a distance. `sees` is the scalar
-view-sector test of one AP, and `coverage_radius_bruteforce` finds the
-illumination radius by bisection instead of through Lambert W.
+the scalar rate of one link at a distance. `sees` is the scalar view
+test of one AP given its xy and facing, `ap_rows` lists a
+constellation's APs one by one, and `coverage_radius_bruteforce` finds
+the illumination radius by bisection instead of through Lambert W.
 """
 
 from __future__ import annotations
@@ -247,16 +248,24 @@ def blocked_matrix_dense(
     return hits.any(axis=-1)
 
 
-def sees(node, x: float, y: float) -> bool:
-    """True when (x, y) lies inside the AP node's azimuth sector."""
-    if node.view_deg >= 360.0:
+def sees(ap_xy, facing_deg, x: float, y: float) -> bool:
+    """True when (x, y) lies in the view of the AP at ap_xy: everywhere for
+    a ceiling mount (facing_deg None), the half plane in front of a wall
+    mount whose inward normal points at azimuth facing_deg."""
+    if facing_deg is None:
         return True
-    dx, dy = x - node.x, y - node.y
+    dx, dy = x - ap_xy[0], y - ap_xy[1]
     if dx == 0.0 and dy == 0.0:
         return True
-    az = math.radians(node.facing_deg)
-    # half-angle test; 180 degrees reduces to the inward half plane
+    az = math.radians(facing_deg)
+    # inward half plane; a point along the wall itself counts
     return dx * math.cos(az) + dy * math.sin(az) >= -1e-12 * math.hypot(dx, dy)
+
+
+def ap_rows(con):
+    """(id, (x, y, z), facing_deg or None) for each AP of a Constellation."""
+    facing = [None] * len(con) if con.facing_deg is None else con.facing_deg.tolist()
+    return [(i, tuple(p), f) for i, (p, f) in enumerate(zip(con.xyz.tolist(), facing))]
 
 
 def coverage_radius_bruteforce(params, spectral_efficiency: float) -> float:

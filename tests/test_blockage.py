@@ -154,7 +154,7 @@ def test_run_matches_dense_oracle(monkeypatch):
 
 def test_peak_memory_stays_flat_at_2000_users():
     rng = np.random.default_rng(3)
-    ap = geo.place_type_b(geo.Room(), 16).positions()
+    ap = geo.place(geo.Room(), "B", 16, 5e-3).xyz
     pos = rng.uniform(0.0, 10.0, (2000, 2))
     tracemalloc.start()
     try:

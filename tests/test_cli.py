@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +9,9 @@ import pytest
 import thzplan
 from test_config import BAD_CONFIGS
 from thzplan import cli
+from thzplan import config as cfgmod
+from thzplan import linkbudget as lb
+from thzplan.simulation import SimConfig
 
 
 def test_sweep_bad_series_count_exits_2_naming_series(tmp_path, capsys):
@@ -171,3 +175,44 @@ def test_sweep_runs_type_a_with_one_ap(tmp_path, capsys, argv, rows):
     lines = (out / "sweep.csv").read_text().splitlines()[1:]
     assert len(lines) == len(rows)
     assert all(line.startswith(row) for line, row in zip(lines, rows))
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["radius", "-s", "nan"], "--spectral-efficiency/-s"),
+    (["radius", "-s", "inf"], "--spectral-efficiency/-s"),
+    (["radius", "-s", "0"], "--spectral-efficiency/-s"),
+    (["radius", "-s", "-1"], "--spectral-efficiency/-s"),
+    (["coverage-sweep", "-s", "0"], "--spectral-efficiency/-s"),
+    (["coverage-sweep", "--spectral-efficiency", "nan"], "--spectral-efficiency/-s"),
+    (["heatmap", "--resolution", "1", "--probe-rate", "nan"], "--probe-rate"),
+    (["heatmap", "--resolution", "1", "--probe-rate", "0"], "--probe-rate"),
+])
+def test_float_flag_needs_finite_positive_number(tmp_path, capsys, monkeypatch, argv, flag):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_CONFIG
+    assert f"argument {flag}: expected a finite positive number" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_radius_ceil_rounds_up_to_whole_metres(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "radius.ini"
+    cfg.write_text("[radio]\np_o_dbm = -15.4\ntau_override_per_m = 0\n")
+    for extra in ([], ["--ceil"]):
+        assert cli.main(["radius", "--config", str(cfg), "-s", "0.5", *extra]) == cli.EXIT_OK
+    plain, ceiled = capsys.readouterr().out.splitlines()
+    assert 4.0 < float(plain) < 5.0
+    assert ceiled == "5"
+    # P_t contrived so the radius constant is 25 and the radius exactly 5 m
+    base = SimConfig(tau_override=0.0).link
+    g = lb.antenna_gain(base.beamwidth_deg) ** 2
+    k_unit = g / (
+        base.noise_psd_w_hz * base.bandwidth_hz
+        * (4 * math.pi * base.f_c_hz / lb.SPEED_OF_LIGHT) ** 2
+        * (2 ** 0.5 - 1)
+    )
+    exact = SimConfig(n_aps=4, p_o_w=4 * (25.0 / k_unit), tau_override=0.0)
+    monkeypatch.setattr(cfgmod, "load_config", lambda *args: (exact, {}))
+    assert cli.main(["radius", "-s", "0.5", "--ceil"]) == cli.EXIT_OK
+    assert capsys.readouterr().out == "5\n"

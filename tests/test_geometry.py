@@ -5,8 +5,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import los_blocked, sees
+from oracles import ap_rows, los_blocked, sees
 from thzplan import geometry as geo
+from thzplan import linkbudget as lb
+from thzplan import simulation as sim
 
 
 def sampling_oracle(a, b, blockers, exclude=None, n=10000):
@@ -36,39 +38,51 @@ class TestRoom:
             geo.Room(*dims)
 
 
+T_ALIGN = 5e-3
+
+
+def xy_of(con):
+    return [(x, y) for x, y, _ in con.xyz.tolist()]
+
+
 class TestPlacementA:
     def test_centered_default_room(self):
-        con = geo.place_type_a(geo.Room())
+        con = geo.place(geo.Room(), "A", 1, T_ALIGN)
         assert len(con) == 1
-        n = con.nodes[0]
-        assert (n.x, n.y, n.z) == (5.0, 5.0, 3.0)
-        assert n.view_deg == 360.0
-        assert n.align_time_s == geo.DEFAULT_T_ALIGN_S
+        assert con.xyz.tolist() == [[5.0, 5.0, 3.0]]
+        assert con.facing_deg is None  # a ceiling mount sees all round
+        assert con.align_time_s == T_ALIGN
 
     def test_midpoint_other_room(self):
-        con = geo.place_type_a(geo.Room(4.0, 6.0, 2.5))
-        n = con.nodes[0]
-        assert (n.x, n.y, n.z) == (2.0, 3.0, 2.5)
+        con = geo.place(geo.Room(4.0, 6.0, 2.5), "A", 1, T_ALIGN)
+        assert con.xyz.tolist() == [[2.0, 3.0, 2.5]]
+
+    @given(st.floats(1e-3, 1e4), st.floats(1e-3, 1e4))
+    def test_one_by_one_grid_is_the_exact_centre(self, length, width):
+        con = geo.place(geo.Room(length, width, 3.0), "A", 1, T_ALIGN)
+        assert xy_of(con) == [(length / 2.0, width / 2.0)]
 
 
 class TestPlacementB:
     def test_four_ap_grid(self):
-        con = geo.place_type_b(geo.Room(), 4)
-        pts = {(n.x, n.y) for n in con.nodes}
-        assert pts == {(2.5, 2.5), (2.5, 7.5), (7.5, 2.5), (7.5, 7.5)}
-        assert all(n.z == 3.0 for n in con.nodes)
+        con = geo.place(geo.Room(), "B", 4, T_ALIGN)
+        assert set(xy_of(con)) == {(2.5, 2.5), (2.5, 7.5), (7.5, 2.5), (7.5, 7.5)}
+        assert np.all(con.xyz[:, 2] == 3.0)
+        assert con.facing_deg is None
+        assert con.align_time_s == T_ALIGN
 
     def test_sixteen_ap_lattice(self):
-        con = geo.place_type_b(geo.Room(), 16)
+        con = geo.place(geo.Room(), "B", 16, T_ALIGN)
         coords = {1.25, 3.75, 6.25, 8.75}
-        assert {(n.x, n.y) for n in con.nodes} == {(x, y) for x in coords for y in coords}
+        assert set(xy_of(con)) == {(x, y) for x in coords for y in coords}
 
     @pytest.mark.parametrize("n", [4, 8, 12, 16])
     def test_inside_and_spaced(self, n):
         room = geo.Room(8.0, 12.0, 3.5)
-        con = geo.place_type_b(room, n)
+        con = geo.place(room, "B", n, T_ALIGN)
         assert len(con) == n
-        pts = con.positions()
+        pts = con.xyz
+        assert pts.shape == (n, 3)
         assert np.all(pts[:, 0] > 0) and np.all(pts[:, 0] < room.length_m)
         assert np.all(pts[:, 1] > 0) and np.all(pts[:, 1] < room.width_m)
         assert np.all(pts[:, 2] == room.height_m)
@@ -79,7 +93,7 @@ class TestPlacementB:
     @pytest.mark.parametrize("n", [1, 2, 5, 20])
     def test_unsupported_counts(self, n):
         with pytest.raises(ValueError):
-            geo.place_type_b(geo.Room(), n)
+            geo.place(geo.Room(), "B", n, T_ALIGN)
 
     @pytest.mark.parametrize("n", [4, 8, 12, 16])
     def test_grid_beats_center_on_worst_case_distance(self, n):
@@ -91,69 +105,77 @@ class TestPlacementB:
             d = np.linalg.norm(pts[:, None] - nodes[None, :, :2], axis=-1)
             return d.min(axis=1).max()
 
-        assert worst(geo.place_type_b(room, n).positions()) < worst(
-            geo.place_type_a(room).positions()
+        assert worst(geo.place(room, "B", n, T_ALIGN).xyz) < worst(
+            geo.place(room, "A", 1, T_ALIGN).xyz
         )
 
 
 class TestPlacementC:
     def test_four_wall_midpoints(self):
-        con = geo.place_type_c(geo.Room(), 4, 0.0)
-        assert {(n.x, n.y) for n in con.nodes} == {(5, 0), (10, 5), (5, 10), (0, 5)}
-        assert all(n.z == 3.0 for n in con.nodes)
-        assert all(n.view_deg == 180.0 for n in con.nodes)
-        assert all(n.align_time_s == geo.DEFAULT_T_ALIGN_S / 2 for n in con.nodes)
+        con = geo.place(geo.Room(), "C", 4, T_ALIGN)
+        assert xy_of(con) == [(5, 0), (10, 5), (5, 10), (0, 5)]
+        assert np.all(con.xyz[:, 2] == 3.0)
+        # wall mounts see the half plane their wall's inward normal faces
+        assert con.facing_deg.tolist() == [90.0, 180.0, 270.0, 0.0]
+        assert con.align_time_s == T_ALIGN / 2
 
     def test_height_shift(self):
-        base = geo.place_type_c(geo.Room(), 4, 0.0)
-        low = geo.place_type_c(geo.Room(), 4, 1.0)
-        assert [(n.x, n.y) for n in low.nodes] == [(n.x, n.y) for n in base.nodes]
-        assert all(n.z == 2.0 for n in low.nodes)
+        base = geo.place(geo.Room(), "C", 4, T_ALIGN, 0.0)
+        low = geo.place(geo.Room(), "C", 4, T_ALIGN, 1.0)
+        assert xy_of(low) == xy_of(base)
+        assert np.all(low.xyz[:, 2] == 2.0)
         assert low.height_correction_m == 1.0
 
     @pytest.mark.parametrize("n", [4, 8, 12, 16])
     def test_on_boundary(self, n):
         room = geo.Room(9.0, 7.0, 3.0)
-        con = geo.place_type_c(room, n)
+        con = geo.place(room, "C", n, T_ALIGN)
         assert len(con) == n
-        for node in con.nodes:
+        assert con.facing_deg.shape == (n,)
+        for x, y in xy_of(con):
             on_wall = (
-                node.x in (0.0, room.length_m) or node.y in (0.0, room.width_m)
+                x in (0.0, room.length_m) or y in (0.0, room.width_m)
             )
             assert on_wall
-            assert 0.0 <= node.x <= room.length_m and 0.0 <= node.y <= room.width_m
+            assert 0.0 <= x <= room.length_m and 0.0 <= y <= room.width_m
 
     def test_eight_thirds_spacing(self):
-        con = geo.place_type_c(geo.Room(), 8)
-        south = sorted(n.x for n in con.nodes if n.y == 0.0)
+        con = geo.place(geo.Room(), "C", 8, T_ALIGN)
+        south = sorted(x for x, y in xy_of(con) if y == 0.0)
         assert south == pytest.approx([10 / 3, 20 / 3])
 
     def test_correction_out_of_range(self):
         with pytest.raises(ValueError):
-            geo.place_type_c(geo.Room(), 4, 3.0)
+            geo.place(geo.Room(), "C", 4, T_ALIGN, 3.0)
         with pytest.raises(ValueError):
-            geo.place_type_c(geo.Room(), 4, -0.1)
+            geo.place(geo.Room(), "C", 4, T_ALIGN, -0.1)
 
     def test_inward_view(self):
-        con = geo.place_type_c(geo.Room(), 4)
-        for node in con.nodes:
-            assert sees(node, 5.0, 5.0)
-        south = next(n for n in con.nodes if n.y == 0.0)
-        assert not sees(south, 5.0, -1.0)
-        assert sees(south, 9.0, 0.0)  # along its own wall counts
+        con = geo.place(geo.Room(), "C", 4, T_ALIGN)
+        rows = ap_rows(con)
+        for _, xyz, facing in rows:
+            assert sees(xyz, facing, 5.0, 5.0)
+        _, south, facing = next(r for r in rows if r[1][1] == 0.0)
+        assert not sees(south, facing, 5.0, -1.0)
+        assert sees(south, facing, 9.0, 0.0)  # along its own wall counts
+        # the library's view test agrees, behind walls and along them too
+        pts = [(5.0, 5.0), (5.0, -1.0), (9.0, 0.0), (-1.0, 5.0), (11.0, 11.0), (10.0, 0.0)]
+        aps = sim._ApArrays(con, lb.LinkBudgetParams(), 1.5)
+        got = aps.in_view(aps.offsets(np.array(pts)))
+        assert got.tolist() == [[sees(xyz, f, x, y) for _, xyz, f in rows] for x, y in pts]
 
 
 class TestVariants:
     def test_dispatch(self):
         assert geo.ALL_TYPES == ("A", "B", "C")
         for t in geo.ALL_TYPES:
-            con = geo.place(geo.Room(), t, 1 if t == "A" else 4)
+            con = geo.place(geo.Room(), t, 1 if t == "A" else 4, T_ALIGN)
             assert con.placement_type == t
         for t in ("Z", "D", "E", "F"):
             with pytest.raises(ValueError):
-                geo.place(geo.Room(), t, 4)
+                geo.place(geo.Room(), t, 4, T_ALIGN)
         with pytest.raises(ValueError):
-            geo.place(geo.Room(), "A", 4)
+            geo.place(geo.Room(), "A", 4, T_ALIGN)
 
 
 class TestHeightCorrection:
@@ -207,8 +229,8 @@ class TestReferenceDistances:
                     total += best
             return total / 2500
 
-        assert d_b == pytest.approx(oracle(geo.place_type_b(room, 4).positions()), rel=1e-12)
-        assert d_c == pytest.approx(oracle(geo.place_type_c(room, 4).positions()), rel=1e-12)
+        assert d_b == pytest.approx(oracle(geo.place(room, "B", 4, T_ALIGN).xyz), rel=1e-12)
+        assert d_c == pytest.approx(oracle(geo.place(room, "C", 4, T_ALIGN).xyz), rel=1e-12)
         assert d_c > d_b
 
     def test_grid_refinement_below_one_percent(self):
@@ -221,7 +243,7 @@ class TestReferenceDistances:
 
     def test_identical_constellations_coincide(self):
         room = geo.Room()
-        nodes = geo.place_type_b(room, 4).positions()
+        nodes = geo.place(room, "B", 4, T_ALIGN).xyz
         a = geo.mean_nearest_distance(room, nodes, 1.5)
         b = geo.mean_nearest_distance(room, nodes, 1.5)
         assert a == b

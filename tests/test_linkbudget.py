@@ -204,7 +204,6 @@ class TestCoverageRadius:
         p = table_params(tau_override=0.0, p_t_w=25.0 / k_unit)
         assert lb.coverage_radius(p, s) == pytest.approx(5.0, rel=1e-12)
         assert coverage_radius_bruteforce(p, s) == pytest.approx(5.0, abs=1e-6)
-        assert lb.coverage_radius_ceiled(p, s) == 5
 
     def test_unit_lambert_argument(self):
         # tau sqrt(K)/2 = e makes the radius exactly 2/tau

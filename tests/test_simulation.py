@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import achievable_rate, los_blocked, sees
+from oracles import achievable_rate, ap_rows, los_blocked, sees
 from thzplan import geometry as geo
 from thzplan import linkbudget as lb
 from thzplan import mobility as mob
@@ -44,10 +44,24 @@ class TestConfig:
         (dict(f_c_hz=0.0), "f_c_hz"),
         (dict(beamwidth_deg=400.0), "beamwidth_deg"),
         (dict(seed=-1), "seed"),
+        (dict(duration_s=math.nan), "duration_s"),
+        (dict(p_o_w=math.nan), "p_o_w"),
+        (dict(tau_override=math.inf), "tau_override"),
+        (dict(room=geo.Room(math.inf, 10.0, 3.0)), "room.length_m"),
     ])
     def test_validation_names_field(self, kw, field):
         with pytest.raises(sim.ConfigError, match=field):
             make_config(**kw).validate()
+
+    @pytest.mark.parametrize("call,field", [
+        (lambda: sim.run(make_config(duration_s=math.nan)), "duration_s"),
+        (lambda: sim.run(make_config(p_o_w=math.nan, duration_s=0.05)), "p_o_w"),
+        (lambda: sim.run(make_config(room=geo.Room(math.inf, 10.0, 3.0))), "room.length_m"),
+        (lambda: sim.sweep(make_config(duration_s=0.05), "H", [math.nan]), "h_override_m"),
+    ], ids=["run-duration", "run-power", "run-room", "sweep-height"])
+    def test_entry_points_reject_non_finite_numbers(self, call, field):
+        with pytest.raises(sim.ConfigError, match=f"^{field}:"):
+            call()
 
     def test_device_above_ceiling(self):
         with pytest.raises(sim.ConfigError, match="user_height_m"):
@@ -57,7 +71,7 @@ class TestConfig:
         cfg = sim.with_effective_height(make_config(), 4.0)
         assert cfg.room.height_m == 5.5
         assert cfg.effective_height_m() == 4.0
-        for h in (0.0, -1.0):
+        for h in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(sim.ConfigError, match="h_override_m"):
                 sim.with_effective_height(make_config(), h)
 
@@ -83,13 +97,13 @@ class TestConfig:
 class TestBuildConstellation:
     def test_type_b_at_ceiling(self):
         con = sim.build_constellation(make_config())
-        assert all(n.z == 3.0 for n in con.nodes)
+        assert np.all(con.xyz[:, 2] == 3.0)
 
     def test_type_c_gets_height_correction(self):
         cfg = make_config(placement_type="C")
         con = sim.build_constellation(cfg)
         assert con.height_correction_m > 0.0
-        assert all(n.z == 3.0 - con.height_correction_m for n in con.nodes)
+        assert np.all(con.xyz[:, 2] == 3.0 - con.height_correction_m)
         d_b, d_c = geo.reference_distances(cfg.room, 4, cfg.user_height_m)
         tau = lb.absorption_for(cfg.link)
         expect = geo.height_correction(1.5, d_b, d_c, tau)
@@ -98,12 +112,12 @@ class TestBuildConstellation:
     def test_override_rebuilds_geometry(self):
         cfg = sim.with_effective_height(make_config(), 4.0)
         con = sim.build_constellation(cfg)
-        assert all(n.z == 5.5 for n in con.nodes)
+        assert np.all(con.xyz[:, 2] == 5.5)
 
 
 class TestAssociate:
     def test_single_visible_ap(self):
-        con = geo.place_type_a(geo.Room())
+        con = geo.place(geo.Room(), "A", 1, 5e-3)
         crowd, _ = mob.init_users(geo.Room(), 3, seed=5)
         link = lb.LinkBudgetParams()
         got = sim.associate(crowd.xy, con, link)
@@ -111,7 +125,7 @@ class TestAssociate:
 
     def test_equidistant_tie_prefers_low_id(self):
         room = geo.Room()
-        con = geo.place_type_b(room, 4)
+        con = geo.place(room, "B", 4, 5e-3)
         got = sim.associate([[5.0, 5.0]], con, lb.LinkBudgetParams(p_t_w=0.25e-3))
         assert got == (0,)
 
@@ -121,7 +135,7 @@ class TestAssociate:
         for trial in range(40):
             room = geo.Room(rng.uniform(6, 14), rng.uniform(6, 14), rng.uniform(2.5, 5))
             kind = ("A", "B", "C")[trial % 3]
-            con = geo.place(room, kind, 1 if kind == "A" else int(rng.choice([4, 8])))
+            con = geo.place(room, kind, 1 if kind == "A" else int(rng.choice([4, 8])), 5e-3)
             m = int(rng.integers(1, 6))
             xy = [(rng.uniform(0, room.length_m), rng.uniform(0, room.width_m))
                   for _ in range(m)]
@@ -129,16 +143,14 @@ class TestAssociate:
             got = sim.associate(np.array(xy), con, link, blockers=blockers)
             for i, (x, y) in enumerate(xy):
                 best, best_d = -1, None
-                for node in con.nodes:
-                    if not sees(node, x, y):
+                for ap_id, xyz, facing in ap_rows(con):
+                    if not sees(xyz, facing, x, y):
                         continue
-                    if blockers and los_blocked(
-                        (node.x, node.y, node.z), (x, y, 1.5), blockers, exclude=i
-                    ):
+                    if blockers and los_blocked(xyz, (x, y, 1.5), blockers, exclude=i):
                         continue
-                    d = math.dist((node.x, node.y, node.z), (x, y, 1.5))
+                    d = math.dist(xyz, (x, y, 1.5))
                     if best_d is None or d < best_d:
-                        best, best_d = node.id, d
+                        best, best_d = ap_id, d
                 assert got[i] == best
 
 
@@ -193,8 +205,8 @@ class TestRunBasics:
         r = sim.run(cfg)
         crowd, _ = mob.init_users(cfg.room, cfg.n_users, cfg.seed,
                                   v_mean=cfg.v_mean_mps, v_span=cfg.v_span_mps)
-        ap = sim.build_constellation(cfg).nodes[0]
-        d = [math.dist((ap.x, ap.y, ap.z), (x, y, 1.5)) for x, y in crowd.xy.tolist()]
+        ap = sim.build_constellation(cfg).xyz[0].tolist()
+        d = [math.dist(ap, (x, y, 1.5)) for x, y in crowd.xy.tolist()]
         strongest = d.index(min(d))
         k = math.ceil(cfg.t_align_s / cfg.dt_s)
         thr = r.per_user_throughput_bps
@@ -221,8 +233,8 @@ class TestAlignmentWindow:
         x, y = crowd.xy[0].tolist()
         con = sim.build_constellation(cfg)
         rate = max(
-            achievable_rate(math.dist((n.x, n.y, n.z), (x, y, 1.5)), cfg.link)
-            for n in con.nodes if sees(n, x, y)
+            achievable_rate(math.dist(xyz, (x, y, 1.5)), cfg.link)
+            for _, xyz, facing in ap_rows(con) if sees(xyz, facing, x, y)
         )
         thr = r.per_user_throughput_bps[0]
         return round(r.n_steps * (1.0 - thr / rate))
@@ -254,7 +266,7 @@ class TestBlockageCrossing:
         # below a 1.8 m body only past y = 7.4. A walker crossing the x = 5
         # line at y = 7.7 with radius 0.1 m blocks while |x - 5| <= 0.1.
         room = geo.Room()
-        con = geo.place_type_a(room)
+        con = geo.place(room, "A", 1, 5e-3)
         link = lb.LinkBudgetParams()
         dt, speed = 0.01, 1.0
         blocked_steps = []
@@ -372,6 +384,16 @@ class TestHeatmap:
         illuminated = grid.labels == sim.LABEL_ILLUMINATION
         assert np.all(illuminated[slant <= r_star - cell])
         assert not np.any(illuminated[slant >= r_star + cell])
+
+    @pytest.mark.parametrize("res", [10.01, 0.12, 2.04])
+    def test_resolution_keeps_every_cell_centre_in_the_room(self, res):
+        # the last of ceil(10 res) centres lies past the 10 m wall
+        with pytest.raises(sim.ConfigError, match="^resolution:"):
+            sim.heatmap(make_config(placement_type="C"), res, 1e9)
+
+    def test_fractional_resolution_with_centres_inside_is_kept(self):
+        grid = sim.heatmap(make_config(placement_type="C"), 10.07, 1e9)
+        assert grid.rates_bps.shape == (101, 101)  # last centre at 9.98 m
 
     def test_resolution_must_be_positive(self):
         for bad in (0.0, -1.0, math.nan, math.inf):
