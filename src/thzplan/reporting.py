@@ -107,16 +107,40 @@ def write_events(events, path) -> None:
 
 
 def write_heatmap(grid: HeatmapGrid, rates_path, labels_path, meta_path) -> None:
-    """Rate grid and label grid as CSV (rows indexed by x), sidecar JSON."""
+    """Rate grid and label grid as CSV (rows indexed by x), sidecar JSON.
+
+    Each rate is written as fmt writes a float. repr runs once per
+    distinct value (by bit pattern, so -0.0 and 0.0 stay apart) and each
+    row is joined from that text, so memory stays flat. Labels are single
+    digits and go out as one byte buffer. Raises ValueError, before any
+    file is created, unless the two grids are 2-D of one shape and every
+    label is an integer in 0..len(LABEL_NAMES)-1.
+    """
+    rates = np.ascontiguousarray(grid.rates_bps, dtype=np.float64)
+    labels = np.asarray(grid.labels)
+    if rates.ndim != 2 or labels.shape != rates.shape:
+        raise ValueError(
+            f"heat map grids must be 2-D of one shape, got rates {rates.shape} "
+            f"and labels {labels.shape}"
+        )
+    if labels.size and (
+        not np.issubdtype(labels.dtype, np.integer)
+        or labels.min() < 0 or labels.max() >= len(LABEL_NAMES)
+    ):
+        raise ValueError(f"heat map labels must be integers in 0..{len(LABEL_NAMES) - 1}")
+    nx, ny = rates.shape
+    bits, index = np.unique(rates.view(np.int64).ravel(), return_inverse=True)
+    text = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    index = index.reshape(nx, ny)
+    digits = np.full((nx, max(2 * ny, 1)), ord(","), dtype=np.uint8)
+    digits[:, 0:2 * ny:2] = labels + ord("0")
+    digits[:, -1] = ord("\n")
     try:
-        # tolist() yields Python floats and ints, whose repr and str are
-        # exactly what fmt writes; one row at a time keeps memory flat
         with _AtomicText(rates_path) as fh:
-            for row in grid.rates_bps:
-                fh.write(",".join(map(repr, row.tolist())) + "\n")
+            for row in index:
+                fh.write(",".join(text[row].tolist()) + "\n")
         with _AtomicText(labels_path) as fh:
-            for row in grid.labels:
-                fh.write(",".join(map(str, row.tolist())) + "\n")
+            fh.write(digits.tobytes().decode("ascii"))
         meta = {
             "resolution_cells_per_m": grid.resolution_cells_per_m,
             "length_m": grid.length_m,
@@ -124,7 +148,7 @@ def write_heatmap(grid: HeatmapGrid, rates_path, labels_path, meta_path) -> None
             "device_height_m": grid.device_height_m,
             "probe_rate_bps": grid.probe_rate_bps,
             "label_legend": {str(i): name for i, name in enumerate(LABEL_NAMES)},
-            "shape": [int(grid.rates_bps.shape[0]), int(grid.rates_bps.shape[1])],
+            "shape": [nx, ny],
         }
         write_json(meta, meta_path)
     except OSError as exc:

@@ -166,7 +166,9 @@ def parse_series(label: str) -> tuple[str, int]:
 
 def build_constellation(cfg: SimConfig) -> Constellation:
     """Constellation for a config; wall mounts get the height correction
-    matching the ceiling grid."""
+    matching the ceiling grid. A room where the wall layout sits closer to
+    the floor cells than the grid does has no such correction: that is a
+    ConfigError naming placement_type."""
     t = cfg.placement_type.upper()
     h_c = 0.0
     if t == "C":
@@ -174,9 +176,16 @@ def build_constellation(cfg: SimConfig) -> Constellation:
             cfg.room, cfg.n_aps, cfg.user_height_m
         )
         tau = linkbudget.absorption_for(cfg.link)
-        h_c = geometry.height_correction(
-            cfg.effective_height_m(), d_grid, d_perim, tau
-        )
+        try:
+            h_c = geometry.height_correction(
+                cfg.effective_height_m(), d_grid, d_perim, tau
+            )
+        except ValueError as exc:
+            room = cfg.room
+            raise ConfigError(
+                f"placement_type: C{cfg.n_aps} has no wall height correction in a "
+                f"{room.length_m:g} x {room.width_m:g} m room: {exc}"
+            ) from exc
     return geometry.place(cfg.room, t, cfg.n_aps, cfg.t_align_s, h_c)
 
 
@@ -278,19 +287,20 @@ def associate(
     aps = _ApArrays(constellation, link, device_height_m)
     blocked = None
     if blockers:
-        blocked = _blocked_by(aps, pos, device_height_m, blockers, own_body=True)
+        blocked = geometry.blocked_matrix(
+            aps.xyz, pos, device_height_m, *_body_arrays(blockers), own_body=True
+        )
     best, _, _ = _associate(pos, aps, blocked)
     return tuple(best.tolist())
 
 
-def _blocked_by(aps: _ApArrays, pos, device_z, blockers, own_body: bool):
-    """geometry.blocked_matrix for a sequence of BodyCylinder."""
-    return geometry.blocked_matrix(
-        aps.xyz, pos, device_z,
+def _body_arrays(blockers: Sequence[BodyCylinder]):
+    """(centres, radii, heights) of the blockers: the blocker arguments of
+    geometry.blocked_matrix."""
+    return (
         np.array([c.center for c in blockers], dtype=float),
         np.array([c.radius_m for c in blockers]),
         np.array([c.height_m for c in blockers]),
-        own_body=own_body,
     )
 
 
@@ -418,6 +428,9 @@ def run(cfg: SimConfig, record_events: bool = False) -> MetricsReport:
 
 LABEL_DARKNESS, LABEL_ILLUMINATION, LABEL_SHADOW = 0, 1, 2
 LABEL_NAMES = ("darkness", "illumination", "shadow")
+# Heat-map cells per block; the block's (cells, APs) temporaries are a
+# fixed multiple of this, whatever the resolution.
+_CELL_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True, eq=False)
@@ -446,6 +459,12 @@ def heatmap(
     this is the per-point link capacity, not a loaded-system rate.
     blockers is a sequence of BodyCylinder, each with its own size; none
     of them is the body of the device at a cell.
+
+    The grids are filled in blocks of whole x rows, about _CELL_BLOCK
+    cells each (one row when a row is longer), so the (cells, APs)
+    temporaries stay a fixed size whatever the resolution. Each cell's
+    arithmetic is element-wise or a per-cell argmax, so the result does
+    not depend on the block size.
     """
     if not (math.isfinite(resolution_cells_per_m) and resolution_cells_per_m > 0):
         raise ConfigError("resolution: must be a finite positive number")
@@ -460,28 +479,35 @@ def heatmap(
             f"resolution: {res} cells/m centres the last cell outside the room"
         )
     link = cfg.link
-    aps = _ApArrays(build_constellation(cfg), link, cfg.user_height_m)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    cells = np.stack([gx.ravel(), gy.ravel()], axis=1)
+    z = cfg.user_height_m
+    aps = _ApArrays(build_constellation(cfg), link, z)
+    bodies = _body_arrays(blockers) if blockers else None
 
-    best, snr, in_view = _associate(cells, aps)
-    clear = _best_rate(best, snr, link.bandwidth_hz)
-    rates = clear
-    if blockers:
-        blocked = _blocked_by(aps, cells, cfg.user_height_m, blockers, own_body=False)
-        rates = _best_rate(_best_ap(snr, in_view & ~blocked), snr, link.bandwidth_hz)
-
-    labels = np.full(cells.shape[0], LABEL_DARKNESS, dtype=np.int8)
-    labels[rates >= probe_rate_bps] = LABEL_ILLUMINATION
-    labels[(rates < probe_rate_bps) & (clear >= probe_rate_bps)] = LABEL_SHADOW
+    rates = np.empty((nx, ny))
+    labels = np.empty((nx, ny), dtype=np.int8)
+    rows = max(1, _CELL_BLOCK // ny)
+    for i0 in range(0, nx, rows):
+        i1 = min(i0 + rows, nx)
+        cells = np.stack([np.repeat(xs[i0:i1], ny), np.tile(ys, i1 - i0)], axis=1)
+        best, snr, in_view = _associate(cells, aps)
+        clear = _best_rate(best, snr, link.bandwidth_hz)
+        rate = clear
+        if bodies is not None:
+            blocked = geometry.blocked_matrix(aps.xyz, cells, z, *bodies, own_body=False)
+            rate = _best_rate(_best_ap(snr, in_view & ~blocked), snr, link.bandwidth_hz)
+        label = np.full(cells.shape[0], LABEL_DARKNESS, dtype=np.int8)
+        label[rate >= probe_rate_bps] = LABEL_ILLUMINATION
+        label[(rate < probe_rate_bps) & (clear >= probe_rate_bps)] = LABEL_SHADOW
+        rates[i0:i1] = rate.reshape(i1 - i0, ny)
+        labels[i0:i1] = label.reshape(i1 - i0, ny)
     return HeatmapGrid(
         resolution_cells_per_m=res,
         length_m=cfg.room.length_m,
         width_m=cfg.room.width_m,
-        device_height_m=cfg.user_height_m,
+        device_height_m=z,
         probe_rate_bps=probe_rate_bps,
-        rates_bps=rates.reshape(nx, ny),
-        labels=labels.reshape(nx, ny),
+        rates_bps=rates,
+        labels=labels,
     )
 
 

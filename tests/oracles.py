@@ -11,6 +11,11 @@ the scalar rate of one link at a distance. `sees` is the scalar view
 test of one AP given its xy and facing, `ap_rows` lists a
 constellation's APs one by one, and `coverage_radius_bruteforce` finds
 the illumination radius by bisection instead of through Lambert W.
+`heatmap_whole_grid` computes a heat map's rates and labels in one pass
+over every cell; `simulation.heatmap` fills the same grids block by
+block and must match it bit for bit. `heatmap_csv_rows` is the heat-map
+CSV text built row by row from each cell's repr; `reporting.write_heatmap`
+must write exactly these bytes.
 """
 
 from __future__ import annotations
@@ -20,6 +25,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from thzplan import geometry
+from thzplan import simulation as sim
 from thzplan.geometry import BodyCylinder
 from thzplan.linkbudget import _radius_constant, absorption_for, shannon_rate, snr_scale
 from thzplan.mobility import (
@@ -300,3 +307,41 @@ def coverage_radius_bruteforce(params, spectral_efficiency: float) -> float:
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+def heatmap_whole_grid(cfg, resolution_cells_per_m, probe_rate_bps, blockers=None):
+    """(rates, labels) of `simulation.heatmap`, every cell in one pass.
+
+    Holds (cells, APs) temporaries for the whole grid at once.
+    """
+    res = resolution_cells_per_m
+    nx = math.ceil(cfg.room.length_m * res)
+    ny = math.ceil(cfg.room.width_m * res)
+    xs = (np.arange(nx) + 0.5) / res
+    ys = (np.arange(ny) + 0.5) / res
+    link = cfg.link
+    aps = sim._ApArrays(sim.build_constellation(cfg), link, cfg.user_height_m)
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    cells = np.stack([gx.ravel(), gy.ravel()], axis=1)
+
+    best, snr, in_view = sim._associate(cells, aps)
+    clear = sim._best_rate(best, snr, link.bandwidth_hz)
+    rates = clear
+    if blockers:
+        blocked = geometry.blocked_matrix(aps.xyz, cells, cfg.user_height_m,
+                                          *sim._body_arrays(blockers), own_body=False)
+        rates = sim._best_rate(sim._best_ap(snr, in_view & ~blocked), snr,
+                               link.bandwidth_hz)
+
+    labels = np.full(cells.shape[0], sim.LABEL_DARKNESS, dtype=np.int8)
+    labels[rates >= probe_rate_bps] = sim.LABEL_ILLUMINATION
+    labels[(rates < probe_rate_bps) & (clear >= probe_rate_bps)] = sim.LABEL_SHADOW
+    return rates.reshape(nx, ny), labels.reshape(nx, ny)
+
+
+def heatmap_csv_rows(grid) -> tuple[str, str]:
+    """(rates text, labels text) of a HeatmapGrid: each row's Python floats
+    joined by repr and its labels by str, one line per x index."""
+    rates = "".join(",".join(map(repr, row.tolist())) + "\n" for row in grid.rates_bps)
+    labels = "".join(",".join(map(str, row.tolist())) + "\n" for row in grid.labels)
+    return rates, labels

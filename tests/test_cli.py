@@ -147,6 +147,39 @@ def test_unreadable_number_exits_2_naming_flag(tmp_path, capsys, argv, flag):
     assert not out.exists()
 
 
+# A long, narrow room where the 16 wall mounts sit closer to the floor
+# cells than the 4 x 4 ceiling grid: no wall height correction exists.
+_LONG_C_ROOM = """[room]
+room_l_m = 28
+room_w_m = 3
+[placement]
+placement_type = C
+n_aps = 16
+[users]
+n_users = 3
+[simulation]
+duration_s = 0.05
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate"], ["heatmap", "--resolution", "1"], ["sweep", "--values", "2,3"],
+])
+def test_c_layout_without_height_correction_exits_2_naming_placement(
+    tmp_path, capsys, argv
+):
+    path = tmp_path / "long.ini"
+    path.write_text(_LONG_C_ROOM)
+    assert cli.main(["validate", "--config", str(path)]) == cli.EXIT_OK
+    out = tmp_path / "out"
+    code = cli.main([*argv, "--config", str(path), "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "configuration error: placement_type: C16" in err
+    assert "28 x 3 m room" in err
+    assert not out.exists()
+
+
 def test_heatmap_type_a_with_other_count_exits_2_naming_n(tmp_path, capsys):
     out = tmp_path / "out"
     code = cli.main(["heatmap", "--type", "A", "--n", "16", "--resolution", "1",

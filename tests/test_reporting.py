@@ -1,9 +1,14 @@
 import json
+import tempfile
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import heatmap_csv_rows
 from thzplan import reporting
 from thzplan.simulation import HeatmapGrid, MetricsReport
 
@@ -39,6 +44,72 @@ def test_heatmap_text_matches_fmt(tmp_path):
     back = reporting.read_heatmap(*paths)
     assert np.array_equal(back.rates_bps, grid.rates_bps)
     assert np.array_equal(back.labels, grid.labels)
+
+
+@pytest.mark.parametrize("labels", [
+    [[0, 1, 2], [2, 1, 10], [1, 1, 1]],
+    [[0, 1, 2], [2, 1, 3], [1, 1, 1]],
+    [[0, 1, -1], [2, 1, 0], [1, 1, 1]],
+], ids=["ten", "past_legend", "negative"])
+def test_heatmap_label_outside_legend_is_rejected_before_any_file(tmp_path, labels):
+    grid = _grid(np.ones((3, 3)), labels)
+    with pytest.raises(ValueError, match="labels must be integers in 0..2"):
+        reporting.write_heatmap(grid, *(tmp_path / n for n in ("r.csv", "l.csv", "m.json")))
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("rates,labels", [
+    (np.ones((3, 3)), np.ones((3, 2))),
+    (np.ones((3, 3)), np.ones((9,))),
+    (np.ones(4), np.ones(4)),
+])
+def test_heatmap_grids_of_other_shapes_are_rejected_before_any_file(tmp_path, rates, labels):
+    grid = _grid(rates, labels)
+    with pytest.raises(ValueError, match="2-D of one shape"):
+        reporting.write_heatmap(grid, *(tmp_path / n for n in ("r.csv", "l.csv", "m.json")))
+    assert not any(tmp_path.iterdir())
+
+
+_SPECIAL_RATES = [
+    0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+    2.2250738585072014e-308, 2.2250738585072014e-308 / 3, 1e300, 0.1,
+    5776719369.73632, 123456789012345.67, 1e16, 1.0,
+]
+
+
+@st.composite
+def _heatmap_grids(draw):
+    nx = draw(st.integers(1, 9))
+    ny = draw(st.integers(1, 9))
+    # a small pool makes heavy repeats; specials and arbitrary floats mix in
+    pool = draw(st.lists(
+        st.sampled_from(_SPECIAL_RATES) | st.floats(allow_nan=True, allow_infinity=True),
+        min_size=1, max_size=draw(st.sampled_from([1, 3, 60])),
+    ))
+    layout = draw(st.sampled_from(["C", "F", "sliced"]))
+    shape = (2 * nx, 2 * ny) if layout == "sliced" else (nx, ny)
+    picks = draw(st.lists(st.integers(0, len(pool) - 1),
+                          min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]))
+    rates = np.array(pool, dtype=float)[picks].reshape(shape)
+    labels = np.array(draw(st.lists(st.integers(0, 2), min_size=rates.size,
+                                    max_size=rates.size)), dtype=np.int8).reshape(shape)
+    if layout == "F":
+        rates, labels = np.asfortranarray(rates), np.asfortranarray(labels)
+    elif layout == "sliced":
+        rates, labels = rates[::2, ::-2], labels[1::2, ::2]
+    return _grid(rates, labels)
+
+
+@given(_heatmap_grids())
+@settings(max_examples=200, deadline=None)
+def test_heatmap_bytes_match_the_row_by_row_writer(grid):
+    want_rates, want_labels = heatmap_csv_rows(grid)
+    with tempfile.TemporaryDirectory() as d:
+        paths = [Path(d) / n for n in ("rates.csv", "labels.csv", "meta.json")]
+        reporting.write_heatmap(grid, *paths)
+        assert paths[0].read_bytes() == want_rates.encode()
+        assert paths[1].read_bytes() == want_labels.encode()
+        assert json.loads(paths[2].read_text())["shape"] == list(grid.rates_bps.shape)
 
 
 def _crossing(gaps):

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from oracles import achievable_rate, ap_rows, los_blocked, sees
+from oracles import achievable_rate, ap_rows, heatmap_whole_grid, los_blocked, sees
 from thzplan import geometry as geo
 from thzplan import linkbudget as lb
 from thzplan import mobility as mob
@@ -399,6 +400,68 @@ class TestHeatmap:
         for bad in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(sim.ConfigError, match="^resolution:"):
                 sim.heatmap(make_config(), bad, 1e9)
+
+
+_HEATMAP_BODIES = [
+    geo.BodyCylinder((5.05, 8.8), 0.1, 1.8),
+    geo.BodyCylinder((2.75, 2.75), 0.25, 1.6),
+    geo.BodyCylinder((0.3, 9.6), 0.2, 1.9),
+    geo.BodyCylinder((9.4, 4.1), 0.15, 1.7),
+]
+
+
+class TestHeatmapBlocks:
+    """heatmap() fills its grids block by block; the whole-grid oracle must
+    give the same bits."""
+
+    @staticmethod
+    def assert_matches_oracle(cfg, res, probe, blockers):
+        grid = sim.heatmap(cfg, res, probe, blockers=blockers)
+        rates, labels = heatmap_whole_grid(cfg, res, probe, blockers)
+        assert grid.rates_bps.shape == rates.shape
+        assert grid.rates_bps.dtype == rates.dtype
+        assert np.array_equal(grid.rates_bps.view(np.int64), rates.view(np.int64))
+        assert grid.labels.dtype == labels.dtype
+        assert np.array_equal(grid.labels, labels)
+        return grid
+
+    @pytest.mark.parametrize("layout", [("A", 1), ("B", 4), ("C", 4), ("C", 16)])
+    @pytest.mark.parametrize("blockers", [None, _HEATMAP_BODIES], ids=["clear", "bodies"])
+    def test_ragged_last_block(self, monkeypatch, layout, blockers):
+        # 97 x 61 cells; 7 rows of 61 per block leave a last block of 6 rows
+        monkeypatch.setattr(sim, "_CELL_BLOCK", 7 * 61 + 30)
+        cfg = make_config(room=geo.Room(9.7, 6.1, 3.0), placement_type=layout[0],
+                          n_aps=layout[1])
+        grid = self.assert_matches_oracle(cfg, 10.0, 2e9, blockers)
+        assert grid.rates_bps.shape == (97, 61)
+        if blockers:
+            assert np.any(grid.labels == sim.LABEL_SHADOW)
+
+    @pytest.mark.parametrize("blockers", [None, _HEATMAP_BODIES], ids=["clear", "bodies"])
+    def test_row_longer_than_a_block(self, monkeypatch, blockers):
+        # ny > _CELL_BLOCK: one x row per block
+        monkeypatch.setattr(sim, "_CELL_BLOCK", 40)
+        cfg = make_config(placement_type="C", n_aps=8)
+        grid = self.assert_matches_oracle(cfg, 5.0, 1e9, blockers)
+        assert grid.rates_bps.shape == (50, 50)
+
+    def test_full_size_grid_spans_several_blocks(self):
+        # 500 x 500 cells: 65 rows per block, a last block of 45 rows
+        cfg = make_config(placement_type="C", n_aps=4)
+        assert 500 % (sim._CELL_BLOCK // 500) != 0
+        self.assert_matches_oracle(cfg, 50.0, 1e9, None)
+
+    def test_peak_memory_stays_below_the_whole_grid_pass(self):
+        # the whole-grid pass peaks at about 57 MB here
+        cfg = make_config(placement_type="C", n_aps=4)
+        sim.heatmap(cfg, 2.0, 1e9)
+        tracemalloc.start()
+        try:
+            sim.heatmap(cfg, 50.0, 1e9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
 
 
 class TestSweep:
