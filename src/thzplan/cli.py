@@ -75,6 +75,7 @@ def _ensure_outdir(path):
 
 def cmd_validate(args) -> int:
     cfg, settings = _load(args)
+    simulation.build_constellation(cfg)  # a C layout needs a height correction here
     print(f"configuration ok (hash {cfgmod.settings_hash(settings)[:12]})")
     print(f"placement {cfg.placement_type}{cfg.n_aps}, "
           f"effective height {cfg.effective_height_m():g} m, "

@@ -163,21 +163,23 @@ duration_s = 0.05
 
 
 @pytest.mark.parametrize("argv", [
-    ["simulate"], ["heatmap", "--resolution", "1"], ["sweep", "--values", "2,3"],
+    ["validate"],
+    ["simulate", "--out", "out"],
+    ["heatmap", "--resolution", "1", "--out", "out"],
+    ["sweep", "--values", "2,3", "--out", "out"],
 ])
 def test_c_layout_without_height_correction_exits_2_naming_placement(
-    tmp_path, capsys, argv
+    tmp_path, capsys, monkeypatch, argv
 ):
+    monkeypatch.chdir(tmp_path)
     path = tmp_path / "long.ini"
     path.write_text(_LONG_C_ROOM)
-    assert cli.main(["validate", "--config", str(path)]) == cli.EXIT_OK
-    out = tmp_path / "out"
-    code = cli.main([*argv, "--config", str(path), "--out", str(out)])
+    code = cli.main([*argv, "--config", str(path)])
     assert code == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert "configuration error: placement_type: C16" in err
     assert "28 x 3 m room" in err
-    assert not out.exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["long.ini"]
 
 
 def test_heatmap_type_a_with_other_count_exits_2_naming_n(tmp_path, capsys):
