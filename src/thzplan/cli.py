@@ -55,6 +55,14 @@ def _positive_number(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of a count flag; argparse names the flag on error."""
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a positive whole number, got {text!r}")
+    return value
+
+
 def _overrides_from_args(args) -> dict:
     overrides = {}
     if getattr(args, "seed", None) is not None:
@@ -150,14 +158,13 @@ def cmd_sweep(args) -> int:
         values = [v.strip() for v in args.values.split(",") if v.strip()]
     else:
         values = _parse_values(args.values, "values")
-    series = [s for s in args.types.split(",") if s.strip()] if args.types else [None]
-    reports = []
-    for label in series:
-        base = cfg
-        if label is not None:
-            t, n = simulation.parse_series(label)
-            base = simulation.with_placement(cfg, t, n)
-        reports.extend(simulation.sweep(base, args.axis, values, jobs=args.jobs))
+    bases = [cfg]
+    if args.types is not None:
+        labels = [s for s in args.types.split(",") if s.strip()]
+        if not labels:
+            raise ConfigError(f"types: expected series like B4,C4, got {args.types!r}")
+        bases = [simulation.with_placement(cfg, *simulation.parse_series(s)) for s in labels]
+    reports = simulation.sweep(bases, args.axis, values, jobs=args.jobs)
     out = _ensure_outdir(args.out)
     path = os.path.join(out, "sweep.csv")
     reporting.write_results(reports, path)
@@ -225,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--values", default="2:7:0.5")
     sp.add_argument("--types", default=None,
                     help="comma list of series like A,B4,C4; default: config placement")
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--jobs", type=_positive_int, default=1)
     sp.set_defaults(func=cmd_sweep)
     return p
 

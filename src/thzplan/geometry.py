@@ -3,9 +3,10 @@
 Placement layouts follow the lighting analogy: a single central ceiling
 fixture (type A), a uniform ceiling grid (B) and wall-mounted perimeter
 units (C), the three layouts of the evaluation protocol. `place` builds
-each of them as a `Constellation` of arrays with one row per AP: the
-positions, the inward facing of wall mounts (None for ceiling mounts,
-which see everywhere) and one alignment time for the whole layout.
+each of them as a `Constellation`: an array of the AP positions, one row
+per AP, and one alignment time for the whole layout. Wall mounts face
+into the room, and the room is convex, so every AP of every layout sees
+every point of the floor.
 
 Blockage has one implementation, `blocked_matrix`: every AP -> device
 segment against every vertical body cylinder. A body of height h can only
@@ -49,15 +50,11 @@ class Room:
 class Constellation:
     """One AP layout as arrays, AP id = row index.
 
-    xyz is (n, 3). facing_deg is (n,), the azimuth of each wall mount's
-    inward normal, for a layout that sees only the inward half plane, and
-    None for ceiling mounts, which see everywhere. No layout mixes the two.
-    align_time_s is every AP's beam-alignment dead time.
+    xyz is (n, 3). align_time_s is every AP's beam-alignment dead time.
     """
 
     placement_type: str
     xyz: np.ndarray
-    facing_deg: np.ndarray | None
     align_time_s: float
     height_correction_m: float = 0.0
 
@@ -86,15 +83,15 @@ def _grid_xy(room: Room, n: int) -> np.ndarray:
     return np.array([(x, y) for y in ys for x in xs])
 
 
-def _wall_xy(room: Room, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _wall_xy(room: Room, n: int) -> np.ndarray:
     """(n, 2) wall points equally spaced along the south, east, north and
-    west walls, and the azimuth of each one's inward normal."""
+    west walls."""
     per_wall = n // 4
     fracs = [(k + 1) / (per_wall + 1) for k in range(per_wall)]
     length, width = room.length_m, room.width_m
     xy = ([(f * length, 0.0) for f in fracs] + [(length, f * width) for f in fracs]
           + [(f * length, width) for f in fracs] + [(0.0, f * width) for f in fracs])
-    return np.array(xy), np.repeat([90.0, 180.0, 270.0, 0.0], per_wall)
+    return np.array(xy)
 
 
 def place(
@@ -118,14 +115,13 @@ def place(
         raise ValueError(
             f"height correction {height_correction_m} outside [0, {room.height_m})"
         )
-    facing = None
     if t == "C":
-        xy, facing = _wall_xy(room, n)
+        xy = _wall_xy(room, n)
         t_align_s = t_align_s / 2.0
     else:
         xy = _grid_xy(room, n)
     xyz = np.column_stack([xy, np.full(n, room.height_m - height_correction_m)])
-    return Constellation(t, xyz, facing, t_align_s, height_correction_m)
+    return Constellation(t, xyz, t_align_s, height_correction_m)
 
 
 def height_correction(
@@ -182,7 +178,7 @@ def reference_distances(
     d_grid = mean_nearest_distance(
         room, np.column_stack([_grid_xy(room, n), z]), probe_height_m, grid)
     d_perim = mean_nearest_distance(
-        room, np.column_stack([_wall_xy(room, n)[0], z]), probe_height_m, grid)
+        room, np.column_stack([_wall_xy(room, n), z]), probe_height_m, grid)
     return d_grid, d_perim
 
 

@@ -1,7 +1,7 @@
 """Deterministic fixed-step coverage simulation.
 
-Each step: users move, every user re-associates to the strongest feasible
-AP (view sector, optional body blockage), new or changed links pay the
+Each step: users move, every user re-associates to the strongest AP not
+blocked from it (body blockage is optional), new or changed links pay the
 AP's beam-alignment dead time, and an AP's rate is time-shared equally
 among its assigned users. Metrics are plain averages over (user, step)
 pairs; an AP is idle in a step when nothing is assigned to it.
@@ -216,48 +216,35 @@ class _ApArrays:
 
     def __init__(self, con: Constellation, link: LinkBudgetParams, device_z: float):
         self.xyz = con.xyz
-        self.face = None  # ceiling mounts: every AP sees every point
-        if con.facing_deg is not None:
-            az = np.radians(con.facing_deg)
-            self.face = np.stack([np.cos(az), np.sin(az)], axis=1)
         self.align = con.align_time_s
         self.sig = linkbudget.snr_scale(link)
         self.dz_sq = (self.xyz[:, 2] - device_z) ** 2
         self.tau = linkbudget.absorption_for(link)
 
-    def offsets(self, pos: np.ndarray) -> np.ndarray:
-        """(n, APs, 2) horizontal offsets of each point from each AP."""
-        return pos[:, None, :] - self.xyz[None, :, :2]
-
-    def in_view(self, rel: np.ndarray) -> np.ndarray:
-        if self.face is None:
-            return np.ones(rel.shape[:2], dtype=bool)
-        dot = np.einsum("una,na->un", rel, self.face)
-        norm = np.hypot(rel[:, :, 0], rel[:, :, 1])
-        return dot >= -1e-12 * norm
-
-    def snr(self, rel: np.ndarray) -> np.ndarray:
+    def snr(self, pos: np.ndarray) -> np.ndarray:
+        """(n, APs) SNR of each AP's link to a device at each (n, 2) point."""
+        rel = pos[:, None, :] - self.xyz[None, :, :2]
         d_sq = rel[:, :, 0] ** 2 + rel[:, :, 1] ** 2 + self.dz_sq[None, :]
         d = np.sqrt(d_sq)
         return self.sig / (d_sq * np.exp(self.tau * d))
 
 
-def _best_ap(snr: np.ndarray, feasible: np.ndarray) -> np.ndarray:
-    """The association rule: per device, the feasible AP with the highest
-    SNR. Ties go to the lowest AP id; a device with no feasible AP gets -1."""
-    best = np.where(feasible, snr, -np.inf).argmax(axis=1).astype(np.int64)
-    best[~feasible.any(axis=1)] = -1
+def _best_ap(snr: np.ndarray, blocked: np.ndarray | None = None) -> np.ndarray:
+    """The association rule: per device, the AP with the highest SNR among
+    those not blocked from it (every AP sees the whole floor, see geometry).
+    Ties go to the lowest AP id; a device blocked from every AP gets -1."""
+    if blocked is None:
+        return snr.argmax(axis=1).astype(np.int64)
+    best = np.where(blocked, -np.inf, snr).argmax(axis=1).astype(np.int64)
+    best[blocked.all(axis=1)] = -1
     return best
 
 
 def _associate(pos: np.ndarray, aps: _ApArrays, blocked=None):
-    """_best_ap over the APs that see each device and are not blocked from
-    it; returns (best AP per device, SNR matrix, in-view matrix)."""
-    rel = aps.offsets(pos)
-    in_view = aps.in_view(rel)
-    snr = aps.snr(rel)
-    best = _best_ap(snr, in_view if blocked is None else in_view & ~blocked)
-    return best, snr, in_view
+    """_best_ap over the APs not blocked from each device; returns (best AP
+    per device, SNR matrix)."""
+    snr = aps.snr(pos)
+    return _best_ap(snr, blocked), snr
 
 
 def _best_rate(best: np.ndarray, snr: np.ndarray, bandwidth_hz: float) -> np.ndarray:
@@ -275,13 +262,15 @@ def associate(
     blockers: Sequence[BodyCylinder] | None = None,
     device_height_m: float = mobility.DEFAULT_DEVICE_HEIGHT_M,
 ) -> tuple[int, ...]:
-    """AP id per user by run()'s rule: the strongest AP that sees the user
-    and, with blockers, is not blocked from it; -1 when there is none.
+    """AP id per user by run()'s rule: the strongest AP that, with
+    blockers, is not blocked from the user; -1 when every AP is blocked.
 
     positions is an (m, 2) array of the users' floor coordinates (a
     Crowd's xy). Ties go to the lowest AP id. blockers, if given, holds
     one body per user, in user order, and blocker i never blocks user i's
-    links.
+    links. There is no room here to check a position against, so a
+    position off the floor is served like any other point, wall mounts
+    included.
     """
     pos = np.asarray(positions, dtype=float)
     aps = _ApArrays(constellation, link, device_height_m)
@@ -290,7 +279,7 @@ def associate(
         blocked = geometry.blocked_matrix(
             aps.xyz, pos, device_height_m, *_body_arrays(blockers), own_body=True
         )
-    best, _, _ = _associate(pos, aps, blocked)
+    best, _ = _associate(pos, aps, blocked)
     return tuple(best.tolist())
 
 
@@ -357,7 +346,7 @@ def run(cfg: SimConfig, record_events: bool = False) -> MetricsReport:
                 aps.xyz, pos, device_z, pos, cfg.user_width_m / 2.0,
                 cfg.body_height_m, own_body=True,
             )
-        best, snr, in_view = _associate(pos, aps, blocked)
+        best, snr = _associate(pos, aps, blocked)
 
         changed = best != assign
         if changed.any():
@@ -370,7 +359,7 @@ def run(cfg: SimConfig, record_events: bool = False) -> MetricsReport:
                     events.append((t, EVENT_HANDOFF, int(u), int(best[u])))
 
         if cfg.blockage_enabled:
-            now_shadowed = (best < 0) & in_view.any(axis=1)
+            now_shadowed = best < 0
             if record_events:
                 for u in np.flatnonzero(now_shadowed & ~shadowed):
                     events.append((t, EVENT_BLOCKAGE_START, int(u), int(assign[u])))
@@ -453,7 +442,7 @@ def heatmap(
     """Static best-AP rate field at device height.
 
     Each cell is a device served by the AP run() would pick for it (see
-    _best_ap) at that link's rate; a cell with no feasible AP reads 0.0.
+    _best_ap) at that link's rate; a cell blocked from every AP reads 0.0.
     Cells below the probe rate are darkness unless a blocker is what
     pushed them under, in which case they are shadow. No time sharing:
     this is the per-point link capacity, not a loaded-system rate.
@@ -489,12 +478,12 @@ def heatmap(
     for i0 in range(0, nx, rows):
         i1 = min(i0 + rows, nx)
         cells = np.stack([np.repeat(xs[i0:i1], ny), np.tile(ys, i1 - i0)], axis=1)
-        best, snr, in_view = _associate(cells, aps)
+        best, snr = _associate(cells, aps)
         clear = _best_rate(best, snr, link.bandwidth_hz)
         rate = clear
         if bodies is not None:
             blocked = geometry.blocked_matrix(aps.xyz, cells, z, *bodies, own_body=False)
-            rate = _best_rate(_best_ap(snr, in_view & ~blocked), snr, link.bandwidth_hz)
+            rate = _best_rate(_best_ap(snr, blocked), snr, link.bandwidth_hz)
         label = np.full(cells.shape[0], LABEL_DARKNESS, dtype=np.int8)
         label[rate >= probe_rate_bps] = LABEL_ILLUMINATION
         label[(rate < probe_rate_bps) & (clear >= probe_rate_bps)] = LABEL_SHADOW
@@ -523,13 +512,18 @@ def apply_axis(cfg: SimConfig, axis: str, value) -> SimConfig:
     raise ConfigError(f"axis: unknown sweep axis {axis!r}")
 
 
-def sweep(base: SimConfig, axis: str, values, jobs: int = 1) -> list[MetricsReport]:
-    """Independent runs along one axis, identical seed, input order kept."""
+def sweep(base: SimConfig | Sequence[SimConfig], axis: str, values,
+          jobs: int = 1) -> list[MetricsReport]:
+    """Independent runs along one axis, identical seed, input order kept.
+    base is one config or a sequence of them, one series each. Every config
+    is checked, constellation included, before the first run."""
     if not values:
         raise ConfigError("values: sweep needs at least one value")
-    configs = [apply_axis(base, axis, v) for v in values]
+    bases = [base] if isinstance(base, SimConfig) else base
+    configs = [apply_axis(b, axis, v) for b in bases for v in values]
     for c in configs:
         c.validate()
+        build_constellation(c)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -8,8 +8,11 @@ must agree boolean for boolean. `UserState` is one user as scalars:
 step; `mobility.init_users` and `mobility.step_user` must match them bit
 for bit on every user, compared through `crowd_of`. `achievable_rate` is
 the scalar rate of one link at a distance. `sees` is the scalar view
-test of one AP given its xy and facing, `ap_rows` lists a
-constellation's APs one by one, and `coverage_radius_bruteforce` finds
+test of one AP given its xy and facing, and `ap_rows` lists a
+constellation's APs one by one, each wall mount facing along its wall's
+inward normal. The library has no view test, since every floor point is
+in view of every AP; the tests that enumerate links keep it, to show
+that it removes nothing in the room. `coverage_radius_bruteforce` finds
 the illumination radius by bisection instead of through Lambert W.
 `heatmap_whole_grid` computes a heat map's rates and labels in one pass
 over every cell; `simulation.heatmap` fills the same grids block by
@@ -269,10 +272,21 @@ def sees(ap_xy, facing_deg, x: float, y: float) -> bool:
     return dx * math.cos(az) + dy * math.sin(az) >= -1e-12 * math.hypot(dx, dy)
 
 
-def ap_rows(con):
-    """(id, (x, y, z), facing_deg or None) for each AP of a Constellation."""
-    facing = [None] * len(con) if con.facing_deg is None else con.facing_deg.tolist()
-    return [(i, tuple(p), f) for i, (p, f) in enumerate(zip(con.xyz.tolist(), facing))]
+def _inward_normal_deg(room, x: float, y: float) -> float:
+    """Azimuth of the inward normal of the wall that (x, y) sits on."""
+    for on_wall, azimuth in ((y == 0.0, 90.0), (x == room.length_m, 180.0),
+                             (y == room.width_m, 270.0), (x == 0.0, 0.0)):
+        if on_wall:
+            return azimuth
+    raise ValueError(f"({x}, {y}) lies on no wall of the room")
+
+
+def ap_rows(con, room):
+    """(id, (x, y, z), facing_deg or None) for each AP of a Constellation
+    in room: a wall mount (layout C) faces along the inward normal of its
+    wall, a ceiling mount (None) sees everywhere."""
+    return [(i, (x, y, z), _inward_normal_deg(room, x, y) if con.placement_type == "C" else None)
+            for i, (x, y, z) in enumerate(con.xyz.tolist())]
 
 
 def coverage_radius_bruteforce(params, spectral_efficiency: float) -> float:
@@ -324,14 +338,13 @@ def heatmap_whole_grid(cfg, resolution_cells_per_m, probe_rate_bps, blockers=Non
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     cells = np.stack([gx.ravel(), gy.ravel()], axis=1)
 
-    best, snr, in_view = sim._associate(cells, aps)
+    best, snr = sim._associate(cells, aps)
     clear = sim._best_rate(best, snr, link.bandwidth_hz)
     rates = clear
     if blockers:
         blocked = geometry.blocked_matrix(aps.xyz, cells, cfg.user_height_m,
                                           *sim._body_arrays(blockers), own_body=False)
-        rates = sim._best_rate(sim._best_ap(snr, in_view & ~blocked), snr,
-                               link.bandwidth_hz)
+        rates = sim._best_rate(sim._best_ap(snr, blocked), snr, link.bandwidth_hz)
 
     labels = np.full(cells.shape[0], sim.LABEL_DARKNESS, dtype=np.int8)
     labels[rates >= probe_rate_bps] = sim.LABEL_ILLUMINATION

@@ -11,6 +11,7 @@ from test_config import BAD_CONFIGS
 from thzplan import cli
 from thzplan import config as cfgmod
 from thzplan import linkbudget as lb
+from thzplan import simulation
 from thzplan.simulation import SimConfig
 
 
@@ -182,6 +183,32 @@ def test_c_layout_without_height_correction_exits_2_naming_placement(
     assert [p.name for p in tmp_path.iterdir()] == ["long.ini"]
 
 
+def test_sweep_checks_every_series_before_the_first_run(tmp_path, capsys, monkeypatch):
+    # B4 fits the 28 x 3 m room, C16 does not: no B4 run may start
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "long.ini"
+    path.write_text(_LONG_C_ROOM)
+    calls = []
+    run = simulation.run
+    monkeypatch.setattr(simulation, "run", lambda *a, **kw: calls.append(1) or run(*a, **kw))
+    code = cli.main(["sweep", "--config", str(path), "--types", "B4,C16", "--values", "2,3",
+                     "--out", "out"])
+    assert code == cli.EXIT_CONFIG
+    assert "configuration error: placement_type: C16" in capsys.readouterr().err
+    assert calls == []
+    assert [p.name for p in tmp_path.iterdir()] == ["long.ini"]
+
+
+@pytest.mark.parametrize("types", [",", " , ,", ""])
+def test_sweep_types_without_a_series_exits_2_naming_types(tmp_path, capsys, types):
+    out = tmp_path / "out"
+    code = cli.main(["sweep", "--config", _tiny_config(tmp_path), "--types", types,
+                     "--values", "2", "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    assert "configuration error: types:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_heatmap_type_a_with_other_count_exits_2_naming_n(tmp_path, capsys):
     out = tmp_path / "out"
     code = cli.main(["heatmap", "--type", "A", "--n", "16", "--resolution", "1",
@@ -229,6 +256,17 @@ def test_float_flag_needs_finite_positive_number(tmp_path, capsys, monkeypatch, 
     assert exc.value.code == cli.EXIT_CONFIG
     assert f"argument {flag}: expected a finite positive number" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3", "1.5", "two"])
+def test_jobs_needs_positive_whole_number(tmp_path, capsys, monkeypatch, jobs):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--values", "2", "--jobs", jobs])
+    assert exc.value.code == cli.EXIT_CONFIG
+    assert "argument --jobs:" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+    assert cli.build_parser().parse_args(["sweep", "--jobs", "1"]).jobs == 1
 
 
 def test_radius_ceil_rounds_up_to_whole_metres(tmp_path, capsys, monkeypatch):

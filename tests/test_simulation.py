@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 from dataclasses import replace
@@ -9,6 +10,7 @@ from oracles import achievable_rate, ap_rows, heatmap_whole_grid, los_blocked, s
 from thzplan import geometry as geo
 from thzplan import linkbudget as lb
 from thzplan import mobility as mob
+from thzplan import reporting
 from thzplan import simulation as sim
 
 
@@ -130,6 +132,12 @@ class TestAssociate:
         got = sim.associate([[5.0, 5.0]], con, lb.LinkBudgetParams(p_t_w=0.25e-3))
         assert got == (0,)
 
+    def test_off_floor_position_is_served_like_any_other(self):
+        # (5, -3) lies behind the south wall mount, which is still its
+        # strongest AP: associate() has no room to check the point against
+        con = geo.place(geo.Room(), "C", 4, 5e-3)
+        assert sim.associate([[5.0, -3.0]], con, lb.LinkBudgetParams()) == (0,)
+
     def test_brute_force_enumeration_oracle(self):
         rng = np.random.default_rng(17)
         link = lb.LinkBudgetParams(p_t_w=0.25e-3)
@@ -144,7 +152,7 @@ class TestAssociate:
             got = sim.associate(np.array(xy), con, link, blockers=blockers)
             for i, (x, y) in enumerate(xy):
                 best, best_d = -1, None
-                for ap_id, xyz, facing in ap_rows(con):
+                for ap_id, xyz, facing in ap_rows(con, room):
                     if not sees(xyz, facing, x, y):
                         continue
                     if blockers and los_blocked(xyz, (x, y, 1.5), blockers, exclude=i):
@@ -235,7 +243,7 @@ class TestAlignmentWindow:
         con = sim.build_constellation(cfg)
         rate = max(
             achievable_rate(math.dist(xyz, (x, y, 1.5)), cfg.link)
-            for _, xyz, facing in ap_rows(con) if sees(xyz, facing, x, y)
+            for _, xyz, facing in ap_rows(con, cfg.room) if sees(xyz, facing, x, y)
         )
         thr = r.per_user_throughput_bps[0]
         return round(r.n_steps * (1.0 - thr / rate))
@@ -483,6 +491,13 @@ class TestSweep:
         assert [r.placement_type for r in reports] == ["A", "B", "C"]
         assert reports[0].n_aps == 1
 
+    def test_several_bases_sweep_series_by_series(self):
+        b4 = make_config(duration_s=0.05)
+        c8 = sim.with_placement(b4, "C", 8)
+        both = sim.sweep([b4, c8], "H", [2.0, 3.0])
+        assert both == sim.sweep(b4, "H", [2.0, 3.0]) + sim.sweep(c8, "H", [2.0, 3.0])
+        assert [r.placement_type for r in both] == ["B", "B", "C", "C"]
+
     def test_parallel_matches_sequential(self):
         cfg = make_config(duration_s=0.2)
         seq = sim.sweep(cfg, "H", [2.0, 3.0])
@@ -511,3 +526,21 @@ class TestRegression:
         assert r.mean_throughput_bps == REGRESSION["mean_throughput_bps"]
         assert r.ap_idle_fraction == REGRESSION["ap_idle_fraction"]
         assert r.handoff_count == REGRESSION["handoff_count"]
+
+    def test_wall_mounts_with_blockage_and_events(self, tmp_path):
+        # wall mounts with blockage on: the run that shadows users, where a
+        # view test would have entered the shadow mask
+        cfg = make_config(placement_type="C", n_aps=8, blockage_enabled=True,
+                          duration_s=5.0, seed=7)
+        r = sim.run(cfg, record_events=True)
+        assert reporting.result_row(r) == (
+            "C", 8, 1.5, 7, 0.6422, 7078822653.594118, 0.001, 116,
+        )
+        kinds = [e[1] for e in r.events]
+        assert kinds.count(sim.EVENT_BLOCKAGE_START) == 12
+        assert kinds.count(sim.EVENT_BLOCKAGE_END) == 12
+        path = tmp_path / "events.csv"
+        reporting.write_events(r.events, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "6369c030e2cbcf9c77fcbe0f9e8b555c71db3391c77ff842fd86b5f25a8843f1"
+        )
