@@ -12,7 +12,6 @@ from .geometry import (
     reference_distances,
 )
 from .linkbudget import (
-    AbsorptionTable,
     LinkBudgetParams,
     antenna_gain,
     coverage_radius,

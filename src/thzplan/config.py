@@ -3,11 +3,9 @@
 Files are INI-style sections of key = value pairs; every key carries its
 unit in the name and dB/dBm quantities are converted to linear exactly
 once, here. Every number must be finite; an unknown key or an unreadable
-value is a ConfigError that names the key. Anything not set falls back to
-the documented defaults, so a run is fully described by (file, overrides,
-seed). Each setting becomes one SimConfig value: p_o_dbm is the total
-budget (the per-AP power is derived from it), and h_override_m, when set,
-becomes the ceiling height h_override_m + user_height_m.
+value is a ConfigError that names the key. _TABLE declares each key once:
+its documented default, the SimConfig field it sets and the conversion
+into that field. A run is fully described by (file, overrides, seed).
 """
 
 from __future__ import annotations
@@ -16,55 +14,13 @@ import configparser
 import hashlib
 import json
 import math
+from collections.abc import Callable
+from dataclasses import fields
+from typing import NamedTuple
 
 from . import __version__ as TOOL_VERSION
 from .geometry import Room
 from .simulation import ConfigError, SimConfig, with_effective_height
-
-DEFAULTS = {
-    "radio": {
-        "f_c_ghz": 570.0,
-        "bandwidth_ghz": 10.0,
-        "p_o_dbm": 0.0,
-        "beamwidth_deg": 10.0,
-        "nf_db_hz": -193.85,
-        "humidity_pct": 60.0,
-        "tau_override_per_m": None,
-    },
-    "room": {
-        "room_l_m": 10.0,
-        "room_w_m": 10.0,
-        "room_h_m": 3.0,
-    },
-    "placement": {
-        "placement_type": "B",
-        "n_aps": 4,
-        "t_align_ms": 5.0,
-    },
-    "users": {
-        "n_users": 30,
-        "velocity_mps_mean": 1.0,
-        "velocity_mps_span": 0.5,
-        "user_height_m": 1.5,
-        "user_width_m": 0.2,
-        "body_height_m": 1.8,
-        "rate_min_gbps": 1.0,
-        "rate_max_gbps": 10.0,
-    },
-    "simulation": {
-        "duration_s": 60.0,
-        "dt_ms": 10.0,
-        "seed": 1,
-        "blockage": "off",
-        "h_override_m": None,
-        "share_mode": "equal_share",
-        "pause_s": 0.0,
-    },
-}
-
-_KEY_SECTION = {
-    key: section for section, keys in DEFAULTS.items() for key in keys
-}
 
 
 def dbm_to_watts(p_dbm: float) -> float:
@@ -75,34 +31,85 @@ def db_to_linear(x_db: float) -> float:
     return 10.0 ** (x_db / 10.0)
 
 
+def _on_off(raw: str) -> str:
+    token = raw.strip().lower()
+    if token not in ("on", "off", "true", "false", "1", "0"):
+        raise ValueError(f"expected on|off, got {raw!r}")
+    return "on" if token in ("on", "true", "1") else "off"
+
+
+class _Key(NamedTuple):
+    default: object
+    field: str
+    to_field: Callable = lambda value: value  # setting -> field value
+    parse: Callable | None = None  # text -> setting; None: a number like default
+
+
+# "room.<name>" is a field of cfg.room; a set "effective_height_m" moves the
+# ceiling (with_effective_height). p_o_dbm is the total budget. The [section]
+# headers are the file layout, but any section accepts any key.
+_TABLE = {
+    # [radio]
+    "f_c_ghz": _Key(570.0, "f_c_hz", lambda ghz: ghz * 1e9),
+    "bandwidth_ghz": _Key(10.0, "bandwidth_hz", lambda ghz: ghz * 1e9),
+    "p_o_dbm": _Key(0.0, "p_o_w", dbm_to_watts),
+    "beamwidth_deg": _Key(10.0, "beamwidth_deg"),
+    "nf_db_hz": _Key(-193.85, "noise_psd_w_hz", db_to_linear),
+    "humidity_pct": _Key(60.0, "humidity", lambda pct: pct / 100.0),
+    "tau_override_per_m": _Key(None, "tau_override"),
+    # [room]
+    "room_l_m": _Key(10.0, "room.length_m"),
+    "room_w_m": _Key(10.0, "room.width_m"),
+    "room_h_m": _Key(3.0, "room.height_m"),
+    # [placement]
+    "placement_type": _Key("B", "placement_type", parse=lambda raw: raw.strip().upper()),
+    "n_aps": _Key(4, "n_aps"),
+    "t_align_ms": _Key(5.0, "t_align_s", lambda ms: ms / 1e3),
+    # [users]
+    "n_users": _Key(30, "n_users"),
+    "velocity_mps_mean": _Key(1.0, "v_mean_mps"),
+    "velocity_mps_span": _Key(0.5, "v_span_mps"),
+    "user_height_m": _Key(1.5, "user_height_m"),
+    "user_width_m": _Key(0.2, "user_width_m"),
+    "body_height_m": _Key(1.8, "body_height_m"),
+    "rate_min_gbps": _Key(1.0, "rate_min_bps", lambda ghz: ghz * 1e9),
+    "rate_max_gbps": _Key(10.0, "rate_max_bps", lambda ghz: ghz * 1e9),
+    # [simulation]
+    "duration_s": _Key(60.0, "duration_s"),
+    "dt_ms": _Key(10.0, "dt_s", lambda ms: ms / 1e3),
+    "seed": _Key(1, "seed"),
+    "blockage": _Key("off", "blockage_enabled", lambda on: on == "on", _on_off),
+    "h_override_m": _Key(None, "effective_height_m"),
+    "share_mode": _Key("equal_share", "share_mode", parse=str.strip),
+    "pause_s": _Key(0.0, "pause_s"),
+}
+
+
 def _parse_value(key: str, raw: str):
-    if key == "placement_type":
-        return raw.strip().upper()
-    if key == "share_mode":
-        return raw.strip()
-    if key == "blockage":
-        token = raw.strip().lower()
-        if token not in ("on", "off", "true", "false", "1", "0"):
-            raise ConfigError(f"blockage: expected on|off, got {raw!r}")
-        return "on" if token in ("on", "true", "1") else "off"
-    if key in ("n_aps", "n_users", "seed"):
+    if key not in _TABLE:
+        raise ConfigError(f"{key}: unknown configuration key")
+    default, _, _, parse = _TABLE[key]
+    if parse is not None:
         try:
-            return int(raw)
+            return parse(raw)
         except ValueError as exc:
-            raise ConfigError(f"{key}: expected an integer, got {raw!r}") from exc
+            raise ConfigError(f"{key}: {exc}") from exc
+    number = int if isinstance(default, int) else float
     try:
-        value = float(raw)
+        value = number(raw)
     except ValueError as exc:
-        raise ConfigError(f"{key}: expected a number, got {raw!r}") from exc
-    if not math.isfinite(value):
+        kind = "an integer" if number is int else "a number"
+        raise ConfigError(f"{key}: expected {kind}, got {raw!r}") from exc
+    if number is float and not math.isfinite(value):
         raise ConfigError(f"{key}: expected a finite number, got {raw!r}")
     return value
 
 
 def load_settings(path=None, overrides: dict | None = None) -> dict:
     """Flat key -> value mapping with defaults, file, then overrides;
-    an override is parsed from str(value) exactly like file text."""
-    settings = {k: v for sec in DEFAULTS.values() for k, v in sec.items()}
+    an override is parsed from str(value) exactly like file text. Type A
+    has one AP, so n_aps defaults to 1 there."""
+    given = {}
     if path is not None:
         parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
         try:
@@ -114,64 +121,36 @@ def load_settings(path=None, overrides: dict | None = None) -> dict:
             raise ConfigError(f"config: parse error in {path}: {exc}") from exc
         for section in parser.sections():
             for key, raw in parser.items(section):
-                if key not in _KEY_SECTION:
-                    raise ConfigError(f"{key}: unknown configuration key")
-                settings[key] = _parse_value(key, raw)
+                given[key] = _parse_value(key, raw)
     for key, value in (overrides or {}).items():
-        if key not in _KEY_SECTION:
-            raise ConfigError(f"{key}: unknown configuration key")
-        settings[key] = _parse_value(key, str(value))
+        given[key] = _parse_value(key, str(value))
+    settings = {key: entry.default for key, entry in _TABLE.items()} | given
+    if settings["placement_type"] == "A":  # any n_aps other than 1 fails validate()
+        settings["n_aps"] = given.get("n_aps", 1)
     return settings
 
 
 def build_sim_config(settings: dict) -> SimConfig:
+    """The validated SimConfig of a settings mapping (see _TABLE)."""
     try:
-        return _build_sim_config(settings)
+        values = {e.field: e.to_field(settings[key]) for key, e in _TABLE.items()}
+        room = Room(**{f.name: values.pop(f"room.{f.name}") for f in fields(Room)})
+        h_eff_m = values.pop("effective_height_m")
+        cfg = SimConfig(room=room, **values)
+        if h_eff_m is not None:
+            cfg = with_effective_height(cfg, h_eff_m)
+        cfg.validate()
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def _build_sim_config(settings: dict) -> SimConfig:
-    cfg = SimConfig(
-        room=Room(settings["room_l_m"], settings["room_w_m"], settings["room_h_m"]),
-        placement_type=settings["placement_type"],
-        n_aps=1 if settings["placement_type"] == "A" else settings["n_aps"],
-        p_o_w=dbm_to_watts(settings["p_o_dbm"]),
-        f_c_hz=settings["f_c_ghz"] * 1e9,
-        bandwidth_hz=settings["bandwidth_ghz"] * 1e9,
-        beamwidth_deg=settings["beamwidth_deg"],
-        noise_psd_w_hz=db_to_linear(settings["nf_db_hz"]),
-        humidity=settings["humidity_pct"] / 100.0,
-        tau_override=settings["tau_override_per_m"],
-        n_users=settings["n_users"],
-        seed=settings["seed"],
-        v_mean_mps=settings["velocity_mps_mean"],
-        v_span_mps=settings["velocity_mps_span"],
-        user_height_m=settings["user_height_m"],
-        user_width_m=settings["user_width_m"],
-        body_height_m=settings["body_height_m"],
-        rate_min_bps=settings["rate_min_gbps"] * 1e9,
-        rate_max_bps=settings["rate_max_gbps"] * 1e9,
-        duration_s=settings["duration_s"],
-        dt_s=settings["dt_ms"] / 1e3,
-        blockage_enabled=settings["blockage"] == "on",
-        t_align_s=settings["t_align_ms"] / 1e3,
-        share_mode=settings["share_mode"],
-        pause_s=settings["pause_s"],
-    )
-    if settings["h_override_m"] is not None:
-        cfg = with_effective_height(cfg, settings["h_override_m"])
-    cfg.validate()
     return cfg
 
 
 def load_config(path=None, overrides: dict | None = None) -> tuple[SimConfig, dict]:
     """Parse, validate, and return (config, resolved settings dict)."""
     settings = load_settings(path, overrides)
-    cfg = build_sim_config(settings)
-    return cfg, settings
+    return build_sim_config(settings), settings
 
 
 def settings_hash(settings: dict) -> str:

@@ -27,57 +27,30 @@ SPEED_OF_LIGHT = 299792458.0
 # lobe, as a function of full beamwidth in degrees
 GAIN_NUMERATOR = 52525.0
 
-_DEFAULT_TABLE_RESOURCE = "absorption_water_vapor.csv"
-
-
-class AbsorptionTable:
-    """Frequency-indexed medium absorption coefficients.
-
-    The table stores tau (1/m) sampled at a reference relative humidity;
-    lookups interpolate linearly in frequency and scale linearly in
-    humidity. The bundled table was generated at a fixed 25 C.
-    """
-
-    def __init__(self, frequency_hz, tau_per_m, reference_humidity: float):
-        self.frequency_hz = np.asarray(frequency_hz, dtype=float)
-        self.tau_per_m = np.asarray(tau_per_m, dtype=float)
-        self.reference_humidity = float(reference_humidity)
-        if self.frequency_hz.ndim != 1 or self.frequency_hz.size < 2:
-            raise ValueError("absorption table needs at least two rows")
-        if np.any(np.diff(self.frequency_hz) <= 0):
-            raise ValueError("absorption table frequencies must be increasing")
-        if not 0 < self.reference_humidity <= 1:
-            raise ValueError("reference_humidity must be in (0, 1]")
-
-    @classmethod
-    def from_file(cls, path) -> "AbsorptionTable":
-        freqs, taus, refs = [], [], []
-        with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                freqs.append(float(row["frequency_hz"]))
-                taus.append(float(row["tau_per_m"]))
-                refs.append(float(row["reference_humidity"]))
-        if len(set(refs)) != 1:
-            raise ValueError(f"{path}: mixed reference humidities")
-        return cls(freqs, taus, refs[0])
-
-    def tau(self, f_c_hz: float, humidity: float) -> float:
-        """Absorption coefficient (1/m) at a carrier frequency and RH."""
-        if not self.frequency_hz[0] <= f_c_hz <= self.frequency_hz[-1]:
-            raise ValueError(
-                f"f_c={f_c_hz:g} Hz outside table range "
-                f"[{self.frequency_hz[0]:g}, {self.frequency_hz[-1]:g}] "
-                "and no tau_override set"
-            )
-        base = float(np.interp(f_c_hz, self.frequency_hz, self.tau_per_m))
-        return base * (humidity / self.reference_humidity)
+_TABLE_RESOURCE = "absorption_water_vapor.csv"
 
 
 @lru_cache(maxsize=1)
-def _default_table() -> AbsorptionTable:
-    ref = resources.files("thzplan.data").joinpath(_DEFAULT_TABLE_RESOURCE)
-    with resources.as_file(ref) as path:
-        return AbsorptionTable.from_file(path)
+def _absorption_table() -> tuple[np.ndarray, np.ndarray, float]:
+    """(frequency_hz, tau_per_m, reference_humidity) of the bundled table:
+    tau (1/m) at one reference relative humidity, generated at a fixed
+    25 C. The arrays are read-only, as every caller shares them."""
+    ref = resources.files("thzplan.data").joinpath(_TABLE_RESOURCE)
+    freqs, taus, refs = [], [], set()
+    with resources.as_file(ref) as path, open(path, newline="") as fh:
+        for row in csv.DictReader(fh):
+            freqs.append(float(row["frequency_hz"]))
+            taus.append(float(row["tau_per_m"]))
+            refs.add(float(row["reference_humidity"]))
+    freq, tau = np.array(freqs), np.array(taus)
+    if freq.size < 2:
+        raise ValueError("absorption table needs at least two rows")
+    if np.any(np.diff(freq) <= 0):
+        raise ValueError("absorption table frequencies must be increasing")
+    if len(refs) != 1 or not 0 < min(refs) <= 1:
+        raise ValueError("absorption table needs one reference_humidity in (0, 1]")
+    freq.flags.writeable = tau.flags.writeable = False
+    return freq, tau, refs.pop()
 
 
 @dataclass(frozen=True)
@@ -123,7 +96,13 @@ def absorption_for(params: LinkBudgetParams) -> float:
     """
     if params.tau_override is not None:
         return float(params.tau_override)
-    return _default_table().tau(params.f_c_hz, params.humidity)
+    freq, tau, ref_humidity = _absorption_table()
+    if not freq[0] <= params.f_c_hz <= freq[-1]:
+        raise ValueError(
+            f"f_c={params.f_c_hz:g} Hz outside table range "
+            f"[{freq[0]:g}, {freq[-1]:g}] and no tau_override set"
+        )
+    return float(np.interp(params.f_c_hz, freq, tau)) * (params.humidity / ref_humidity)
 
 
 def snr_scale(params: LinkBudgetParams) -> float:

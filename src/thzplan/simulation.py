@@ -240,13 +240,6 @@ def _best_ap(snr: np.ndarray, blocked: np.ndarray | None = None) -> np.ndarray:
     return best
 
 
-def _associate(pos: np.ndarray, aps: _ApArrays, blocked=None):
-    """_best_ap over the APs not blocked from each device; returns (best AP
-    per device, SNR matrix)."""
-    snr = aps.snr(pos)
-    return _best_ap(snr, blocked), snr
-
-
 def _best_rate(best: np.ndarray, snr: np.ndarray, bandwidth_hz: float) -> np.ndarray:
     """Link rate from each device to its chosen AP; 0.0 where it has none."""
     rate = np.zeros(best.shape)
@@ -266,21 +259,24 @@ def associate(
     blockers, is not blocked from the user; -1 when every AP is blocked.
 
     positions is an (m, 2) array of the users' floor coordinates (a
-    Crowd's xy). Ties go to the lowest AP id. blockers, if given, holds
+    Crowd's xy); no positions give (). Ties go to the lowest AP id. blockers, if given, holds
     one body per user, in user order, and blocker i never blocks user i's
     links. There is no room here to check a position against, so a
     position off the floor is served like any other point, wall mounts
     included.
     """
     pos = np.asarray(positions, dtype=float)
+    if pos.shape == (0,):
+        return ()
+    if pos.ndim != 2 or pos.shape[1] != 2:
+        raise ValueError(f"positions: expected an (m, 2) array, got shape {pos.shape}")
     aps = _ApArrays(constellation, link, device_height_m)
     blocked = None
     if blockers:
         blocked = geometry.blocked_matrix(
             aps.xyz, pos, device_height_m, *_body_arrays(blockers), own_body=True
         )
-    best, _ = _associate(pos, aps, blocked)
-    return tuple(best.tolist())
+    return tuple(_best_ap(aps.snr(pos), blocked).tolist())
 
 
 def _body_arrays(blockers: Sequence[BodyCylinder]):
@@ -346,7 +342,8 @@ def run(cfg: SimConfig, record_events: bool = False) -> MetricsReport:
                 aps.xyz, pos, device_z, pos, cfg.user_width_m / 2.0,
                 cfg.body_height_m, own_body=True,
             )
-        best, snr = _associate(pos, aps, blocked)
+        snr = aps.snr(pos)
+        best = _best_ap(snr, blocked)
 
         changed = best != assign
         if changed.any():
@@ -478,7 +475,8 @@ def heatmap(
     for i0 in range(0, nx, rows):
         i1 = min(i0 + rows, nx)
         cells = np.stack([np.repeat(xs[i0:i1], ny), np.tile(ys, i1 - i0)], axis=1)
-        best, snr = _associate(cells, aps)
+        snr = aps.snr(cells)
+        best = _best_ap(snr)
         clear = _best_rate(best, snr, link.bandwidth_hz)
         rate = clear
         if bodies is not None:

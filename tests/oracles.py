@@ -338,7 +338,8 @@ def heatmap_whole_grid(cfg, resolution_cells_per_m, probe_rate_bps, blockers=Non
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     cells = np.stack([gx.ravel(), gy.ravel()], axis=1)
 
-    best, snr = sim._associate(cells, aps)
+    snr = aps.snr(cells)
+    best = sim._best_ap(snr)
     clear = sim._best_rate(best, snr, link.bandwidth_hz)
     rates = clear
     if blockers:

@@ -226,6 +226,25 @@ def test_heatmap_n_without_type_sets_the_count(tmp_path):
     assert manifest["resolved_config"]["n_aps"] == 8
 
 
+def test_type_a_file_records_the_one_ap_it_runs(tmp_path):
+    a_ini = tmp_path / "a.ini"
+    a_ini.write_text("[placement]\nplacement_type = A\n[simulation]\nduration_s = 0.05\n")
+    b_ini = tmp_path / "b.ini"
+    b_ini.write_text("[simulation]\nduration_s = 0.05\n")
+    sim_out = tmp_path / "sim"
+    assert cli.main(["simulate", "--config", str(a_ini), "--out", str(sim_out)]) == cli.EXIT_OK
+    manifest = json.loads((sim_out / "summary.json").read_text())["manifest"]
+    assert manifest["resolved_config"]["n_aps"] == 1
+    assert (sim_out / "results.csv").read_text().splitlines()[1].startswith("A,1,")
+    # the same A1 run, from the file or from the flag, records one manifest
+    runs = [["--config", str(a_ini)], ["--config", str(b_ini), "--type", "A"]]
+    for i, argv in enumerate(runs):
+        assert cli.main(["heatmap", *argv, "--resolution", "1",
+                         "--out", str(tmp_path / f"hm{i}")]) == cli.EXIT_OK
+    assert (tmp_path / "hm0" / "manifest.json").read_bytes() == (
+        tmp_path / "hm1" / "manifest.json").read_bytes()
+
+
 @pytest.mark.parametrize("argv,rows", [
     (["--types", "A", "--values", "2"], ["A,1,2.0"]),
     (["--axis", "placement_type", "--values", "A,B,C"], ["A,1,", "B,4,", "C,4,"]),

@@ -1,6 +1,9 @@
+from dataclasses import fields
+
 import pytest
 
 from thzplan import config as cfgmod
+from thzplan.geometry import Room
 from thzplan.simulation import ConfigError, SimConfig
 
 
@@ -26,6 +29,7 @@ BAD_CONFIGS = [
     ("[radio]\np_o_dbm = nan\n", "p_o_dbm"),
     ("[room]\nroom_l_m = inf\n", "room_l_m"),
     ("[simulation]\nseed = -1\n", "seed"),
+    ("[placement]\nplacement_type = A\nn_aps = 16\n", "n_aps"),
 ]
 
 
@@ -56,6 +60,32 @@ def test_height_override_moves_the_ceiling(tmp_path):
 
 def test_config_defaults_are_the_library_defaults():
     assert cfgmod.load_config()[0] == SimConfig()
+
+
+def test_every_field_is_set_by_exactly_one_key():
+    table_fields = [entry.field for entry in cfgmod._TABLE.values()]
+    names = [f.name for f in fields(SimConfig) if f.name != "room"]
+    names += [f"room.{f.name}" for f in fields(Room)]
+    for name in names:
+        assert table_fields.count(name) == 1, name
+
+
+@pytest.mark.parametrize(
+    "key", [key for key, entry in cfgmod._TABLE.items() if entry.default is not None]
+)
+def test_overriding_a_key_with_its_default_changes_nothing(key):
+    override = {key: cfgmod._TABLE[key].default}
+    assert cfgmod.load_config(overrides=override)[0] == cfgmod.load_config()[0]
+
+
+def test_type_a_runs_one_ap_unless_told_otherwise(tmp_path):
+    path = tmp_path / "a.ini"
+    path.write_text("[placement]\nplacement_type = a\n")
+    cfg, settings = cfgmod.load_config(path)
+    assert cfg.n_aps == settings["n_aps"] == 1
+    assert cfgmod.load_config(path, {"n_aps": 1})[1] == settings
+    with pytest.raises(ConfigError, match="^n_aps:"):
+        cfgmod.load_config(path, {"n_aps": 4})
 
 
 def test_non_string_override_is_parsed_like_file_text():

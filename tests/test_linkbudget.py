@@ -62,11 +62,11 @@ class TestAbsorption:
         )
 
     def test_interpolates_between_rows(self):
-        t = lb._default_table()
-        f0, f1 = t.frequency_hz[10], t.frequency_hz[11]
-        mid = 0.5 * (f0 + f1)
-        expect = 0.5 * (t.tau_per_m[10] + t.tau_per_m[11])
-        assert t.tau(mid, t.reference_humidity) == pytest.approx(expect, rel=1e-12)
+        freq, tau, ref_humidity = lb._absorption_table()
+        mid = 0.5 * (freq[10] + freq[11])
+        expect = 0.5 * (tau[10] + tau[11])
+        p = table_params(f_c_hz=mid, humidity=ref_humidity)
+        assert lb.absorption_for(p) == pytest.approx(expect, rel=1e-12)
 
     def test_out_of_range_frequency(self):
         with pytest.raises(ValueError):

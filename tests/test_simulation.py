@@ -132,6 +132,20 @@ class TestAssociate:
         got = sim.associate([[5.0, 5.0]], con, lb.LinkBudgetParams(p_t_w=0.25e-3))
         assert got == (0,)
 
+    def test_no_positions_gives_no_ids(self):
+        con = geo.place(geo.Room(), "B", 4, 5e-3)
+        assert sim.associate([], con, lb.LinkBudgetParams()) == ()
+
+    @pytest.mark.parametrize("positions", [
+        [5.0, 5.0, 3.0, 3.0],
+        [[5.0, 5.0, 1.5]],
+        [[[5.0, 5.0]]],
+    ])
+    def test_positions_must_be_an_m_by_2_array(self, positions):
+        con = geo.place(geo.Room(), "B", 4, 5e-3)
+        with pytest.raises(ValueError, match="^positions:"):
+            sim.associate(positions, con, lb.LinkBudgetParams())
+
     def test_off_floor_position_is_served_like_any_other(self):
         # (5, -3) lies behind the south wall mount, which is still its
         # strongest AP: associate() has no room to check the point against
