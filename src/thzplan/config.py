@@ -85,6 +85,16 @@ _TABLE = {
 }
 
 
+def _keyed(exc: ValueError, settings: dict) -> ConfigError:
+    """exc, which starts with the field(s) at fault, naming their keys; of
+    fields a rule ties, the keys moved off their default, else all."""
+    key_of = {entry.field: key for key, entry in _TABLE.items()}
+    names, sep, rest = str(exc).partition(": ")
+    keys = [key_of.get(name, name) for name in names.split("/")]
+    moved = [key for key in keys if key in _TABLE and settings[key] != _TABLE[key].default]
+    return ConfigError("/".join(moved or keys) + sep + rest)
+
+
 def _parse_value(key: str, raw: str):
     if key not in _TABLE:
         raise ConfigError(f"{key}: unknown configuration key")
@@ -131,19 +141,23 @@ def load_settings(path=None, overrides: dict | None = None) -> dict:
 
 
 def build_sim_config(settings: dict) -> SimConfig:
-    """The validated SimConfig of a settings mapping (see _TABLE)."""
+    """The validated SimConfig of a settings mapping (see _TABLE). An error
+    names the key at fault."""
+    values = {}
+    for key, entry in _TABLE.items():
+        try:
+            values[entry.field] = entry.to_field(settings[key])
+        except OverflowError as exc:
+            raise ConfigError(f"{key}: {settings[key]!r} overflows as {entry.field}") from exc
     try:
-        values = {e.field: e.to_field(settings[key]) for key, e in _TABLE.items()}
         room = Room(**{f.name: values.pop(f"room.{f.name}") for f in fields(Room)})
         h_eff_m = values.pop("effective_height_m")
         cfg = SimConfig(room=room, **values)
         if h_eff_m is not None:
             cfg = with_effective_height(cfg, h_eff_m)
         cfg.validate()
-    except ConfigError:
-        raise
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise _keyed(exc, settings) from exc
     return cfg
 
 

@@ -43,7 +43,7 @@ class Room:
     def __post_init__(self):
         for name in ("length_m", "width_m", "height_m"):
             if getattr(self, name) <= 0:
-                raise ValueError(f"room {name} must be positive")
+                raise ValueError(f"room.{name}: must be positive")
 
 
 @dataclass(frozen=True, eq=False)

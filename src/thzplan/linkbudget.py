@@ -72,13 +72,13 @@ class LinkBudgetParams:
     def __post_init__(self):
         for name in ("f_c_hz", "bandwidth_hz", "p_t_w", "noise_psd_w_hz"):
             if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+                raise ValueError(f"{name}: must be positive")
         if not 0 < self.beamwidth_deg <= 360:
-            raise ValueError("beamwidth_deg must be in (0, 360]")
+            raise ValueError("beamwidth_deg: must be in (0, 360]")
         if not 0 <= self.humidity <= 1:
-            raise ValueError("humidity must be a fraction in [0, 1]")
+            raise ValueError("humidity: must be a fraction in [0, 1]")
         if self.tau_override is not None and self.tau_override < 0:
-            raise ValueError("tau_override must be >= 0")
+            raise ValueError("tau_override: must be >= 0")
 
 
 def antenna_gain(beamwidth_deg: float) -> float:
@@ -99,7 +99,7 @@ def absorption_for(params: LinkBudgetParams) -> float:
     freq, tau, ref_humidity = _absorption_table()
     if not freq[0] <= params.f_c_hz <= freq[-1]:
         raise ValueError(
-            f"f_c={params.f_c_hz:g} Hz outside table range "
+            f"f_c_hz: {params.f_c_hz:g} Hz outside the table range "
             f"[{freq[0]:g}, {freq[-1]:g}] and no tau_override set"
         )
     return float(np.interp(params.f_c_hz, freq, tau)) * (params.humidity / ref_humidity)

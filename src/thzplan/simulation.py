@@ -8,6 +8,11 @@ pairs; an AP is idle in a step when nothing is assigned to it.
 
 run(), heatmap() and associate() share one best-AP rule (_best_ap) and
 the linkbudget SNR and rate, so the static and dynamic views agree.
+
+run() steps one crowd for a batch of configs that differ only on the AP
+side; sweep() runs each series as one batch. Row r of the step arrays is
+user r % m of config r // m, and each config's AP table is padded to the
+batch's largest AP count with entries that count as blocked.
 """
 
 from __future__ import annotations
@@ -86,49 +91,48 @@ class SimConfig:
         )
 
     def validate(self) -> None:
+        """Raise a ConfigError that starts with the field at fault; a rule
+        tying fields together names them all, joined by '/'."""
         numbers = [(f.name, getattr(self, f.name)) for f in fields(self)]
         numbers += [(f"room.{f.name}", getattr(self.room, f.name)) for f in fields(self.room)]
         for name, value in numbers:
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{name}: must be a finite number, got {value!r}")
         t = self.placement_type.upper()
-        if t not in geometry.ALL_TYPES:
-            raise ConfigError(f"placement_type: unknown type {self.placement_type!r}")
-        if t == "A":
-            if self.n_aps != 1:
-                raise ConfigError("n_aps: type A requires exactly 1 AP")
-        elif self.n_aps not in geometry.GRID_COUNTS:
-            raise ConfigError(
-                f"n_aps: type {t} supports {geometry.GRID_COUNTS}, got {self.n_aps}"
-            )
-        if self.p_o_w <= 0:
-            raise ConfigError("p_o_w: total power must be positive")
-        try:
-            self.link
-        except ValueError as exc:  # LinkBudgetParams names the radio field
+        counts = (1,) if t == "A" else geometry.GRID_COUNTS
+        for ok, message in [
+            (t in geometry.ALL_TYPES, f"placement_type: unknown type {self.placement_type!r}"),
+            (self.n_aps in counts, f"n_aps: type {t} supports {counts}, got {self.n_aps}"),
+            (self.p_o_w > 0, "p_o_w: total power must be positive"),
+            (self.dt_s > 0, "dt_s: time step must be positive"),
+            (self.dt_s > 0 and 1.0 <= self.duration_s / self.dt_s < math.inf,
+             "duration_s/dt_s: need a finite number of steps, at least one"),
+            (self.t_align_s > 0, "t_align_s: alignment time must be positive"),
+            (self.n_users >= 0, "n_users: must be >= 0"),
+            (self.seed >= 0, "seed: must be >= 0"),
+            (self.v_span_mps >= 0, "v_span_mps: must be >= 0"),
+            (self.v_mean_mps - self.v_span_mps > 0,
+             "v_mean_mps/v_span_mps: speed range must stay positive"),
+            (0 < self.rate_min_bps <= self.rate_max_bps,
+             "rate_min_bps/rate_max_bps: need 0 < min <= max demand"),
+            (self.share_mode in SHARE_MODES, f"share_mode: choose from {SHARE_MODES}"),
+            (self.user_width_m > 0 and self.body_height_m > 0,
+             "user_width_m/body_height_m: must be positive"),
+            (self.pause_s >= 0, "pause_s: must be >= 0"),
+            (self.user_height_m < self.room.height_m,
+             "user_height_m/room.height_m: device sits above the ceiling"),
+        ]:
+            if not ok:
+                raise ConfigError(message)
+        try:  # the link model's own checks, absorption table range included
+            linkbudget.absorption_for(self.link)
+            if not 0.0 < linkbudget.snr_scale(self.link) < math.inf:
+                raise ArithmeticError
+        except ValueError as exc:  # they name the radio field
             raise ConfigError(str(exc)) from exc
-        if self.dt_s <= 0:
-            raise ConfigError("dt_s: time step must be positive")
-        if self.duration_s < self.dt_s:
-            raise ConfigError("duration_s: must cover at least one step")
-        if self.t_align_s <= 0:
-            raise ConfigError("t_align_s: alignment time must be positive")
-        if self.n_users < 0:
-            raise ConfigError("n_users: must be >= 0")
-        if self.seed < 0:
-            raise ConfigError("seed: must be >= 0")
-        if self.v_mean_mps - self.v_span_mps <= 0:
-            raise ConfigError("v_span_mps: speed range must stay positive")
-        if not 0 < self.rate_min_bps <= self.rate_max_bps:
-            raise ConfigError("rate_min_bps: need 0 < min <= max demand")
-        if self.share_mode not in SHARE_MODES:
-            raise ConfigError(f"share_mode: choose from {SHARE_MODES}")
-        if self.user_width_m <= 0 or self.body_height_m <= 0:
-            raise ConfigError("user_width_m/body_height_m: must be positive")
-        if self.pause_s < 0:
-            raise ConfigError("pause_s: must be >= 0")
-        if self.user_height_m >= self.room.height_m:
-            raise ConfigError("user_height_m: device sits above the ceiling")
+        except ArithmeticError as exc:
+            raise ConfigError("p_o_w/f_c_hz/bandwidth_hz/beamwidth_deg/noise_psd_w_hz: "
+                              "the link's SNR scale must be a positive finite number") from exc
 
     def effective_height_m(self) -> float:
         return self.room.height_m - self.user_height_m
@@ -145,11 +149,12 @@ def with_placement(cfg: SimConfig, placement_type: str, n_aps: int | None = None
 def with_effective_height(cfg: SimConfig, h_eff_m: float) -> SimConfig:
     """Move the ceiling so the effective height is h_eff_m (the
     h_override_m setting)."""
-    if not (math.isfinite(h_eff_m) and h_eff_m > 0):
+    height_m = h_eff_m + cfg.user_height_m
+    if not (math.isfinite(h_eff_m) and height_m - cfg.user_height_m > 0):
         raise ConfigError(
             f"h_override_m: effective height must be finite and positive, got {h_eff_m!r}"
         )
-    return replace(cfg, room=replace(cfg.room, height_m=h_eff_m + cfg.user_height_m))
+    return replace(cfg, room=replace(cfg.room, height_m=height_m))
 
 
 def parse_series(label: str) -> tuple[str, int]:
@@ -211,22 +216,37 @@ class MetricsReport:
 
 
 class _ApArrays:
-    """Constellation and link budget with every per-AP constant of a run
-    at one device height computed once."""
+    """Every per-AP constant of C constellations and their links at one
+    device height, computed once. The tables are (C, A), padded to the
+    largest AP count A where pad is set. xyz stacks the real APs in order
+    (blocked_matrix's ap_xyz); cols maps each table entry to its row
+    there, and the padding to one past the end."""
 
-    def __init__(self, con: Constellation, link: LinkBudgetParams, device_z: float):
-        self.xyz = con.xyz
-        self.align = con.align_time_s
-        self.sig = linkbudget.snr_scale(link)
-        self.dz_sq = (self.xyz[:, 2] - device_z) ** 2
-        self.tau = linkbudget.absorption_for(link)
+    def __init__(self, cons: Sequence[Constellation], links: Sequence[LinkBudgetParams],
+                 device_z: float):
+        n = np.array([len(con) for con in cons])
+        self.pad = np.arange(n.max()) >= n[:, None]
+        self.xyz = np.concatenate([con.xyz for con in cons])
+        self.cols = np.where(self.pad, len(self.xyz),
+                             np.cumsum(~self.pad).reshape(self.pad.shape) - 1)
+        table = np.zeros(self.pad.shape + (3,))  # the padding: any finite SNR will do
+        table[~self.pad] = self.xyz
+        self.xy, self.dz_sq = table[..., :2].copy(), (table[..., 2] - device_z) ** 2
+        self.align = np.array([con.align_time_s for con in cons])
+        sig = np.array([linkbudget.snr_scale(link) for link in links])
+        tau = np.array([linkbudget.absorption_for(link) for link in links])
+        # one constellation's as numbers, which numpy applies faster than arrays
+        self.sig, self.tau = (v[0] if v.size == 1 else v[:, None, None] for v in (sig, tau))
+        self.bandwidth = np.array([link.bandwidth_hz for link in links])
 
     def snr(self, pos: np.ndarray) -> np.ndarray:
-        """(n, APs) SNR of each AP's link to a device at each (n, 2) point."""
-        rel = pos[:, None, :] - self.xyz[None, :, :2]
-        d_sq = rel[:, :, 0] ** 2 + rel[:, :, 1] ** 2 + self.dz_sq[None, :]
+        """(C*n, A) SNR of each AP's link to a device at each (n, 2) point,
+        constellation-major; each value is computed as for one alone."""
+        dx = pos[None, :, None, 0] - self.xy[:, None, :, 0]
+        dy = pos[None, :, None, 1] - self.xy[:, None, :, 1]
+        d_sq = dx ** 2 + dy ** 2 + self.dz_sq[:, None, :]
         d = np.sqrt(d_sq)
-        return self.sig / (d_sq * np.exp(self.tau * d))
+        return (self.sig / (d_sq * np.exp(self.tau * d))).reshape(-1, self.pad.shape[1])
 
 
 def _best_ap(snr: np.ndarray, blocked: np.ndarray | None = None) -> np.ndarray:
@@ -270,7 +290,7 @@ def associate(
         return ()
     if pos.ndim != 2 or pos.shape[1] != 2:
         raise ValueError(f"positions: expected an (m, 2) array, got shape {pos.shape}")
-    aps = _ApArrays(constellation, link, device_height_m)
+    aps = _ApArrays([constellation], [link], device_height_m)
     blocked = None
     if blockers:
         blocked = geometry.blocked_matrix(
@@ -289,127 +309,165 @@ def _body_arrays(blockers: Sequence[BodyCylinder]):
     )
 
 
-def run(cfg: SimConfig, record_events: bool = False) -> MetricsReport:
-    """Execute the configured run and aggregate metrics."""
-    cfg.validate()
-    link = cfg.link
-    con = build_constellation(cfg)
-    n_ap = len(con)
-    m = cfg.n_users
-    n_steps = int(round(cfg.duration_s / cfg.dt_s))
-    device_z = cfg.user_height_m
+# The AP side of a config: the configs of one run() batch may differ in
+# these fields and in room.height_m, none of which the crowd reads. Of the
+# room, _crowd_fields compares the floor.
+_AP_FIELDS = ("room", "placement_type", "n_aps", "p_o_w", "f_c_hz", "bandwidth_hz",
+              "beamwidth_deg", "noise_psd_w_hz", "humidity", "tau_override", "t_align_s")
 
-    if m == 0:
-        return MetricsReport(
-            placement_type=cfg.placement_type.upper(), n_aps=cfg.n_aps,
-            effective_height_m=cfg.effective_height_m(), seed=cfg.seed,
-            n_steps=n_steps, blockage_enabled=cfg.blockage_enabled,
-            user_coverage=0.0, mean_throughput_bps=0.0, ap_idle_fraction=1.0,
-            handoff_count=0, per_user_coverage=(), per_user_throughput_bps=(),
-            per_ap_idle_fraction=(1.0,) * n_ap, p_t_w=link.p_t_w,
-            p_o_w=cfg.p_o_w, height_correction_m=con.height_correction_m,
-        )
 
+def _crowd_fields(cfg: SimConfig) -> list[tuple[str, object]]:
+    """(name, value) of every setting the crowd and the step loop read."""
+    return [("room.length_m", cfg.room.length_m), ("room.width_m", cfg.room.width_m)] + [
+        (f.name, getattr(cfg, f.name)) for f in fields(cfg) if f.name not in _AP_FIELDS]
+
+
+def run(cfg: SimConfig | Sequence[SimConfig], record_events: bool = False):
+    """Execute the configured run(s) and aggregate metrics.
+
+    cfg is one config, giving its MetricsReport, or a sequence of configs,
+    giving their reports in order. The configs of a sequence share one
+    crowd, stepped once per step, so they may differ only on the AP side
+    (_AP_FIELDS, room.height_m); otherwise a ValueError names the first
+    field that differs. Each report is exactly the one its config gets alone.
+    """
+    batch = [cfg] if isinstance(cfg, SimConfig) else list(cfg)
+    for c in batch:
+        c.validate()
+        for (name, want), (_, got) in zip(_crowd_fields(batch[0]), _crowd_fields(c)):
+            if got != want:
+                raise ValueError(f"{name}: configs run as one batch must share it, "
+                                 f"got {want!r} and {got!r}")
+    if not batch:
+        return []
+    cons = [build_constellation(c) for c in batch]
+    aps = _ApArrays(cons, [c.link for c in batch], batch[0].user_height_m)
+    n_cfg, n_ap = aps.pad.shape
+    m, n_steps = batch[0].n_users, int(round(batch[0].duration_s / batch[0].dt_s))
+    covered, handoffs = np.zeros((2, n_cfg * m), dtype=np.int64)
+    thr = np.zeros(n_cfg * m)
+    idle = np.zeros(n_cfg * n_ap, dtype=np.int64)
+    events = [[] for _ in batch] if record_events else None
+    if m:
+        _step_all(batch[0], aps, n_steps, covered, thr, handoffs, idle, events)
+    else:  # nothing is ever assigned, so every AP idles every step
+        idle += n_steps
+
+    pairs = m * n_steps or 1  # no users: the sums are over no pairs
+    reports = []
+    for i, (c, con) in enumerate(zip(batch, cons)):
+        mine, idle_c = slice(i * m, (i + 1) * m), idle[i * n_ap:i * n_ap + len(con)]
+        reports.append(MetricsReport(
+            placement_type=c.placement_type.upper(), n_aps=c.n_aps,
+            effective_height_m=c.effective_height_m(), seed=c.seed,
+            n_steps=n_steps, blockage_enabled=c.blockage_enabled,
+            user_coverage=float(covered[mine].sum() / pairs),
+            mean_throughput_bps=float(thr[mine].sum() / pairs),
+            ap_idle_fraction=float(idle_c.sum() / (len(con) * n_steps)),
+            handoff_count=int(handoffs[mine].sum()),
+            per_user_coverage=tuple(covered[mine] / n_steps),
+            per_user_throughput_bps=tuple(thr[mine] / n_steps),
+            per_ap_idle_fraction=tuple(idle_c / n_steps), p_t_w=c.link.p_t_w,
+            p_o_w=c.p_o_w, height_correction_m=con.height_correction_m,
+            events=tuple(events[i]) if events else (),
+        ))
+    return reports[0] if isinstance(cfg, SimConfig) else reports
+
+
+def _step_all(cfg: SimConfig, aps: _ApArrays, n_steps: int, covered, thr, handoffs,
+              idle, events) -> None:
+    """The step loop. Row r is user r % m of config r // m: the one crowd
+    moves, then each phase runs on every row, adding to the accumulators."""
+    m, (n_cfg, n_ap) = cfg.n_users, aps.pad.shape
     crowd, demand = mobility.init_users(
-        cfg.room, m, cfg.seed,
-        v_mean=cfg.v_mean_mps, v_span=cfg.v_span_mps,
+        cfg.room, m, cfg.seed, v_mean=cfg.v_mean_mps, v_span=cfg.v_span_mps,
         rate_min_bps=cfg.rate_min_bps, rate_max_bps=cfg.rate_max_bps,
     )
     # Fresh generators replay the draws init_users made, so each user's
     # first new waypoint is its start point. The pinned results keep this.
     rngs = [mobility.substream(cfg.seed, i) for i in range(m)]
-    aps = _ApArrays(con, link, device_z)
-
-    assign = np.full(m, -1, dtype=np.int64)
-    align_left = np.zeros(m)
-    shadowed = np.zeros(m, dtype=bool)
-
-    covered_steps = np.zeros(m, dtype=np.int64)
-    thr_sum = np.zeros(m)
-    idle_steps = np.zeros(n_ap, dtype=np.int64)
-    handoffs = 0
-    events: list[tuple[float, str, int, int]] = []
-
+    demand = np.tile(demand, n_cfg) if n_cfg > 1 else demand
+    align, bandwidth = np.repeat(aps.align, m), np.repeat(aps.bandwidth, m)
+    slot0 = np.repeat(np.arange(n_cfg) * n_ap, m)  # each row's (config, AP 0) slot
+    pad = np.repeat(aps.pad, m, axis=0) if aps.pad.any() else None
+    assign = np.full(n_cfg * m, -1, dtype=np.int64)
+    align_left, shadowed = np.zeros(n_cfg * m), np.zeros(n_cfg * m, dtype=bool)
     for k in range(n_steps):
         t = (k + 1) * cfg.dt_s
         mobility.step_user(crowd, cfg.dt_s, rngs, cfg.room,
                            cfg.v_mean_mps, cfg.v_span_mps, cfg.pause_s)
         pos = crowd.xy
-
-        blocked = None
-        if cfg.blockage_enabled:
-            blocked = geometry.blocked_matrix(
-                aps.xyz, pos, device_z, pos, cfg.user_width_m / 2.0,
-                cfg.body_height_m, own_body=True,
-            )
+        blocked = pad
+        if cfg.blockage_enabled:  # every config's APs in one call; padding blocked
+            hit = geometry.blocked_matrix(aps.xyz, pos, cfg.user_height_m, pos,
+                                          cfg.user_width_m / 2.0, cfg.body_height_m,
+                                          own_body=True)
+            hit = np.pad(hit, ((0, 0), (0, 1)), constant_values=True)
+            blocked = hit[:, aps.cols].swapaxes(0, 1).reshape(-1, n_ap)
         snr = aps.snr(pos)
         best = _best_ap(snr, blocked)
-
-        changed = best != assign
-        if changed.any():
-            handoff_mask = changed & (best >= 0) & (assign >= 0)
-            handoffs += int(handoff_mask.sum())
-            align_left = np.where(changed & (best >= 0), aps.align, align_left)
-            align_left = np.where(best < 0, 0.0, align_left)
-            if record_events:
-                for u in np.flatnonzero(handoff_mask):
-                    events.append((t, EVENT_HANDOFF, int(u), int(best[u])))
-
-        if cfg.blockage_enabled:
-            now_shadowed = best < 0
-            if record_events:
-                for u in np.flatnonzero(now_shadowed & ~shadowed):
-                    events.append((t, EVENT_BLOCKAGE_START, int(u), int(assign[u])))
-                for u in np.flatnonzero(shadowed & ~now_shadowed):
-                    events.append((t, EVENT_BLOCKAGE_END, int(u), int(best[u])))
-            shadowed = now_shadowed
-
-        assigned = best >= 0
-        counting = assigned & (align_left > 0.0)
-        align_left = np.where(counting, np.maximum(align_left - cfg.dt_s, 0.0), align_left)
-        if record_events:
-            for u in np.flatnonzero(counting & (align_left <= 0.0)):
-                events.append((t, EVENT_ALIGNMENT_DONE, int(u), int(best[u])))
-
-        serving = assigned & ~counting
-        counts = np.bincount(best[assigned], minlength=n_ap)
-        delivered = np.zeros(m)
-        if serving.any():
-            idx = np.flatnonzero(serving)
-            ap_idx = best[idx]
-            rate = linkbudget.shannon_rate(snr[idx, ap_idx], link.bandwidth_hz)
-            if cfg.share_mode == "equal_share":
-                delivered[idx] = rate / counts[ap_idx]
-            else:  # single_user: strongest assigned user takes the step
-                for a in np.unique(ap_idx):
-                    mine = np.flatnonzero(ap_idx == a)
-                    top = mine[np.argmax(snr[idx[mine], a])]
-                    delivered[idx[top]] = rate[top]
-
-        covered_steps += delivered >= demand
-        thr_sum += delivered
-        idle_steps += counts == 0
+        align_left, shadowed, counting = _links(
+            cfg, t, best, assign, align_left, shadowed, align, handoffs, events)
+        delivered, counts = _deliver(cfg, best, counting, snr, bandwidth, slot0, idle.size)
+        covered += delivered >= demand
+        thr += delivered
+        idle += counts == 0
         assign = best
 
-    return MetricsReport(
-        placement_type=cfg.placement_type.upper(),
-        n_aps=cfg.n_aps,
-        effective_height_m=cfg.effective_height_m(),
-        seed=cfg.seed,
-        n_steps=n_steps,
-        blockage_enabled=cfg.blockage_enabled,
-        user_coverage=float(covered_steps.sum() / (m * n_steps)),
-        mean_throughput_bps=float(thr_sum.sum() / (m * n_steps)),
-        ap_idle_fraction=float(idle_steps.sum() / (n_ap * n_steps)),
-        handoff_count=int(handoffs),
-        per_user_coverage=tuple(covered_steps / n_steps),
-        per_user_throughput_bps=tuple(thr_sum / n_steps),
-        per_ap_idle_fraction=tuple(idle_steps / n_steps),
-        p_t_w=link.p_t_w,
-        p_o_w=cfg.p_o_w,
-        height_correction_m=con.height_correction_m,
-        events=tuple(events),
-    )
+
+def _links(cfg, t, best, assign, align_left, shadowed, align, handoffs, events):
+    """Handoff, shadow and alignment bookkeeping of the step at time t: a
+    new link starts its AP's dead time (align). Adds to handoffs, logs
+    events if asked; returns align_left, shadowed and the rows aligning."""
+    changed = best != assign
+    if changed.any():
+        handoff = changed & (best >= 0) & (assign >= 0)
+        handoffs += handoff
+        align_left = np.where(changed & (best >= 0), align, align_left)
+        align_left = np.where(best < 0, 0.0, align_left)
+        if events is not None:
+            _log(events, t, EVENT_HANDOFF, handoff, best)
+    if cfg.blockage_enabled:
+        now_shadowed = best < 0
+        if events is not None:
+            _log(events, t, EVENT_BLOCKAGE_START, now_shadowed & ~shadowed, assign)
+            _log(events, t, EVENT_BLOCKAGE_END, shadowed & ~now_shadowed, best)
+        shadowed = now_shadowed
+    counting = (best >= 0) & (align_left > 0.0)
+    align_left = np.where(counting, np.maximum(align_left - cfg.dt_s, 0.0), align_left)
+    if events is not None:
+        _log(events, t, EVENT_ALIGNMENT_DONE, counting & (align_left <= 0.0), best)
+    return align_left, shadowed, counting
+
+
+def _log(events, t: float, kind: str, rows: np.ndarray, ap: np.ndarray) -> None:
+    """Append (t, kind, user, AP) to its config's list for each row set."""
+    m = rows.size // len(events)
+    for r in np.flatnonzero(rows):
+        events[r // m].append((t, kind, int(r % m), int(ap[r])))
+
+
+def _deliver(cfg, best, counting, snr, bandwidth, slot0, n_slots):
+    """The rate share of the step: each row's delivered rate and each
+    (config, AP) slot's count of assigned rows; a row's slot is slot0 + best."""
+    assigned = best >= 0
+    slot = slot0 + best
+    counts = np.bincount(slot[assigned], minlength=n_slots)
+    delivered = np.zeros(best.shape)
+    serving = assigned & ~counting
+    if serving.any():
+        idx = np.flatnonzero(serving)
+        ap_idx = best[idx]
+        rate = linkbudget.shannon_rate(snr[idx, ap_idx], bandwidth[idx])
+        if cfg.share_mode == "equal_share":
+            delivered[idx] = rate / counts[slot[idx]]
+        else:  # single_user: strongest assigned user takes the step
+            taken = slot[idx]
+            for s in np.unique(taken):
+                mine = np.flatnonzero(taken == s)
+                top = mine[np.argmax(snr[idx[mine], ap_idx[mine]])]
+                delivered[idx[top]] = rate[top]
+    return delivered, counts
 
 
 LABEL_DARKNESS, LABEL_ILLUMINATION, LABEL_SHADOW = 0, 1, 2
@@ -466,7 +524,7 @@ def heatmap(
         )
     link = cfg.link
     z = cfg.user_height_m
-    aps = _ApArrays(build_constellation(cfg), link, z)
+    aps = _ApArrays([build_constellation(cfg)], [link], z)
     bodies = _body_arrays(blockers) if blockers else None
 
     rates = np.empty((nx, ny))
@@ -512,19 +570,23 @@ def apply_axis(cfg: SimConfig, axis: str, value) -> SimConfig:
 
 def sweep(base: SimConfig | Sequence[SimConfig], axis: str, values,
           jobs: int = 1) -> list[MetricsReport]:
-    """Independent runs along one axis, identical seed, input order kept.
+    """Runs along one axis, identical seed, input order kept.
+
     base is one config or a sequence of them, one series each. Every config
-    is checked, constellation included, before the first run."""
+    is checked, constellation included, before the first run. An axis moves
+    only the AP side, so each series is one run() batch: one crowd, stepped
+    once, for every value. With jobs > 1 a process pool runs the series.
+    """
     if not values:
         raise ConfigError("values: sweep needs at least one value")
     bases = [base] if isinstance(base, SimConfig) else base
-    configs = [apply_axis(b, axis, v) for b in bases for v in values]
-    for c in configs:
+    series = [[apply_axis(b, axis, v) for v in values] for b in bases]
+    for c in (c for configs in series for c in configs):
         c.validate()
         build_constellation(c)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(run, configs))
-    return [run(c) for c in configs]
+            return [r for reports in pool.map(run, series) for r in reports]
+    return [r for configs in series for r in run(configs)]

@@ -18,7 +18,10 @@ the illumination radius by bisection instead of through Lambert W.
 over every cell; `simulation.heatmap` fills the same grids block by
 block and must match it bit for bit. `heatmap_csv_rows` is the heat-map
 CSV text built row by row from each cell's repr; `reporting.write_heatmap`
-must write exactly these bytes.
+must write exactly these bytes. `ApArrays` is one constellation's per-AP
+constants and `run_one` steps one config on its own, with its own crowd;
+`simulation.run` steps a batch of configs over one shared crowd and must
+give each config exactly the report `run_one` gives it.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from thzplan import geometry
+from thzplan import geometry, mobility
 from thzplan import simulation as sim
 from thzplan.geometry import BodyCylinder
 from thzplan.linkbudget import _radius_constant, absorption_for, shannon_rate, snr_scale
@@ -334,7 +337,7 @@ def heatmap_whole_grid(cfg, resolution_cells_per_m, probe_rate_bps, blockers=Non
     xs = (np.arange(nx) + 0.5) / res
     ys = (np.arange(ny) + 0.5) / res
     link = cfg.link
-    aps = sim._ApArrays(sim.build_constellation(cfg), link, cfg.user_height_m)
+    aps = ApArrays(sim.build_constellation(cfg), link, cfg.user_height_m)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     cells = np.stack([gx.ravel(), gy.ravel()], axis=1)
 
@@ -359,3 +362,145 @@ def heatmap_csv_rows(grid) -> tuple[str, str]:
     rates = "".join(",".join(map(repr, row.tolist())) + "\n" for row in grid.rates_bps)
     labels = "".join(",".join(map(str, row.tolist())) + "\n" for row in grid.labels)
     return rates, labels
+
+
+class ApArrays:
+    """Constellation and link budget with every per-AP constant of a run
+    at one device height computed once."""
+
+    def __init__(self, con, link, device_z: float):
+        self.xyz = con.xyz
+        self.align = con.align_time_s
+        self.sig = snr_scale(link)
+        self.dz_sq = (self.xyz[:, 2] - device_z) ** 2
+        self.tau = absorption_for(link)
+
+    def snr(self, pos: np.ndarray) -> np.ndarray:
+        """(n, APs) SNR of each AP's link to a device at each (n, 2) point."""
+        rel = pos[:, None, :] - self.xyz[None, :, :2]
+        d_sq = rel[:, :, 0] ** 2 + rel[:, :, 1] ** 2 + self.dz_sq[None, :]
+        d = np.sqrt(d_sq)
+        return self.sig / (d_sq * np.exp(self.tau * d))
+
+
+def run_one(cfg, record_events: bool = False):
+    """One config's run, stepped on its own: its own crowd, its own APs."""
+    cfg.validate()
+    link = cfg.link
+    con = sim.build_constellation(cfg)
+    n_ap = len(con)
+    m = cfg.n_users
+    n_steps = int(round(cfg.duration_s / cfg.dt_s))
+    device_z = cfg.user_height_m
+
+    if m == 0:
+        return sim.MetricsReport(
+            placement_type=cfg.placement_type.upper(), n_aps=cfg.n_aps,
+            effective_height_m=cfg.effective_height_m(), seed=cfg.seed,
+            n_steps=n_steps, blockage_enabled=cfg.blockage_enabled,
+            user_coverage=0.0, mean_throughput_bps=0.0, ap_idle_fraction=1.0,
+            handoff_count=0, per_user_coverage=(), per_user_throughput_bps=(),
+            per_ap_idle_fraction=(1.0,) * n_ap, p_t_w=link.p_t_w,
+            p_o_w=cfg.p_o_w, height_correction_m=con.height_correction_m,
+        )
+
+    crowd, demand = mobility.init_users(
+        cfg.room, m, cfg.seed,
+        v_mean=cfg.v_mean_mps, v_span=cfg.v_span_mps,
+        rate_min_bps=cfg.rate_min_bps, rate_max_bps=cfg.rate_max_bps,
+    )
+    # Fresh generators replay the draws init_users made, so each user's
+    # first new waypoint is its start point. The pinned results keep this.
+    rngs = [mobility.substream(cfg.seed, i) for i in range(m)]
+    aps = ApArrays(con, link, device_z)
+
+    assign = np.full(m, -1, dtype=np.int64)
+    align_left = np.zeros(m)
+    shadowed = np.zeros(m, dtype=bool)
+
+    covered_steps = np.zeros(m, dtype=np.int64)
+    thr_sum = np.zeros(m)
+    idle_steps = np.zeros(n_ap, dtype=np.int64)
+    handoffs = 0
+    events: list[tuple[float, str, int, int]] = []
+
+    for k in range(n_steps):
+        t = (k + 1) * cfg.dt_s
+        mobility.step_user(crowd, cfg.dt_s, rngs, cfg.room,
+                           cfg.v_mean_mps, cfg.v_span_mps, cfg.pause_s)
+        pos = crowd.xy
+
+        blocked = None
+        if cfg.blockage_enabled:
+            blocked = geometry.blocked_matrix(
+                aps.xyz, pos, device_z, pos, cfg.user_width_m / 2.0,
+                cfg.body_height_m, own_body=True,
+            )
+        snr = aps.snr(pos)
+        best = sim._best_ap(snr, blocked)
+
+        changed = best != assign
+        if changed.any():
+            handoff_mask = changed & (best >= 0) & (assign >= 0)
+            handoffs += int(handoff_mask.sum())
+            align_left = np.where(changed & (best >= 0), aps.align, align_left)
+            align_left = np.where(best < 0, 0.0, align_left)
+            if record_events:
+                for u in np.flatnonzero(handoff_mask):
+                    events.append((t, sim.EVENT_HANDOFF, int(u), int(best[u])))
+
+        if cfg.blockage_enabled:
+            now_shadowed = best < 0
+            if record_events:
+                for u in np.flatnonzero(now_shadowed & ~shadowed):
+                    events.append((t, sim.EVENT_BLOCKAGE_START, int(u), int(assign[u])))
+                for u in np.flatnonzero(shadowed & ~now_shadowed):
+                    events.append((t, sim.EVENT_BLOCKAGE_END, int(u), int(best[u])))
+            shadowed = now_shadowed
+
+        assigned = best >= 0
+        counting = assigned & (align_left > 0.0)
+        align_left = np.where(counting, np.maximum(align_left - cfg.dt_s, 0.0), align_left)
+        if record_events:
+            for u in np.flatnonzero(counting & (align_left <= 0.0)):
+                events.append((t, sim.EVENT_ALIGNMENT_DONE, int(u), int(best[u])))
+
+        serving = assigned & ~counting
+        counts = np.bincount(best[assigned], minlength=n_ap)
+        delivered = np.zeros(m)
+        if serving.any():
+            idx = np.flatnonzero(serving)
+            ap_idx = best[idx]
+            rate = shannon_rate(snr[idx, ap_idx], link.bandwidth_hz)
+            if cfg.share_mode == "equal_share":
+                delivered[idx] = rate / counts[ap_idx]
+            else:  # single_user: strongest assigned user takes the step
+                for a in np.unique(ap_idx):
+                    mine = np.flatnonzero(ap_idx == a)
+                    top = mine[np.argmax(snr[idx[mine], a])]
+                    delivered[idx[top]] = rate[top]
+
+        covered_steps += delivered >= demand
+        thr_sum += delivered
+        idle_steps += counts == 0
+        assign = best
+
+    return sim.MetricsReport(
+        placement_type=cfg.placement_type.upper(),
+        n_aps=cfg.n_aps,
+        effective_height_m=cfg.effective_height_m(),
+        seed=cfg.seed,
+        n_steps=n_steps,
+        blockage_enabled=cfg.blockage_enabled,
+        user_coverage=float(covered_steps.sum() / (m * n_steps)),
+        mean_throughput_bps=float(thr_sum.sum() / (m * n_steps)),
+        ap_idle_fraction=float(idle_steps.sum() / (n_ap * n_steps)),
+        handoff_count=int(handoffs),
+        per_user_coverage=tuple(covered_steps / n_steps),
+        per_user_throughput_bps=tuple(thr_sum / n_steps),
+        per_ap_idle_fraction=tuple(idle_steps / n_steps),
+        p_t_w=link.p_t_w,
+        p_o_w=cfg.p_o_w,
+        height_correction_m=con.height_correction_m,
+        events=tuple(events),
+    )

@@ -110,6 +110,19 @@ def test_same_config_and_seed_give_byte_identical_files(tmp_path, capsys):
     assert first == second
 
 
+def test_sweep_in_a_process_pool_writes_the_same_table(tmp_path, capsys):
+    cfg = tmp_path / "golden.ini"
+    cfg.write_text(_GOLDEN_CONFIG)
+    tables = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert cli.main(["sweep", "--config", str(cfg), "--types", "A,B4,C8",
+                         "--values", "2:4:0.5", "--jobs", jobs, "--out", str(out)]) == cli.EXIT_OK
+        tables.append((out / "sweep.csv").read_bytes())
+    assert tables[0].count(b"\n") == 1 + 3 * 5
+    assert tables[0] == tables[1]
+
+
 _TINY_CONFIG = """[users]
 n_users = 3
 [simulation]
@@ -181,6 +194,24 @@ def test_c_layout_without_height_correction_exits_2_naming_placement(
     assert "configuration error: placement_type: C16" in err
     assert "28 x 3 m room" in err
     assert [p.name for p in tmp_path.iterdir()] == ["long.ini"]
+
+
+@pytest.mark.parametrize("placement", ["B", "C"])
+@pytest.mark.parametrize("argv", [
+    ["validate"],
+    ["radius"],
+    ["simulate", "--out", "out"],
+    ["heatmap", "--resolution", "1", "--out", "out"],
+])
+def test_frequency_outside_the_absorption_table_exits_2_naming_f_c(
+    tmp_path, capsys, monkeypatch, argv, placement
+):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "f5000.ini"
+    path.write_text(f"[radio]\nf_c_ghz = 5000\n[placement]\nplacement_type = {placement}\n")
+    assert cli.main([*argv, "--config", str(path)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("configuration error: f_c_ghz: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["f5000.ini"]
 
 
 def test_sweep_checks_every_series_before_the_first_run(tmp_path, capsys, monkeypatch):
@@ -308,3 +339,31 @@ def test_radius_ceil_rounds_up_to_whole_metres(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cfgmod, "load_config", lambda *args: (exact, {}))
     assert cli.main(["radius", "-s", "0.5", "--ceil"]) == cli.EXIT_OK
     assert capsys.readouterr().out == "5\n"
+
+
+_FUZZ_VALUES = ["0", "-1", "1e-320", "1e300", "-1e300", "nan", "inf", "", "x"]
+
+
+@pytest.mark.parametrize("value", _FUZZ_VALUES)
+@pytest.mark.parametrize("key", list(cfgmod._TABLE))
+def test_a_config_that_validates_runs(tmp_path, capsys, key, value):
+    path = tmp_path / "fuzz.ini"
+    path.write_text(f"[fuzz]\n{key} = {value}\n")
+    code = cli.main(["validate", "--config", str(path)])
+    err = capsys.readouterr().err
+    assert code in (cli.EXIT_OK, cli.EXIT_CONFIG), err
+    if code == cli.EXIT_CONFIG:
+        assert err.startswith(f"configuration error: {key}"), err
+        return
+    assert cli.main(["radius", "--config", str(path)]) == cli.EXIT_OK, capsys.readouterr().err
+    # The simulate leg runs one step of at most 50 users, and for the
+    # dt_ms and duration_s rows only when the file asks for at most 10
+    # steps. These limits keep this test small; they are not bounds that
+    # the program puts on a config.
+    if key not in ("dt_ms", "duration_s"):
+        path.write_text(f"[fuzz]\n{key} = {value}\nduration_s = {SimConfig.dt_s}\n")
+    cfg, _ = cfgmod.load_config(path)
+    if cfg.n_users > 50 or round(cfg.duration_s / cfg.dt_s) > 10:
+        return
+    code = cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_OK, capsys.readouterr().err

@@ -30,6 +30,18 @@ BAD_CONFIGS = [
     ("[room]\nroom_l_m = inf\n", "room_l_m"),
     ("[simulation]\nseed = -1\n", "seed"),
     ("[placement]\nplacement_type = A\nn_aps = 16\n", "n_aps"),
+    ("[radio]\nf_c_ghz = 5000\n", "f_c_ghz"),
+    ("[radio]\nf_c_ghz = 5000\n[placement]\nplacement_type = C\n", "f_c_ghz"),
+    ("[radio]\np_o_dbm = 1e300\n", "p_o_dbm"),
+    ("[radio]\nnf_db_hz = 4000\n", "nf_db_hz"),
+    ("[room]\nroom_l_m = -1\n", "room_l_m"),
+    ("[radio]\ntau_override_per_m = -1\n", "tau_override_per_m"),
+    ("[room]\nroom_h_m = 1.2\n", "room_h_m"),
+    ("[users]\nvelocity_mps_mean = 0.3\n", "velocity_mps_mean"),
+    ("[users]\nvelocity_mps_mean = 0.3\nvelocity_mps_span = 0.4\n",
+     "velocity_mps_mean/velocity_mps_span"),
+    ("[simulation]\ndt_ms = 1e-320\n", "dt_ms"),
+    ("[simulation]\nh_override_m = 1e-320\n", "h_override_m"),
 ]
 
 

@@ -1,12 +1,14 @@
 import hashlib
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import achievable_rate, ap_rows, heatmap_whole_grid, los_blocked, sees
+from oracles import achievable_rate, ap_rows, heatmap_whole_grid, los_blocked, run_one, sees
 from thzplan import geometry as geo
 from thzplan import linkbudget as lb
 from thzplan import mobility as mob
@@ -51,6 +53,16 @@ class TestConfig:
         (dict(p_o_w=math.nan), "p_o_w"),
         (dict(tau_override=math.inf), "tau_override"),
         (dict(room=geo.Room(math.inf, 10.0, 3.0)), "room.length_m"),
+        (dict(f_c_hz=5e12), "f_c_hz"),
+        (dict(placement_type="C", f_c_hz=5e12), "f_c_hz"),
+        (dict(tau_override=-1.0), "tau_override"),
+        (dict(humidity=2.0), "humidity"),
+        (dict(v_span_mps=-0.1), "v_span_mps"),
+        (dict(v_mean_mps=0.3), "v_mean_mps/v_span_mps"),
+        (dict(rate_max_bps=1e8), "rate_min_bps/rate_max_bps"),
+        (dict(dt_s=1e-323), "duration_s/dt_s"),
+        (dict(beamwidth_deg=1e-320), "p_o_w/f_c_hz/bandwidth_hz/beamwidth_deg/noise_psd_w_hz"),
+        (dict(bandwidth_hz=1e-311), "p_o_w/f_c_hz/bandwidth_hz/beamwidth_deg/noise_psd_w_hz"),
     ])
     def test_validation_names_field(self, kw, field):
         with pytest.raises(sim.ConfigError, match=field):
@@ -65,6 +77,14 @@ class TestConfig:
     def test_entry_points_reject_non_finite_numbers(self, call, field):
         with pytest.raises(sim.ConfigError, match=f"^{field}:"):
             call()
+
+    def test_library_errors_name_the_field(self):
+        with pytest.raises(ValueError, match="^room.length_m:"):
+            geo.Room(length_m=-1.0)
+        with pytest.raises(ValueError, match="^tau_override:"):
+            lb.LinkBudgetParams(tau_override=-1.0)
+        with pytest.raises(ValueError, match="^f_c_hz:"):
+            lb.absorption_for(lb.LinkBudgetParams(f_c_hz=5e12))
 
     def test_device_above_ceiling(self):
         with pytest.raises(sim.ConfigError, match="user_height_m"):
@@ -521,6 +541,79 @@ class TestSweep:
     def test_empty_values_rejected(self):
         with pytest.raises(sim.ConfigError):
             sim.sweep(make_config(), "H", [])
+
+
+def _bits(value):
+    """value with every float, nested or not, replaced by its exact hex."""
+    if isinstance(value, float):
+        return float(value).hex()
+    if isinstance(value, tuple):
+        return tuple(_bits(v) for v in value)
+    return value
+
+
+def _report_bits(report):
+    return {f.name: _bits(getattr(report, f.name)) for f in fields(report)}
+
+
+_LAYOUTS = [("A", 1), ("B", 4), ("B", 16), ("C", 4), ("C", 8)]
+
+
+@st.composite
+def batches(draw):
+    """A crowd (users, seed, blockage, share mode, pause, steps) and one to
+    four configs over it that differ in layout, AP count, H, power and
+    alignment time."""
+    base = make_config(
+        n_users=draw(st.integers(0, 40)),
+        seed=draw(st.integers(0, 2**16)),
+        blockage_enabled=draw(st.booleans()),
+        share_mode=draw(st.sampled_from(sim.SHARE_MODES)),
+        pause_s=draw(st.sampled_from([0.0, 0.02, 0.05])),
+        duration_s=draw(st.integers(1, 25)) * 0.010,
+    )
+    configs = []
+    for _ in range(draw(st.integers(1, 4))):
+        cfg = sim.with_placement(base, *draw(st.sampled_from(_LAYOUTS)))
+        cfg = sim.with_effective_height(cfg, draw(st.sampled_from([1.0, 1.5, 2.0, 3.5, 5.0])))
+        configs.append(replace(
+            cfg,
+            p_o_w=draw(st.sampled_from([1e-3, 1e-2, 0.3])),
+            t_align_s=draw(st.sampled_from([5e-3, 0.02, 0.07])),
+        ))
+    return configs
+
+
+class TestBatch:
+    @settings(max_examples=60, deadline=None)
+    @given(batches())
+    def test_batch_matches_each_config_run_alone(self, configs):
+        batched = sim.run(configs, record_events=True)
+        alone = [run_one(c, True) for c in configs]
+        assert [_report_bits(r) for r in batched] == [_report_bits(r) for r in alone]
+
+    def test_one_config_gives_a_report_and_a_sequence_gives_a_list(self):
+        cfg = make_config(duration_s=0.2)
+        assert sim.run(cfg) == run_one(cfg)
+        assert sim.run([cfg]) == [run_one(cfg)]
+        assert sim.run([]) == []
+
+    @pytest.mark.parametrize("field,value", [
+        ("seed", 2), ("n_users", 5), ("dt_s", 0.02), ("blockage_enabled", True),
+    ])
+    def test_configs_that_do_not_share_the_crowd_are_rejected(self, field, value):
+        cfg = make_config(duration_s=0.2)
+        other = replace(sim.with_placement(cfg, "C", 8), **{field: value})
+        with pytest.raises(ValueError, match=f"^{field}:"):
+            sim.run([cfg, other])
+
+    def test_room_floor_must_be_shared_but_ceiling_may_differ(self):
+        cfg = make_config(duration_s=0.2)
+        higher = sim.with_effective_height(cfg, 4.0)
+        assert sim.run([cfg, higher]) == [run_one(cfg), run_one(higher)]
+        wider = replace(cfg, room=replace(cfg.room, width_m=12.0))
+        with pytest.raises(ValueError, match="^room.width_m:"):
+            sim.run([cfg, wider])
 
 
 # frozen from the first run after the invariant suite passed
