@@ -7,8 +7,9 @@ gains); dB conversions belong to the config boundary.
 
 A link's SNR is snr_scale(params) / (d^2 e^(tau d)), with tau from
 absorption_for(params), and its rate is shannon_rate(snr, B): the
-simulation's runs, heat maps and associate() all compute a link through
-these functions.
+simulation's runs and heat maps compute each chosen link through these
+functions. The SNR falls with d, so choosing the link takes no radio
+model: simulation.associate() picks the nearest unblocked AP.
 """
 
 from __future__ import annotations
@@ -122,7 +123,7 @@ def lambert_w0(x: float) -> float:
     """Principal branch of the Lambert W function.
 
     Halley iteration from a branch-aware initial guess; residual
-    |w e^w - x| <= 1e-12 * max(1, |x|). Defined for x >= -1/e.
+    |w e^w - x| <= 1e-12 |x|. Defined for x >= -1/e.
     """
     x = float(x)
     inv_e = math.exp(-1.0)
@@ -142,7 +143,7 @@ def lambert_w0(x: float) -> float:
         lx = math.log(x)
         w = lx - math.log(lx)
 
-    tol = 1e-12 * max(1.0, abs(x))
+    tol = 1e-12 * abs(x)  # relative: an absolute tolerance loses small w
     for _ in range(50):
         ew = math.exp(w)
         f = w * ew - x

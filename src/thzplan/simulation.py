@@ -1,13 +1,17 @@
 """Deterministic fixed-step coverage simulation.
 
-Each step: users move, every user re-associates to the strongest AP not
+Each step: users move, every user re-associates to the nearest AP not
 blocked from it (body blockage is optional), new or changed links pay the
 AP's beam-alignment dead time, and an AP's rate is time-shared equally
 among its assigned users. Metrics are plain averages over (user, step)
 pairs; an AP is idle in a step when nothing is assigned to it.
 
-run(), heatmap() and associate() share one best-AP rule (_best_ap) and
-the linkbudget SNR and rate, so the static and dynamic views agree.
+run(), heatmap() and associate() share one best-AP rule (_best_ap). All
+APs of a layout hang at one height with one power, and the linkbudget
+SNR falls with distance, so the nearest unblocked AP is the strongest:
+the rule needs geometry only. The SNR and rate are computed for each
+device's chosen link alone (_link_rate), so the static and dynamic views
+agree.
 
 run() steps one crowd for a batch of configs that differ only on the AP
 side; sweep() runs each series as one batch. Row r of the step arrays is
@@ -119,8 +123,13 @@ class SimConfig:
             (self.user_width_m > 0 and self.body_height_m > 0,
              "user_width_m/body_height_m: must be positive"),
             (self.pause_s >= 0, "pause_s: must be >= 0"),
+            (self.user_height_m >= 0, "user_height_m: device sits below the floor"),
             (self.user_height_m < self.room.height_m,
              "user_height_m/room.height_m: device sits above the ceiling"),
+            # multiplied, not squared: 1e300 ** 2 raises where 1e300 * 1e300 is inf
+            (self.room.length_m * self.room.length_m + self.room.width_m * self.room.width_m
+             + self.room.height_m * self.room.height_m < math.inf,
+             "room.length_m/room.width_m/room.height_m: the room's squared size overflows"),
         ]:
             if not ok:
                 raise ConfigError(message)
@@ -154,6 +163,8 @@ def with_effective_height(cfg: SimConfig, h_eff_m: float) -> SimConfig:
         raise ConfigError(
             f"h_override_m: effective height must be finite and positive, got {h_eff_m!r}"
         )
+    if not height_m * height_m < math.inf:
+        raise ConfigError(f"h_override_m: the ceiling's squared height overflows, got {h_eff_m!r}")
     return replace(cfg, room=replace(cfg.room, height_m=height_m))
 
 
@@ -216,67 +227,72 @@ class MetricsReport:
 
 
 class _ApArrays:
-    """Every per-AP constant of C constellations and their links at one
-    device height, computed once. The tables are (C, A), padded to the
-    largest AP count A where pad is set. xyz stacks the real APs in order
-    (blocked_matrix's ap_xyz); cols maps each table entry to its row
-    there, and the padding to one past the end."""
+    """The AP geometry of C constellations at one device height, computed
+    once. The tables are (C, A), padded to the largest AP count A where
+    pad is set. xyz stacks the real APs in order (blocked_matrix's
+    ap_xyz); cols maps each table entry to its row there, and the padding
+    to one past the end."""
 
-    def __init__(self, cons: Sequence[Constellation], links: Sequence[LinkBudgetParams],
-                 device_z: float):
+    def __init__(self, cons: Sequence[Constellation], device_z: float):
         n = np.array([len(con) for con in cons])
         self.pad = np.arange(n.max()) >= n[:, None]
         self.xyz = np.concatenate([con.xyz for con in cons])
         self.cols = np.where(self.pad, len(self.xyz),
                              np.cumsum(~self.pad).reshape(self.pad.shape) - 1)
-        table = np.zeros(self.pad.shape + (3,))  # the padding: any finite SNR will do
+        table = np.zeros(self.pad.shape + (3,))  # the padding: any point will do, it is blocked
         table[~self.pad] = self.xyz
         self.xy, self.dz_sq = table[..., :2].copy(), (table[..., 2] - device_z) ** 2
         self.align = np.array([con.align_time_s for con in cons])
-        sig = np.array([linkbudget.snr_scale(link) for link in links])
-        tau = np.array([linkbudget.absorption_for(link) for link in links])
-        # one constellation's as numbers, which numpy applies faster than arrays
-        self.sig, self.tau = (v[0] if v.size == 1 else v[:, None, None] for v in (sig, tau))
-        self.bandwidth = np.array([link.bandwidth_hz for link in links])
 
-    def snr(self, pos: np.ndarray) -> np.ndarray:
-        """(C*n, A) SNR of each AP's link to a device at each (n, 2) point,
-        constellation-major; each value is computed as for one alone."""
+    def d_sq(self, pos: np.ndarray) -> np.ndarray:
+        """(C*n, A) squared 3-D distance from each AP to a device at each
+        (n, 2) point, constellation-major."""
         dx = pos[None, :, None, 0] - self.xy[:, None, :, 0]
         dy = pos[None, :, None, 1] - self.xy[:, None, :, 1]
-        d_sq = dx ** 2 + dy ** 2 + self.dz_sq[:, None, :]
-        d = np.sqrt(d_sq)
-        return (self.sig / (d_sq * np.exp(self.tau * d))).reshape(-1, self.pad.shape[1])
+        return (dx ** 2 + dy ** 2 + self.dz_sq[:, None, :]).reshape(-1, self.pad.shape[1])
 
 
-def _best_ap(snr: np.ndarray, blocked: np.ndarray | None = None) -> np.ndarray:
-    """The association rule: per device, the AP with the highest SNR among
-    those not blocked from it (every AP sees the whole floor, see geometry).
-    Ties go to the lowest AP id; a device blocked from every AP gets -1."""
+def _best_ap(d_sq: np.ndarray, blocked: np.ndarray | None = None) -> np.ndarray:
+    """The association rule: per device, the nearest AP among those not
+    blocked from it (every AP sees the whole floor, see geometry), which is
+    the one with the highest SNR. Ties go to the lowest AP id; a device
+    blocked from every AP gets -1."""
     if blocked is None:
-        return snr.argmax(axis=1).astype(np.int64)
-    best = np.where(blocked, -np.inf, snr).argmax(axis=1).astype(np.int64)
+        return d_sq.argmin(axis=1).astype(np.int64)
+    best = np.where(blocked, np.inf, d_sq).argmin(axis=1).astype(np.int64)
     best[blocked.all(axis=1)] = -1
     return best
 
 
-def _best_rate(best: np.ndarray, snr: np.ndarray, bandwidth_hz: float) -> np.ndarray:
+def _radio(link: LinkBudgetParams) -> tuple[float, float, float]:
+    """(SNR scale, absorption tau, bandwidth) of a link: _link_rate's constants."""
+    return linkbudget.snr_scale(link), linkbudget.absorption_for(link), link.bandwidth_hz
+
+
+def _link_rate(d_sq, sig, tau, bandwidth_hz):
+    """Shannon rate of links of squared length d_sq: the linkbudget SNR
+    sig / (d^2 e^(tau d)), computed only for the links given."""
+    return linkbudget.shannon_rate(sig / (d_sq * np.exp(tau * np.sqrt(d_sq))), bandwidth_hz)
+
+
+def _best_rate(best: np.ndarray, d_sq: np.ndarray, radio) -> np.ndarray:
     """Link rate from each device to its chosen AP; 0.0 where it has none."""
     rate = np.zeros(best.shape)
     idx = np.flatnonzero(best >= 0)
-    rate[idx] = linkbudget.shannon_rate(snr[idx, best[idx]], bandwidth_hz)
+    rate[idx] = _link_rate(d_sq[idx, best[idx]], *radio)
     return rate
 
 
 def associate(
     positions,
     constellation: Constellation,
-    link: LinkBudgetParams,
+    *,
     blockers: Sequence[BodyCylinder] | None = None,
     device_height_m: float = mobility.DEFAULT_DEVICE_HEIGHT_M,
 ) -> tuple[int, ...]:
-    """AP id per user by run()'s rule: the strongest AP that, with
-    blockers, is not blocked from the user; -1 when every AP is blocked.
+    """AP id per user by run()'s rule: the nearest AP that, with blockers,
+    is not blocked from the user; -1 when every AP is blocked. No link
+    budget enters: the nearest AP is the strongest.
 
     positions is an (m, 2) array of the users' floor coordinates (a
     Crowd's xy); no positions give (). Ties go to the lowest AP id. blockers, if given, holds
@@ -290,13 +306,13 @@ def associate(
         return ()
     if pos.ndim != 2 or pos.shape[1] != 2:
         raise ValueError(f"positions: expected an (m, 2) array, got shape {pos.shape}")
-    aps = _ApArrays([constellation], [link], device_height_m)
+    aps = _ApArrays([constellation], device_height_m)
     blocked = None
     if blockers:
         blocked = geometry.blocked_matrix(
             aps.xyz, pos, device_height_m, *_body_arrays(blockers), own_body=True
         )
-    return tuple(_best_ap(aps.snr(pos), blocked).tolist())
+    return tuple(_best_ap(aps.d_sq(pos), blocked).tolist())
 
 
 def _body_arrays(blockers: Sequence[BodyCylinder]):
@@ -341,15 +357,19 @@ def run(cfg: SimConfig | Sequence[SimConfig], record_events: bool = False):
     if not batch:
         return []
     cons = [build_constellation(c) for c in batch]
-    aps = _ApArrays(cons, [c.link for c in batch], batch[0].user_height_m)
+    aps = _ApArrays(cons, batch[0].user_height_m)
     n_cfg, n_ap = aps.pad.shape
     m, n_steps = batch[0].n_users, int(round(batch[0].duration_s / batch[0].dt_s))
+    # each row's _link_rate constants, (3, rows); one config's as numbers,
+    # which numpy applies faster than arrays
+    radio = [_radio(c.link) for c in batch]
+    radio = radio[0] if n_cfg == 1 else np.repeat(radio, m, axis=0).T
     covered, handoffs = np.zeros((2, n_cfg * m), dtype=np.int64)
     thr = np.zeros(n_cfg * m)
     idle = np.zeros(n_cfg * n_ap, dtype=np.int64)
     events = [[] for _ in batch] if record_events else None
     if m:
-        _step_all(batch[0], aps, n_steps, covered, thr, handoffs, idle, events)
+        _step_all(batch[0], aps, radio, n_steps, covered, thr, handoffs, idle, events)
     else:  # nothing is ever assigned, so every AP idles every step
         idle += n_steps
 
@@ -374,7 +394,7 @@ def run(cfg: SimConfig | Sequence[SimConfig], record_events: bool = False):
     return reports[0] if isinstance(cfg, SimConfig) else reports
 
 
-def _step_all(cfg: SimConfig, aps: _ApArrays, n_steps: int, covered, thr, handoffs,
+def _step_all(cfg: SimConfig, aps: _ApArrays, radio, n_steps: int, covered, thr, handoffs,
               idle, events) -> None:
     """The step loop. Row r is user r % m of config r // m: the one crowd
     moves, then each phase runs on every row, adding to the accumulators."""
@@ -387,7 +407,7 @@ def _step_all(cfg: SimConfig, aps: _ApArrays, n_steps: int, covered, thr, handof
     # first new waypoint is its start point. The pinned results keep this.
     rngs = [mobility.substream(cfg.seed, i) for i in range(m)]
     demand = np.tile(demand, n_cfg) if n_cfg > 1 else demand
-    align, bandwidth = np.repeat(aps.align, m), np.repeat(aps.bandwidth, m)
+    align = np.repeat(aps.align, m)
     slot0 = np.repeat(np.arange(n_cfg) * n_ap, m)  # each row's (config, AP 0) slot
     pad = np.repeat(aps.pad, m, axis=0) if aps.pad.any() else None
     assign = np.full(n_cfg * m, -1, dtype=np.int64)
@@ -404,11 +424,11 @@ def _step_all(cfg: SimConfig, aps: _ApArrays, n_steps: int, covered, thr, handof
                                           own_body=True)
             hit = np.pad(hit, ((0, 0), (0, 1)), constant_values=True)
             blocked = hit[:, aps.cols].swapaxes(0, 1).reshape(-1, n_ap)
-        snr = aps.snr(pos)
-        best = _best_ap(snr, blocked)
+        d_sq = aps.d_sq(pos)
+        best = _best_ap(d_sq, blocked)
         align_left, shadowed, counting = _links(
             cfg, t, best, assign, align_left, shadowed, align, handoffs, events)
-        delivered, counts = _deliver(cfg, best, counting, snr, bandwidth, slot0, idle.size)
+        delivered, counts = _deliver(cfg, best, counting, d_sq, radio, slot0, idle.size)
         covered += delivered >= demand
         thr += delivered
         idle += counts == 0
@@ -447,9 +467,10 @@ def _log(events, t: float, kind: str, rows: np.ndarray, ap: np.ndarray) -> None:
         events[r // m].append((t, kind, int(r % m), int(ap[r])))
 
 
-def _deliver(cfg, best, counting, snr, bandwidth, slot0, n_slots):
+def _deliver(cfg, best, counting, d_sq, radio, slot0, n_slots):
     """The rate share of the step: each row's delivered rate and each
-    (config, AP) slot's count of assigned rows; a row's slot is slot0 + best."""
+    (config, AP) slot's count of assigned rows; a row's slot is slot0 + best.
+    Only the serving links' rates are computed."""
     assigned = best >= 0
     slot = slot0 + best
     counts = np.bincount(slot[assigned], minlength=n_slots)
@@ -457,15 +478,15 @@ def _deliver(cfg, best, counting, snr, bandwidth, slot0, n_slots):
     serving = assigned & ~counting
     if serving.any():
         idx = np.flatnonzero(serving)
-        ap_idx = best[idx]
-        rate = linkbudget.shannon_rate(snr[idx, ap_idx], bandwidth[idx])
+        dist_sq = d_sq[idx, best[idx]]
+        rate = _link_rate(dist_sq, *(radio[:, idx] if isinstance(radio, np.ndarray) else radio))
         if cfg.share_mode == "equal_share":
             delivered[idx] = rate / counts[slot[idx]]
-        else:  # single_user: strongest assigned user takes the step
+        else:  # single_user: the nearest (strongest) assigned user takes the step
             taken = slot[idx]
             for s in np.unique(taken):
                 mine = np.flatnonzero(taken == s)
-                top = mine[np.argmax(snr[idx[mine], ap_idx[mine]])]
+                top = mine[np.argmin(dist_sq[mine])]
                 delivered[idx[top]] = rate[top]
     return delivered, counts
 
@@ -507,7 +528,7 @@ def heatmap(
     The grids are filled in blocks of whole x rows, about _CELL_BLOCK
     cells each (one row when a row is longer), so the (cells, APs)
     temporaries stay a fixed size whatever the resolution. Each cell's
-    arithmetic is element-wise or a per-cell argmax, so the result does
+    arithmetic is element-wise or a per-cell argmin, so the result does
     not depend on the block size.
     """
     if not (math.isfinite(resolution_cells_per_m) and resolution_cells_per_m > 0):
@@ -522,9 +543,9 @@ def heatmap(
         raise ConfigError(
             f"resolution: {res} cells/m centres the last cell outside the room"
         )
-    link = cfg.link
+    radio = _radio(cfg.link)
     z = cfg.user_height_m
-    aps = _ApArrays([build_constellation(cfg)], [link], z)
+    aps = _ApArrays([build_constellation(cfg)], z)
     bodies = _body_arrays(blockers) if blockers else None
 
     rates = np.empty((nx, ny))
@@ -533,13 +554,12 @@ def heatmap(
     for i0 in range(0, nx, rows):
         i1 = min(i0 + rows, nx)
         cells = np.stack([np.repeat(xs[i0:i1], ny), np.tile(ys, i1 - i0)], axis=1)
-        snr = aps.snr(cells)
-        best = _best_ap(snr)
-        clear = _best_rate(best, snr, link.bandwidth_hz)
+        d_sq = aps.d_sq(cells)
+        clear = _best_rate(_best_ap(d_sq), d_sq, radio)
         rate = clear
         if bodies is not None:
             blocked = geometry.blocked_matrix(aps.xyz, cells, z, *bodies, own_body=False)
-            rate = _best_rate(_best_ap(snr, blocked), snr, link.bandwidth_hz)
+            rate = _best_rate(_best_ap(d_sq, blocked), d_sq, radio)
         label = np.full(cells.shape[0], LABEL_DARKNESS, dtype=np.int8)
         label[rate >= probe_rate_bps] = LABEL_ILLUMINATION
         label[(rate < probe_rate_bps) & (clear >= probe_rate_bps)] = LABEL_SHADOW
@@ -575,7 +595,8 @@ def sweep(base: SimConfig | Sequence[SimConfig], axis: str, values,
     base is one config or a sequence of them, one series each. Every config
     is checked, constellation included, before the first run. An axis moves
     only the AP side, so each series is one run() batch: one crowd, stepped
-    once, for every value. With jobs > 1 a process pool runs the series.
+    once, for every value. With jobs > 1 and several series, a pool of at
+    most one process per series runs them; one series runs in-process.
     """
     if not values:
         raise ConfigError("values: sweep needs at least one value")
@@ -584,9 +605,10 @@ def sweep(base: SimConfig | Sequence[SimConfig], axis: str, values,
     for c in (c for configs in series for c in configs):
         c.validate()
         build_constellation(c)
-    if jobs > 1:
+    workers = min(jobs, len(series))  # a pool for one series only costs its start-up
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return [r for reports in pool.map(run, series) for r in reports]
     return [r for configs in series for r in run(configs)]

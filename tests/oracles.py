@@ -21,7 +21,11 @@ CSV text built row by row from each cell's repr; `reporting.write_heatmap`
 must write exactly these bytes. `ApArrays` is one constellation's per-AP
 constants and `run_one` steps one config on its own, with its own crowd;
 `simulation.run` steps a batch of configs over one shared crowd and must
-give each config exactly the report `run_one` gives it.
+give each config exactly the report `run_one` gives it. `best_ap_by_snr`
+and `best_rate_by_snr` are the association rule stated on the full
+(devices, APs) SNR matrix: the strongest unblocked AP. `run_one` and
+`heatmap_whole_grid` associate by it, so the library's nearest-AP rule is
+checked against the strongest-AP rule.
 """
 
 from __future__ import annotations
@@ -342,13 +346,13 @@ def heatmap_whole_grid(cfg, resolution_cells_per_m, probe_rate_bps, blockers=Non
     cells = np.stack([gx.ravel(), gy.ravel()], axis=1)
 
     snr = aps.snr(cells)
-    best = sim._best_ap(snr)
-    clear = sim._best_rate(best, snr, link.bandwidth_hz)
+    best = best_ap_by_snr(snr)
+    clear = best_rate_by_snr(best, snr, link.bandwidth_hz)
     rates = clear
     if blockers:
         blocked = geometry.blocked_matrix(aps.xyz, cells, cfg.user_height_m,
                                           *sim._body_arrays(blockers), own_body=False)
-        rates = sim._best_rate(sim._best_ap(snr, blocked), snr, link.bandwidth_hz)
+        rates = best_rate_by_snr(best_ap_by_snr(snr, blocked), snr, link.bandwidth_hz)
 
     labels = np.full(cells.shape[0], sim.LABEL_DARKNESS, dtype=np.int8)
     labels[rates >= probe_rate_bps] = sim.LABEL_ILLUMINATION
@@ -362,6 +366,25 @@ def heatmap_csv_rows(grid) -> tuple[str, str]:
     rates = "".join(",".join(map(repr, row.tolist())) + "\n" for row in grid.rates_bps)
     labels = "".join(",".join(map(str, row.tolist())) + "\n" for row in grid.labels)
     return rates, labels
+
+
+def best_ap_by_snr(snr, blocked=None):
+    """Per device, the AP with the highest SNR among those not blocked from
+    it; ties go to the lowest AP id, and a device blocked from every AP
+    gets -1."""
+    if blocked is None:
+        return snr.argmax(axis=1).astype(np.int64)
+    best = np.where(blocked, -np.inf, snr).argmax(axis=1).astype(np.int64)
+    best[blocked.all(axis=1)] = -1
+    return best
+
+
+def best_rate_by_snr(best, snr, bandwidth_hz):
+    """Shannon rate of each device's link to its chosen AP; 0.0 with none."""
+    rate = np.zeros(best.shape)
+    idx = np.flatnonzero(best >= 0)
+    rate[idx] = shannon_rate(snr[idx, best[idx]], bandwidth_hz)
+    return rate
 
 
 class ApArrays:
@@ -437,7 +460,7 @@ def run_one(cfg, record_events: bool = False):
                 cfg.body_height_m, own_body=True,
             )
         snr = aps.snr(pos)
-        best = sim._best_ap(snr, blocked)
+        best = best_ap_by_snr(snr, blocked)
 
         changed = best != assign
         if changed.any():

@@ -42,6 +42,10 @@ BAD_CONFIGS = [
      "velocity_mps_mean/velocity_mps_span"),
     ("[simulation]\ndt_ms = 1e-320\n", "dt_ms"),
     ("[simulation]\nh_override_m = 1e-320\n", "h_override_m"),
+    ("[users]\nuser_height_m = -1\n", "user_height_m"),
+    ("[room]\nroom_l_m = 1e300\n", "room_l_m"),
+    ("[room]\nroom_h_m = 1e300\n", "room_h_m"),
+    ("[simulation]\nh_override_m = 1e300\n", "h_override_m"),
 ]
 
 

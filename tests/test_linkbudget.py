@@ -175,6 +175,14 @@ class TestLambertW:
         with pytest.raises(ValueError):
             lb.lambert_w0(-math.exp(-1.0) - 1e-9)
 
+    @pytest.mark.parametrize("x", [1e-3, 1e-4, 3e-5, 1e-5])
+    def test_small_argument_keeps_relative_precision(self, x):
+        # W(x) = x - x^2 + 3x^3/2 - 8x^4/3 + 125x^5/24 - ...; a stopping
+        # rule absolute in x left relative errors near 1e-8 here, and the
+        # coverage radius of a weakly absorbing link inherits them
+        series = x - x ** 2 + 1.5 * x ** 3 - 8.0 / 3.0 * x ** 4 + 125.0 / 24.0 * x ** 5
+        assert lb.lambert_w0(x) == pytest.approx(series, rel=1e-12, abs=0.0)
+
     @given(st.floats(min_value=-math.exp(-1.0) + 1e-9, max_value=1e6))
     def test_defining_identity(self, x):
         w = lb.lambert_w0(x)

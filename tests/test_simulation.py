@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import math
 import tracemalloc
@@ -63,6 +64,8 @@ class TestConfig:
         (dict(dt_s=1e-323), "duration_s/dt_s"),
         (dict(beamwidth_deg=1e-320), "p_o_w/f_c_hz/bandwidth_hz/beamwidth_deg/noise_psd_w_hz"),
         (dict(bandwidth_hz=1e-311), "p_o_w/f_c_hz/bandwidth_hz/beamwidth_deg/noise_psd_w_hz"),
+        (dict(user_height_m=-1.0), "user_height_m"),
+        (dict(room=geo.Room(1e300, 10.0, 3.0)), "room.length_m/room.width_m/room.height_m"),
     ])
     def test_validation_names_field(self, kw, field):
         with pytest.raises(sim.ConfigError, match=field):
@@ -94,7 +97,7 @@ class TestConfig:
         cfg = sim.with_effective_height(make_config(), 4.0)
         assert cfg.room.height_m == 5.5
         assert cfg.effective_height_m() == 4.0
-        for h in (0.0, -1.0, math.nan, math.inf):
+        for h in (0.0, -1.0, math.nan, math.inf, 1e300):
             with pytest.raises(sim.ConfigError, match="h_override_m"):
                 sim.with_effective_height(make_config(), h)
 
@@ -142,19 +145,18 @@ class TestAssociate:
     def test_single_visible_ap(self):
         con = geo.place(geo.Room(), "A", 1, 5e-3)
         crowd, _ = mob.init_users(geo.Room(), 3, seed=5)
-        link = lb.LinkBudgetParams()
-        got = sim.associate(crowd.xy, con, link)
+        got = sim.associate(crowd.xy, con)
         assert got == (0, 0, 0)
 
     def test_equidistant_tie_prefers_low_id(self):
         room = geo.Room()
         con = geo.place(room, "B", 4, 5e-3)
-        got = sim.associate([[5.0, 5.0]], con, lb.LinkBudgetParams(p_t_w=0.25e-3))
+        got = sim.associate([[5.0, 5.0]], con)
         assert got == (0,)
 
     def test_no_positions_gives_no_ids(self):
         con = geo.place(geo.Room(), "B", 4, 5e-3)
-        assert sim.associate([], con, lb.LinkBudgetParams()) == ()
+        assert sim.associate([], con) == ()
 
     @pytest.mark.parametrize("positions", [
         [5.0, 5.0, 3.0, 3.0],
@@ -164,17 +166,16 @@ class TestAssociate:
     def test_positions_must_be_an_m_by_2_array(self, positions):
         con = geo.place(geo.Room(), "B", 4, 5e-3)
         with pytest.raises(ValueError, match="^positions:"):
-            sim.associate(positions, con, lb.LinkBudgetParams())
+            sim.associate(positions, con)
 
     def test_off_floor_position_is_served_like_any_other(self):
         # (5, -3) lies behind the south wall mount, which is still its
-        # strongest AP: associate() has no room to check the point against
+        # nearest AP: associate() has no room to check the point against
         con = geo.place(geo.Room(), "C", 4, 5e-3)
-        assert sim.associate([[5.0, -3.0]], con, lb.LinkBudgetParams()) == (0,)
+        assert sim.associate([[5.0, -3.0]], con) == (0,)
 
     def test_brute_force_enumeration_oracle(self):
         rng = np.random.default_rng(17)
-        link = lb.LinkBudgetParams(p_t_w=0.25e-3)
         for trial in range(40):
             room = geo.Room(rng.uniform(6, 14), rng.uniform(6, 14), rng.uniform(2.5, 5))
             kind = ("A", "B", "C")[trial % 3]
@@ -183,7 +184,7 @@ class TestAssociate:
             xy = [(rng.uniform(0, room.length_m), rng.uniform(0, room.width_m))
                   for _ in range(m)]
             blockers = [geo.BodyCylinder(p, 0.1, 1.8) for p in xy] if trial % 2 else None
-            got = sim.associate(np.array(xy), con, link, blockers=blockers)
+            got = sim.associate(np.array(xy), con, blockers=blockers)
             for i, (x, y) in enumerate(xy):
                 best, best_d = -1, None
                 for ap_id, xyz, facing in ap_rows(con, room):
@@ -261,6 +262,20 @@ class TestRunBasics:
         shared = sim.run(replace(cfg, share_mode="equal_share"))
         assert all(t > 0.0 for t in shared.per_user_throughput_bps)
 
+    def test_association_does_not_depend_on_the_radio(self):
+        # at tau = 1e3 /m every SNR underflows to 0, yet each user still
+        # goes to its nearest AP, as with no absorption at all
+        with np.errstate(over="ignore"):  # e^(tau d) overflows to inf: SNR 0
+            clear, dim = (sim.run(make_config(tau_override=tau), record_events=True)
+                          for tau in (0.0, 1e3))
+        assert dim.mean_throughput_bps == 0.0
+        assert dim.handoff_count == clear.handoff_count > 0
+        assert dim.per_ap_idle_fraction == clear.per_ap_idle_fraction
+
+        def handoffs(r):
+            return [e for e in r.events if e[1] == sim.EVENT_HANDOFF]
+        assert handoffs(dim) == handoffs(clear)
+
     def test_effective_height_reported(self):
         r = sim.run(sim.with_effective_height(make_config(duration_s=0.05), 4.0))
         assert r.effective_height_m == 4.0
@@ -310,14 +325,13 @@ class TestBlockageCrossing:
         # line at y = 7.7 with radius 0.1 m blocks while |x - 5| <= 0.1.
         room = geo.Room()
         con = geo.place(room, "A", 1, 5e-3)
-        link = lb.LinkBudgetParams()
         dt, speed = 0.01, 1.0
         blocked_steps = []
         for k in range(400):
             t = k * dt
             xy = [(5.0, 8.0), (3.0 + speed * t, 7.7)]  # watcher, walker
             bodies = [geo.BodyCylinder(p, 0.1, 1.8) for p in xy]
-            got = sim.associate(np.array(xy), con, link, blockers=bodies)
+            got = sim.associate(np.array(xy), con, blockers=bodies)
             assert got[1] == 0  # walker keeps its own link
             if got[0] == -1:
                 blocked_steps.append(t)
@@ -428,6 +442,35 @@ class TestHeatmap:
         assert np.all(illuminated[slant <= r_star - cell])
         assert not np.any(illuminated[slant >= r_star + cell])
 
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(geo.ALL_TYPES), n=st.sampled_from(geo.GRID_COUNTS),
+           h=st.floats(1.0, 5.0), spread=st.floats(0.0, 7.0), f_c=st.floats(100e9, 1e12),
+           beamwidth=st.floats(5.0, 40.0))
+    def test_illumination_is_the_coverage_radius_of_the_nearest_ap(
+            self, kind, n, h, spread, f_c, beamwidth):
+        # the closed-form radius (Lambert W) against the heat map: with no
+        # blockers a cell is lit exactly when its nearest AP is within r.
+        # The probe rate is the rate of a link reaching `spread` across the
+        # floor, so that the boundary often crosses it.
+        cfg = sim.with_placement(make_config(f_c_hz=f_c, beamwidth_deg=beamwidth),
+                                 kind, None if kind == "A" else n)
+        cfg = sim.with_effective_height(cfg, h)
+        tau, reach = lb.absorption_for(cfg.link), math.hypot(h, spread)
+        probe = float(lb.shannon_rate(lb.snr_scale(cfg.link) / (reach ** 2 * math.exp(tau * reach)),
+                                      cfg.bandwidth_hz))
+        grid = sim.heatmap(cfg, 5.0, probe)
+        r = lb.coverage_radius(cfg.link, probe / cfg.bandwidth_hz)
+        xs, ys = ((np.arange(cells) + 0.5) / 5.0 for cells in grid.labels.shape)
+        gx, gy = np.meshgrid(xs, ys, indexing="ij")
+        d = np.full(gx.shape, np.inf)
+        for x, y, z in sim.build_constellation(cfg).xyz.tolist():
+            d = np.minimum(d, np.sqrt((gx - x) ** 2 + (gy - y) ** 2
+                                      + (z - cfg.user_height_m) ** 2))
+        clear = np.abs(d - r) > 1e-9 * r
+        lit = grid.labels == sim.LABEL_ILLUMINATION
+        assert np.array_equal(lit[clear], (d <= r)[clear])
+        assert np.all(lit | (grid.labels == sim.LABEL_DARKNESS))
+
     @pytest.mark.parametrize("res", [10.01, 0.12, 2.04])
     def test_resolution_keeps_every_cell_centre_in_the_room(self, res):
         # the last of ceil(10 res) centres lies past the 10 m wall
@@ -533,10 +576,20 @@ class TestSweep:
         assert [r.placement_type for r in both] == ["B", "B", "C", "C"]
 
     def test_parallel_matches_sequential(self):
+        # two series, so that jobs=2 starts a pool
+        cfg = make_config(duration_s=0.2)
+        bases = [cfg, sim.with_placement(cfg, "C", 8)]
+        seq = sim.sweep(bases, "H", [2.0, 3.0])
+        par = sim.sweep(bases, "H", [2.0, 3.0], jobs=2)
+        assert seq == par
+
+    def test_one_series_runs_without_a_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool for one series")
         cfg = make_config(duration_s=0.2)
         seq = sim.sweep(cfg, "H", [2.0, 3.0])
-        par = sim.sweep(cfg, "H", [2.0, 3.0], jobs=2)
-        assert seq == par
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        assert sim.sweep(cfg, "H", [2.0, 3.0], jobs=2) == seq
 
     def test_empty_values_rejected(self):
         with pytest.raises(sim.ConfigError):
