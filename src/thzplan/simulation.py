@@ -17,6 +17,14 @@ run() steps one crowd for a batch of configs that differ only on the AP
 side; sweep() runs each series as one batch. Row r of the step arrays is
 user r % m of config r // m, and each config's AP table is padded to the
 batch's largest AP count with entries that count as blocked.
+
+run() steps in blocks of K steps, K from _STEP_BLOCK. Only mobility and
+the blockage call depend on the step before, so they run per step: the
+crowd moves, each step's positions are kept, and with blockage on each
+step gets its blocked_matrix call. Association, handoffs, alignment and
+the rate share then run once over the block's (step, row) entries, with
+the same floating-point operations as a loop of single steps, so every
+result is the same whatever K is.
 """
 
 from __future__ import annotations
@@ -271,8 +279,11 @@ def _radio(link: LinkBudgetParams) -> tuple[float, float, float]:
 
 def _link_rate(d_sq, sig, tau, bandwidth_hz):
     """Shannon rate of links of squared length d_sq: the linkbudget SNR
-    sig / (d^2 e^(tau d)), computed only for the links given."""
-    return linkbudget.shannon_rate(sig / (d_sq * np.exp(tau * np.sqrt(d_sq))), bandwidth_hz)
+    sig / (d^2 e^(tau d)), computed only for the links given. e^(tau d)
+    may overflow to inf, which gives the SNR's limit 0."""
+    with np.errstate(over="ignore"):
+        loss = d_sq * np.exp(tau * np.sqrt(d_sq))
+    return linkbudget.shannon_rate(sig / loss, bandwidth_hz)
 
 
 def _best_rate(best: np.ndarray, d_sq: np.ndarray, radio) -> np.ndarray:
@@ -396,9 +407,16 @@ def run(cfg: SimConfig | Sequence[SimConfig], record_events: bool = False):
 
 def _step_all(cfg: SimConfig, aps: _ApArrays, radio, n_steps: int, covered, thr, handoffs,
               idle, events) -> None:
-    """The step loop. Row r is user r % m of config r // m: the one crowd
-    moves, then each phase runs on every row, adding to the accumulators."""
+    """The step loop, in blocks of K steps. Row r is user r % m of config
+    r // m. Within a block the one crowd moves step by step, and with
+    blockage on each step's blocked_matrix call follows its move; then
+    association, handoffs, alignment and the rate share each run once over
+    the block's (step, row) entries, adding to the accumulators. Every
+    entry gets the same floating-point operations as in a loop of single
+    steps, so the result does not depend on K, and the block buffers hold
+    about _STEP_BLOCK (step, row, AP) entries whatever the run's length."""
     m, (n_cfg, n_ap) = cfg.n_users, aps.pad.shape
+    rows = n_cfg * m
     crowd, demand = mobility.init_users(
         cfg.room, m, cfg.seed, v_mean=cfg.v_mean_mps, v_span=cfg.v_span_mps,
         rate_min_bps=cfg.rate_min_bps, rate_max_bps=cfg.rate_max_bps,
@@ -407,88 +425,111 @@ def _step_all(cfg: SimConfig, aps: _ApArrays, radio, n_steps: int, covered, thr,
     # first new waypoint is its start point. The pinned results keep this.
     rngs = [mobility.substream(cfg.seed, i) for i in range(m)]
     demand = np.tile(demand, n_cfg) if n_cfg > 1 else demand
-    align = np.repeat(aps.align, m)
     slot0 = np.repeat(np.arange(n_cfg) * n_ap, m)  # each row's (config, AP 0) slot
-    pad = np.repeat(aps.pad, m, axis=0) if aps.pad.any() else None
-    assign = np.full(n_cfg * m, -1, dtype=np.int64)
-    align_left, shadowed = np.zeros(n_cfg * m), np.zeros(n_cfg * m, dtype=bool)
-    for k in range(n_steps):
-        t = (k + 1) * cfg.dt_s
-        mobility.step_user(crowd, cfg.dt_s, rngs, cfg.room,
-                           cfg.v_mean_mps, cfg.v_span_mps, cfg.pause_s)
-        pos = crowd.xy
-        blocked = pad
-        if cfg.blockage_enabled:  # every config's APs in one call; padding blocked
-            hit = geometry.blocked_matrix(aps.xyz, pos, cfg.user_height_m, pos,
-                                          cfg.user_width_m / 2.0, cfg.body_height_m,
-                                          own_body=True)
-            hit = np.pad(hit, ((0, 0), (0, 1)), constant_values=True)
-            blocked = hit[:, aps.cols].swapaxes(0, 1).reshape(-1, n_ap)
-        d_sq = aps.d_sq(pos)
-        best = _best_ap(d_sq, blocked)
-        align_left, shadowed, counting = _links(
-            cfg, t, best, assign, align_left, shadowed, align, handoffs, events)
-        delivered, counts = _deliver(cfg, best, counting, d_sq, radio, slot0, idle.size)
-        covered += delivered >= demand
-        thr += delivered
-        idle += counts == 0
-        assign = best
-
-
-def _links(cfg, t, best, assign, align_left, shadowed, align, handoffs, events):
-    """Handoff, shadow and alignment bookkeeping of the step at time t: a
-    new link starts its AP's dead time (align). Adds to handoffs, logs
-    events if asked; returns align_left, shadowed and the rows aligning."""
-    changed = best != assign
-    if changed.any():
-        handoff = changed & (best >= 0) & (assign >= 0)
-        handoffs += handoff
-        align_left = np.where(changed & (best >= 0), align, align_left)
-        align_left = np.where(best < 0, 0.0, align_left)
-        if events is not None:
-            _log(events, t, EVENT_HANDOFF, handoff, best)
+    k_max = min(max(1, _STEP_BLOCK // (rows * n_ap)), n_steps)
+    xy = np.empty((k_max, m, 2))
+    blocked = None  # by step, config, user and AP; padding blocked
     if cfg.blockage_enabled:
-        now_shadowed = best < 0
+        blocked = np.empty((k_max, n_cfg, m, n_ap), dtype=bool)
+    elif aps.pad.any():
+        blocked = np.tile(aps.pad[:, None, :], (k_max, 1, m, 1))
+    left = _align_table(aps.align, cfg.dt_s, n_steps)
+    cfg_of = np.repeat(np.arange(n_cfg), m)
+    assign = np.full(rows, -1, dtype=np.int64)
+    since, shadowed = np.zeros(rows, dtype=np.int64), np.zeros(rows, dtype=bool)
+    for k0 in range(0, n_steps, k_max):
+        k = min(k_max, n_steps - k0)
+        for j in range(k):
+            mobility.step_user(crowd, cfg.dt_s, rngs, cfg.room,
+                               cfg.v_mean_mps, cfg.v_span_mps, cfg.pause_s)
+            xy[j] = crowd.xy
+            if cfg.blockage_enabled:  # every config's APs in one call
+                hit = geometry.blocked_matrix(aps.xyz, crowd.xy, cfg.user_height_m, crowd.xy,
+                                              cfg.user_width_m / 2.0, cfg.body_height_m,
+                                              own_body=True)
+                hit = np.pad(hit, ((0, 0), (0, 1)), constant_values=True)
+                blocked[j] = hit[:, aps.cols].swapaxes(0, 1)
+        d_sq = aps.d_sq(xy[:k].reshape(-1, 2))  # config-major: reorder to step-major
+        d_sq = d_sq.reshape(n_cfg, k, m, n_ap).swapaxes(0, 1).reshape(-1, n_ap)
+        best = _best_ap(d_sq, None if blocked is None else blocked[:k].reshape(-1, n_ap))
+        best = best.reshape(k, rows)
+
+        step = np.arange(k)[:, None]
+        prev = np.concatenate([assign[None], best[:-1]])
+        changed, served = best != prev, best >= 0
+        handoff = changed & served & (prev >= 0)
+        handoffs += handoff.sum(axis=0)
+        last = np.maximum.accumulate(np.where(changed, step, -1), axis=0)
+        since = np.where(last >= 0, step - last, since + step + 1)
+        counting = served & (left[np.minimum(since, len(left) - 1), cfg_of] > 0.0)
+        delivered, counts = _share(cfg, best, served & ~counting, d_sq, radio, slot0, idle.size)
+        covered += (delivered >= demand).sum(axis=0)
+        for row in delivered:  # step by step, as the sums are pinned
+            thr += row
+        idle += (counts == 0).sum(axis=0)
+
         if events is not None:
-            _log(events, t, EVENT_BLOCKAGE_START, now_shadowed & ~shadowed, assign)
-            _log(events, t, EVENT_BLOCKAGE_END, shadowed & ~now_shadowed, best)
-        shadowed = now_shadowed
-    counting = (best >= 0) & (align_left > 0.0)
-    align_left = np.where(counting, np.maximum(align_left - cfg.dt_s, 0.0), align_left)
-    if events is not None:
-        _log(events, t, EVENT_ALIGNMENT_DONE, counting & (align_left <= 0.0), best)
-    return align_left, shadowed, counting
+            logged = [(EVENT_HANDOFF, handoff, best)]
+            if cfg.blockage_enabled:
+                was = np.concatenate([shadowed[None], ~served[:-1]])
+                logged += [(EVENT_BLOCKAGE_START, ~served & ~was, prev),
+                           (EVENT_BLOCKAGE_END, was & served, best)]
+            done = counting & (left[np.minimum(since + 1, len(left) - 1), cfg_of] <= 0.0)
+            _record(events, k0, cfg.dt_s, logged + [(EVENT_ALIGNMENT_DONE, done, best)])
+        assign, since, shadowed = best[-1], since[-1], ~served[-1]
 
 
-def _log(events, t: float, kind: str, rows: np.ndarray, ap: np.ndarray) -> None:
-    """Append (t, kind, user, AP) to its config's list for each row set."""
-    m = rows.size // len(events)
-    for r in np.flatnonzero(rows):
-        events[r // m].append((t, kind, int(r % m), int(ap[r])))
+def _align_table(align: np.ndarray, dt_s: float, n_steps: int) -> np.ndarray:
+    """(T, configs): the alignment time left at the start of a step, by
+    steps since the link changed, for each config's dead time align. A step
+    with time left pays dead time, and takes dt_s off it down to 0. The
+    table stops at the first all-zero row or at n_steps + 1 rows, so an
+    index clipped to its end is exact."""
+    table = [align]
+    while len(table) <= n_steps and (table[-1] > 0.0).any():
+        table.append(np.maximum(table[-1] - dt_s, 0.0))
+    return np.array(table)
 
 
-def _deliver(cfg, best, counting, d_sq, radio, slot0, n_slots):
-    """The rate share of the step: each row's delivered rate and each
-    (config, AP) slot's count of assigned rows; a row's slot is slot0 + best.
-    Only the serving links' rates are computed."""
+def _share(cfg, best, serving, d_sq, radio, slot0, n_slots):
+    """The rate share of a block of steps: each (step, row) entry's
+    delivered rate and each (step, slot) count of assigned rows, where a
+    row's (config, AP) slot is slot0 + best. Only the serving links' rates
+    are computed."""
+    k, rows = best.shape
     assigned = best >= 0
-    slot = slot0 + best
-    counts = np.bincount(slot[assigned], minlength=n_slots)
-    delivered = np.zeros(best.shape)
-    serving = assigned & ~counting
-    if serving.any():
-        idx = np.flatnonzero(serving)
-        dist_sq = d_sq[idx, best[idx]]
-        rate = _link_rate(dist_sq, *(radio[:, idx] if isinstance(radio, np.ndarray) else radio))
+    key = (np.arange(k)[:, None] * n_slots + slot0 + best).ravel()
+    counts = np.bincount(key[assigned.ravel()], minlength=k * n_slots)
+    delivered = np.zeros(best.size)
+    idx = np.flatnonzero(serving)
+    if idx.size:
+        dist_sq = d_sq[idx, best.ravel()[idx]]
+        rate = _link_rate(dist_sq, *(radio[:, idx % rows] if isinstance(radio, np.ndarray)
+                                     else radio))
+        taken = key[idx]
         if cfg.share_mode == "equal_share":
-            delivered[idx] = rate / counts[slot[idx]]
-        else:  # single_user: the nearest (strongest) assigned user takes the step
-            taken = slot[idx]
-            for s in np.unique(taken):
-                mine = np.flatnonzero(taken == s)
-                top = mine[np.argmin(dist_sq[mine])]
-                delivered[idx[top]] = rate[top]
-    return delivered, counts
+            delivered[idx] = rate / counts[taken]
+        else:  # single_user: the nearest (strongest) serving row takes the step, ties the lowest
+            order = np.lexsort((dist_sq, taken))
+            first = order[np.r_[True, taken[order[1:]] != taken[order[:-1]]]]
+            delivered[idx[first]] = rate[first]
+    return delivered.reshape(k, rows), counts.reshape(k, n_slots)
+
+
+def _record(events, k0: int, dt_s: float, logged) -> None:
+    """Append a block's events, (t, kind, user, AP), to their configs'
+    lists in (step, kind, user) order. logged holds (kind, mask, AP) in
+    kind order, mask and AP by (step, row); block step j is at t =
+    (k0 + j + 1) * dt_s."""
+    kinds, masks, aps = zip(*logged)
+    shape = (len(kinds), len(masks[0]), len(events), -1)  # kind, step, config, user
+
+    def by_config(x):
+        return np.stack(x).reshape(shape).transpose(2, 1, 0, 3)
+    found = np.nonzero(by_config(masks))  # in (config, step, kind, user) order
+    ap = by_config(aps)[found]
+    for c, j, i, u, a in zip(*(x.tolist() for x in (*found, ap))):
+        events[c].append(((k0 + j + 1) * dt_s, kinds[i], u, a))
 
 
 LABEL_DARKNESS, LABEL_ILLUMINATION, LABEL_SHADOW = 0, 1, 2
@@ -496,6 +537,9 @@ LABEL_NAMES = ("darkness", "illumination", "shadow")
 # Heat-map cells per block; the block's (cells, APs) temporaries are a
 # fixed multiple of this, whatever the resolution.
 _CELL_BLOCK = 1 << 15
+# (step, row, AP) entries per block of run()'s step loop; the block's
+# temporaries are a fixed multiple of this, whatever the run's length.
+_STEP_BLOCK = 1 << 12
 
 
 @dataclass(frozen=True, eq=False)

@@ -77,6 +77,23 @@ def test_failed_coverage_sweep_write_keeps_existing_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["coverage_sweep.csv"]
 
 
+def test_an_absorption_that_zeroes_every_snr_runs_without_a_warning(tmp_path):
+    # e^(tau d) overflows to inf at tau = 1e3 /m; the SNR 0 that follows
+    # is the limit, not a fault, so nothing reaches stderr
+    path = tmp_path / "dim.ini"
+    path.write_text("[radio]\ntau_override_per_m = 1000\n[simulation]\nduration_s = 0.05\n")
+    src = os.path.dirname(os.path.dirname(thzplan.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "thzplan.cli", "simulate", "--config", str(path),
+         "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    assert proc.stderr == ""
+
+
 _GOLDEN_CONFIG = """[users]
 n_users = 12
 [simulation]

@@ -2,6 +2,7 @@ import concurrent.futures
 import hashlib
 import math
 import tracemalloc
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -275,6 +276,13 @@ class TestRunBasics:
         def handoffs(r):
             return [e for e in r.events if e[1] == sim.EVENT_HANDOFF]
         assert handoffs(dim) == handoffs(clear)
+
+    def test_an_snr_that_underflows_raises_no_warning(self):
+        # e^(tau d) overflows to inf at tau = 1e3 /m, and the SNR is its limit 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = sim.run(make_config(tau_override=1e3, duration_s=0.05))
+        assert r.mean_throughput_bps == 0.0
 
     def test_effective_height_reported(self):
         r = sim.run(sim.with_effective_height(make_config(duration_s=0.05), 4.0))
@@ -613,17 +621,17 @@ _LAYOUTS = [("A", 1), ("B", 4), ("B", 16), ("C", 4), ("C", 8)]
 
 
 @st.composite
-def batches(draw):
+def batches(draw, users=st.integers(0, 40), steps=st.integers(1, 25)):
     """A crowd (users, seed, blockage, share mode, pause, steps) and one to
     four configs over it that differ in layout, AP count, H, power and
     alignment time."""
     base = make_config(
-        n_users=draw(st.integers(0, 40)),
+        n_users=draw(users),
         seed=draw(st.integers(0, 2**16)),
         blockage_enabled=draw(st.booleans()),
         share_mode=draw(st.sampled_from(sim.SHARE_MODES)),
         pause_s=draw(st.sampled_from([0.0, 0.02, 0.05])),
-        duration_s=draw(st.integers(1, 25)) * 0.010,
+        duration_s=draw(steps) * 0.010,
     )
     configs = []
     for _ in range(draw(st.integers(1, 4))):
@@ -667,6 +675,64 @@ class TestBatch:
         wider = replace(cfg, room=replace(cfg.room, width_m=12.0))
         with pytest.raises(ValueError, match="^room.width_m:"):
             sim.run([cfg, wider])
+
+
+@st.composite
+def blocked_batches(draw):
+    """A batch of at least two users and the _STEP_BLOCK that cuts its run
+    into blocks of one of three shapes: one step each, 2-7 steps with a
+    ragged last block, or one block bigger than the run."""
+    shape = draw(st.sampled_from(["one step", "ragged", "whole run"]))
+    k = draw(st.integers(2, 7)) if shape == "ragged" else 1
+    steps = st.integers(1, 25)
+    if shape == "ragged":
+        steps = st.builds(lambda q, r: q * k + r, st.integers(1, 3), st.integers(1, k - 1))
+    configs = draw(batches(users=st.integers(2, 40), steps=steps))
+    entries = len(configs) * configs[0].n_users * max(c.n_aps for c in configs)
+    n_steps = round(configs[0].duration_s / configs[0].dt_s)
+    return configs, (n_steps + 1) * entries if shape == "whole run" else k * entries
+
+
+def _tied_first_pair(init_users):
+    """init_users with user 1 a copy of user 0 (start, waypoint, speed):
+    the two stand at one point, a distance tie at every AP, until they
+    reach the waypoint."""
+    def tied(*args, **kwargs):
+        crowd, demand = init_users(*args, **kwargs)
+        for a in (crowd.xy, crowd.wp, crowd.speed_mps):
+            a[1] = a[0]
+        return crowd, demand
+    return tied
+
+
+class TestStepBlocks:
+    """run() steps in blocks of about _STEP_BLOCK (step, row, AP) entries;
+    the step-by-step oracle must give the same bits across every seam."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(blocked_batches())
+    def test_block_seams_match_the_step_by_step_oracle(self, batch):
+        # t_align_s = 0.07 at dt_s = 0.01 is a 7-step window, so alignment,
+        # handoffs and shadows cross block boundaries
+        configs, step_block = batch
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sim, "_STEP_BLOCK", step_block)
+            mp.setattr(mob, "init_users", _tied_first_pair(mob.init_users))
+            blocked = sim.run(configs, record_events=True)
+            alone = [run_one(c, True) for c in configs]
+        assert [_report_bits(r) for r in blocked] == [_report_bits(r) for r in alone]
+
+    def test_peak_memory_does_not_grow_with_the_run(self):
+        # the block buffers have a fixed size, so 2000 steps peak where 20 do
+        def peak(duration_s):
+            tracemalloc.start()
+            try:
+                sim.run(make_config(duration_s=duration_s))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        sim.run(make_config(duration_s=0.2))
+        assert peak(20.0) <= peak(0.2) + 1e6
 
 
 # frozen from the first run after the invariant suite passed
