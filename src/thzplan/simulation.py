@@ -435,6 +435,8 @@ def _step_all(cfg: SimConfig, aps: _ApArrays, radio, n_steps: int, covered, thr,
         blocked = np.tile(aps.pad[:, None, :], (k_max, 1, m, 1))
     left = _align_table(aps.align, cfg.dt_s, n_steps)
     cfg_of = np.repeat(np.arange(n_cfg), m)
+    # carried from block to block: each row's AP, the steps since that AP
+    # last changed (a row's dead time depends on it alone), and its shadow
     assign = np.full(rows, -1, dtype=np.int64)
     since, shadowed = np.zeros(rows, dtype=np.int64), np.zeros(rows, dtype=bool)
     for k0 in range(0, n_steps, k_max):
@@ -459,7 +461,7 @@ def _step_all(cfg: SimConfig, aps: _ApArrays, radio, n_steps: int, covered, thr,
         changed, served = best != prev, best >= 0
         handoff = changed & served & (prev >= 0)
         handoffs += handoff.sum(axis=0)
-        last = np.maximum.accumulate(np.where(changed, step, -1), axis=0)
+        last = np.maximum.accumulate(np.where(changed, step, -1), axis=0)  # -1: not this block
         since = np.where(last >= 0, step - last, since + step + 1)
         counting = served & (left[np.minimum(since, len(left) - 1), cfg_of] > 0.0)
         delivered, counts = _share(cfg, best, served & ~counting, d_sq, radio, slot0, idle.size)
