@@ -233,6 +233,12 @@ def blocked_matrix(
        blockers), over blocks of about _PAIR_BLOCK pairs, so memory stays
        bounded as users grow.
 
+    The kernel works in column form: x and y of the AP positions, the
+    devices, the blocker centres, the segment starts and directions and
+    the candidate boxes are separate contiguous (N,) arrays, so the box
+    filter is four comparisons and each pair's squared xy length is
+    computed once and gathered for its triples.
+
     Exactness contract: the result equals, boolean for boolean, that
     arithmetic applied to every (user, AP, blocker) triple, including
     near-tangent bodies, level segments (AP at device height) and centres
@@ -267,18 +273,22 @@ def blocked_matrix(
 
     scale = max(np.abs(ap[:, :2]).max(), np.abs(dev).max(), np.abs(cen).max())
     pad = radius.max() + _BOX_SLACK * (1.0 + scale)
-    cells = _CellList(cen, radius.max())
+    # contiguous x and y columns: every step below is one scalar operation per row
+    (ap_x, ap_y), (dev_x, dev_y), (cx, cy) = (np.array(v.T) for v in (ap[:, :2], dev, cen))
+    cells = _CellList(cx, cy, radius.max())
     per_block = max(1, _PAIR_BLOCK // live.size)
     for u0 in range(0, n_usr, per_block):
         users = np.arange(u0, min(u0 + per_block, n_usr))
         pu = np.repeat(users, live.size)
         pa = np.tile(live, users.size)
-        a_xy = ap[pa, :2]
-        d_xy = dev[pu] - a_xy
-        ends = (a_xy + t_lo[pa, None] * d_xy, a_xy + t_hi[pa, None] * d_xy)
-        box_lo = np.minimum(*ends) - pad
-        box_hi = np.maximum(*ends) + pad
-        pair, start, count = cells.query(box_lo, box_hi)
+        ax, ay = ap_x[pa], ap_y[pa]
+        dx, dy = dev_x[pu] - ax, dev_y[pu] - ay
+        qa = dx * dx + dy * dy
+        tl, th = t_lo[pa], t_hi[pa]
+        ex, ey = (ax + tl * dx, ax + th * dx), (ay + tl * dy, ay + th * dy)
+        lo_x, hi_x = np.minimum(*ex) - pad, np.maximum(*ex) + pad
+        lo_y, hi_y = np.minimum(*ey) - pad, np.maximum(*ey) + pad
+        pair, start, count = cells.query(lo_x, hi_x, lo_y, hi_y)
         cum = np.cumsum(count)
         e0 = 0
         while e0 < count.size:
@@ -287,13 +297,13 @@ def blocked_matrix(
             entry, pos = _ranges(start[e0:e1], count[e0:e1])
             p = pair[e0:e1][entry]
             b = cells.order[pos]
-            c = cen[b]
-            keep = np.all((c >= box_lo[p]) & (c <= box_hi[p]), axis=1)
+            bx, by = cx[b], cy[b]
+            keep = (bx >= lo_x[p]) & (bx <= hi_x[p]) & (by >= lo_y[p]) & (by <= hi_y[p])
             if own_body:
                 keep &= b != pu[p]
             p, b = p[keep], b[keep]
-            hit = _cylinder_hits(a_xy[p], d_xy[p], az[pa[p]], dz[pa[p]],
-                                 cen[b], radius[b], height[b])
+            hit = _cylinder_hits(ax[p], ay[p], dx[p], dy[p], qa[p], az[pa[p]], dz[pa[p]],
+                                 bx[keep], by[keep], radius[b], height[b])
             blocked[pu[p[hit]], pa[p[hit]]] = True
             e0 = e1
     return blocked
@@ -306,34 +316,34 @@ class _CellList:
     a body, so a query box spans few rows and few cells per row.
     """
 
-    def __init__(self, centers: np.ndarray, radius_max: float):
-        self.origin = centers.min(axis=0)
-        span = centers.max(axis=0) - self.origin
-        self.cell = max(math.sqrt(span[0] * span[1] / len(centers)),
-                        2.0 * radius_max) or 1.0
-        self.shape = np.minimum(span // self.cell, len(centers)).astype(np.intp) + 1
-        ix, iy = self._index(centers).T
-        flat = iy * self.shape[0] + ix
+    def __init__(self, cx: np.ndarray, cy: np.ndarray, radius_max: float):
+        self.x0, self.y0 = cx.min(), cy.min()
+        span_x, span_y = cx.max() - self.x0, cy.max() - self.y0
+        self.cell = max(math.sqrt(span_x * span_y / cx.size), 2.0 * radius_max) or 1.0
+        self.nx = int(min(span_x // self.cell, cx.size)) + 1
+        self.ny = int(min(span_y // self.cell, cx.size)) + 1
+        flat = self._index(cy, self.y0, self.ny) * self.nx + self._index(cx, self.x0, self.nx)
         self.order = np.argsort(flat, kind="stable")
         self.first = np.concatenate(
-            ([0], np.cumsum(np.bincount(flat, minlength=self.shape.prod())))
+            ([0], np.cumsum(np.bincount(flat, minlength=self.nx * self.ny)))
         )
 
-    def _index(self, xy: np.ndarray) -> np.ndarray:
-        cell = np.floor((xy - self.origin) / self.cell)
-        return np.clip(cell, 0, self.shape - 1).astype(np.intp)
+    def _index(self, v: np.ndarray, origin: float, n: int) -> np.ndarray:
+        cell = np.floor((v - origin) / self.cell)
+        return np.minimum(np.maximum(cell, 0), n - 1).astype(np.intp)
 
-    def query(self, box_lo: np.ndarray, box_hi: np.ndarray):
+    def query(self, lo_x, hi_x, lo_y, hi_y):
         """Blockers in the cells each box overlaps, one run per cell row.
 
         Returns (box, start, count): run k holds order[start[k]:start[k] +
         count[k]] for box number box[k]. Empty runs are left out.
         """
-        lo, hi = self._index(box_lo), self._index(box_hi)
-        box, row = _ranges(lo[:, 1], hi[:, 1] - lo[:, 1] + 1)
-        row_cell = row * self.shape[0]
-        start = self.first[row_cell + lo[box, 0]]
-        count = self.first[row_cell + hi[box, 0] + 1] - start
+        ix0, ix1 = self._index(lo_x, self.x0, self.nx), self._index(hi_x, self.x0, self.nx)
+        iy0, iy1 = self._index(lo_y, self.y0, self.ny), self._index(hi_y, self.y0, self.ny)
+        box, row = _ranges(iy0, iy1 - iy0 + 1)
+        row_cell = row * self.nx
+        start = self.first[row_cell + ix0[box]]
+        count = self.first[row_cell + ix1[box] + 1] - start
         nonempty = count > 0
         return box[nonempty], start[nonempty], count[nonempty]
 
@@ -346,13 +356,16 @@ def _ranges(starts: np.ndarray, counts: np.ndarray):
     return owner, np.arange(owner.size) - first[owner] + starts[owner]
 
 
-def _cylinder_hits(a_xy, d_xy, az, dz, centers, radius, height) -> np.ndarray:
+def _cylinder_hits(ax, ay, dx, dy, qa, az, dz, cx, cy, radius, height) -> np.ndarray:
     """Open segment a -> a + d against one solid cylinder, row by row.
 
-    a_xy, d_xy and centers are (N, 2); the rest are (N,). The segment is
-    hit when the parameter windows of its z span and of its xy track
-    within the disc overlap inside (0, 1); the endpoints themselves do not
-    count, since device and AP touch their own hulls.
+    Every argument is (N,), one row per (segment, cylinder) triple: the
+    segment's start (ax, ay, az) and direction (dx, dy, dz), with
+    qa = dx * dx + dy * dy, and the cylinder's centre (cx, cy), radius and
+    height. The segment is hit when the parameter windows of its z span
+    and of its xy track within the disc overlap inside (0, 1); the
+    endpoints themselves do not count, since device and AP touch their
+    own hulls.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         t0 = (0.0 - az) / dz
@@ -364,10 +377,9 @@ def _cylinder_hits(a_xy, d_xy, az, dz, centers, radius, height) -> np.ndarray:
     z_lo = np.where(level, np.where(inside_level, 0.0, np.inf), z_lo)
     z_hi = np.where(level, np.where(inside_level, 1.0, -np.inf), z_hi)
 
-    f_xy = a_xy - centers
-    qa = np.sum(d_xy * d_xy, axis=-1)
-    qb = 2.0 * np.sum(f_xy * d_xy, axis=-1)
-    qc = np.sum(f_xy * f_xy, axis=-1) - radius * radius
+    fx, fy = ax - cx, ay - cy
+    qb = 2.0 * (fx * dx + fy * dy)
+    qc = (fx * fx + fy * fy) - radius * radius
     disc = qb * qb - 4.0 * qa * qc
     hit_possible = disc >= 0.0
     root = np.sqrt(np.where(hit_possible, disc, 0.0))

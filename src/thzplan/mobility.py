@@ -4,6 +4,9 @@ Every user owns an independent substream derived from the run seed, so a
 trajectory depends only on (seed, user id, room, mobility parameters, dt
 sequence). That derivation rule is part of the determinism contract:
 substream i is numpy's PCG64 seeded with SeedSequence([seed, i]).
+init_users draws each user's set-up from substream i; run() then steps
+with fresh substreams and builds user i's generator the first time that
+user draws a new waypoint, so a user who never draws costs no generator.
 """
 
 from __future__ import annotations
@@ -24,7 +27,11 @@ DEFAULT_RATE_MAX_BPS = 10e9
 
 
 def substream(seed: int, user_id: int) -> np.random.Generator:
-    """Per-user RNG stream; the (seed, id) pair fully determines it."""
+    """Per-user RNG stream; the (seed, id) pair fully determines it.
+
+    A stream built late is in the same fresh state as one built early, so
+    run() builds a user's stepping generator on first use.
+    """
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, user_id])))
 
 
@@ -63,21 +70,30 @@ def init_users(
 
     Returns the Crowd, with nobody pausing, and the (m,) demanded rates
     in bit/s. Draw order per user (from that user's substream): position
-    x, y, waypoint x, y, speed, demanded rate.
+    x, y, waypoint x, y, speed, demanded rate. The six come from one
+    random(6) call and are mapped as Generator.uniform maps each draw, so
+    they equal six uniform calls bit for bit, and a range that is not
+    finite or is reversed raises uniform's OverflowError or ValueError.
     """
     if m <= 0:
         raise ValueError("user count must be positive")
     if v_mean - v_span <= 0:
         raise ValueError("speed range must stay positive")
-    xy, wp = np.empty((m, 2)), np.empty((m, 2))
-    speed, demand = np.empty(m), np.empty(m)
+    lo = np.array([0.0, 0.0, 0.0, 0.0, v_mean - v_span, rate_min_bps])
+    hi = np.array([room.length_m, room.width_m, room.length_m, room.width_m,
+                   v_mean + v_span, rate_max_bps])
+    with np.errstate(over="ignore", invalid="ignore"):
+        span = hi - lo
+    for s in span:  # Generator.uniform's checks, in draw order
+        if not np.isfinite(s):
+            raise OverflowError("high - low range exceeds valid bounds")
+        if np.signbit(s):
+            raise ValueError("high - low < 0")
+    u = np.empty((m, 6))
     for i in range(m):
-        rng = substream(seed, i)
-        xy[i] = _draw_waypoint(rng, room)
-        wp[i] = _draw_waypoint(rng, room)
-        speed[i] = _draw_speed(rng, v_mean, v_span)
-        demand[i] = rng.uniform(rate_min_bps, rate_max_bps)
-    return Crowd(xy, wp, speed, np.zeros(m)), demand
+        substream(seed, i).random(out=u[i])
+    v = lo + span * u
+    return Crowd(v[:, 0:2].copy(), v[:, 2:4].copy(), v[:, 4].copy(), np.zeros(m)), v[:, 5].copy()
 
 
 def step_user(

@@ -423,7 +423,7 @@ def _step_all(cfg: SimConfig, aps: _ApArrays, radio, n_steps: int, covered, thr,
     )
     # Fresh generators replay the draws init_users made, so each user's
     # first new waypoint is its start point. The pinned results keep this.
-    rngs = [mobility.substream(cfg.seed, i) for i in range(m)]
+    rngs = _Substreams(cfg.seed)
     demand = np.tile(demand, n_cfg) if n_cfg > 1 else demand
     slot0 = np.repeat(np.arange(n_cfg) * n_ap, m)  # each row's (config, AP 0) slot
     k_max = min(max(1, _STEP_BLOCK // (rows * n_ap)), n_steps)
@@ -479,6 +479,19 @@ def _step_all(cfg: SimConfig, aps: _ApArrays, radio, n_steps: int, covered, thr,
             done = counting & (left[np.minimum(since + 1, len(left) - 1), cfg_of] <= 0.0)
             _record(events, k0, cfg.dt_s, logged + [(EVENT_ALIGNMENT_DONE, done, best)])
         assign, since, shadowed = best[-1], since[-1], ~served[-1]
+
+
+class _Substreams(dict):
+    """Each user's stepping generator, built the first time step_user asks
+    for it. A generator built late is in the same fresh state as one built
+    early, and most users of a short run never draw."""
+
+    def __init__(self, seed: int):
+        self.seed = seed
+
+    def __missing__(self, i):
+        rng = self[i] = mobility.substream(self.seed, int(i))
+        return rng
 
 
 def _align_table(align: np.ndarray, dt_s: float, n_steps: int) -> np.ndarray:
