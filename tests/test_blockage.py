@@ -91,9 +91,7 @@ def scenes(draw):
     return ap, dev, device_z, centers, radius, height, own_body
 
 
-@given(scenes())
-@settings(max_examples=300, deadline=None)
-def test_pruned_kernel_matches_dense_oracle(scene):
+def _check_scene(scene):
     ap, dev, device_z, centers, radius, height, own_body = scene
     got = geo.blocked_matrix(ap, dev, device_z, centers, radius, height,
                              own_body=own_body)
@@ -101,6 +99,24 @@ def test_pruned_kernel_matches_dense_oracle(scene):
                                 own_body=own_body)
     assert got.shape == (len(dev), len(ap))
     assert np.array_equal(got, want)
+
+
+@given(scenes())
+@settings(max_examples=300, deadline=None)
+def test_pruned_kernel_matches_dense_oracle(scene):
+    _check_scene(scene)
+
+
+@pytest.mark.parametrize("pair_block,chunk", [(1, 1), (7, 13)])
+@given(scene=scenes())
+@settings(max_examples=100, deadline=None)
+def test_block_and_chunk_seams_match_dense_oracle(pair_block, chunk, scene):
+    # every scene above fits in one pair block and one candidate chunk;
+    # tiny ones cut it into many, with ragged ends
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geo, "_PAIR_BLOCK", pair_block)
+        mp.setattr(geo, "_CANDIDATE_CHUNK", chunk)
+        _check_scene(scene)
 
 
 def test_axis_aligned_near_tangent_bodies():

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -41,14 +42,43 @@ def test_different_seeds_differ():
     assert _state(*a) != _state(*b)
 
 
-def test_init_users_matches_scalar_draws_bit_for_bit():
-    room = Room(7.0, 4.5, 3.0)
-    crowd, demand = mob.init_users(room, 40, 8, v_mean=1.2, v_span=0.3,
-                                   rate_min_bps=2e9, rate_max_bps=3e9)
-    users = oracles.init_users(room, 40, 8, v_mean=1.2, v_span=0.3,
-                               rate_min_bps=2e9, rate_max_bps=3e9)
+@st.composite
+def _set_ups(draw):
+    """init_users arguments: any room, 1-200 users, seeds of one or more
+    32-bit words, and ranges of speed and rate that may be empty."""
+    room = Room(draw(st.floats(0.1, 1e4)), draw(st.floats(0.1, 1e4)), 3.0)
+    m = draw(st.integers(1, 200))
+    seed = draw(st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**96)))
+    v_mean = draw(st.floats(0.1, 5.0))
+    v_span = draw(st.one_of(st.just(0.0), st.floats(0.0, v_mean * 0.99)))
+    rate_min = draw(st.floats(0.0, 1e11))
+    rate_max = draw(st.one_of(st.just(rate_min), st.floats(rate_min, 1e11)))
+    return room, m, seed, dict(v_mean=v_mean, v_span=v_span,
+                               rate_min_bps=rate_min, rate_max_bps=rate_max)
+
+
+@given(_set_ups())
+@settings(max_examples=60, deadline=None)
+def test_init_users_matches_scalar_draws_bit_for_bit(set_up):
+    room, m, seed, kw = set_up
+    crowd, demand = mob.init_users(room, m, seed, **kw)
+    users = oracles.init_users(room, m, seed, **kw)
     want = oracles.crowd_of(users)
     assert _state(crowd, demand) == _state(want, np.array([u.demand_bps for u in users]))
+
+
+@pytest.mark.parametrize("room,kw,error", [
+    (Room(), dict(rate_min_bps=-1.7e308, rate_max_bps=1.7e308), OverflowError),
+    (Room(), dict(rate_min_bps=2e9, rate_max_bps=1e9), ValueError),
+    (Room(), dict(rate_min_bps=0.0, rate_max_bps=-0.0), ValueError),
+    (Room(math.inf, 10.0, 3.0), {}, OverflowError),
+    (Room(), dict(v_mean=math.nan), OverflowError),
+])
+def test_init_users_rejects_a_bad_range_like_uniform(room, kw, error):
+    with pytest.raises(error) as want:
+        oracles.init_users(room, 3, 1, **kw)
+    with pytest.raises(error, match=f"^{re.escape(str(want.value))}$"):
+        mob.init_users(room, 3, 1, **kw)
 
 
 def test_velocity_and_demand_ranges():

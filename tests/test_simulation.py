@@ -735,6 +735,40 @@ class TestStepBlocks:
         assert peak(20.0) <= peak(0.2) + 1e6
 
 
+class TestStepGenerators:
+    """run() builds a user's stepping generator the first time that user
+    draws a new waypoint; the oracle builds every one up front."""
+
+    @pytest.mark.parametrize("n_users,duration_s,pause_s", [
+        (1000, 0.03, 0.0),  # the crowd: almost nobody arrives in 3 steps
+        (20, 5.0, 0.4),     # most users arrive, some pause first
+    ])
+    def test_generators_are_built_on_first_use(self, n_users, duration_s, pause_s):
+        cfg = make_config(n_users=n_users, duration_s=duration_s, pause_s=pause_s,
+                          blockage_enabled=True)
+        built, drew = [], set()
+        substream, step_user = mob.substream, mob.step_user
+
+        def counting(seed, user_id):
+            built.append(user_id)
+            return substream(seed, user_id)
+
+        def spy(crowd, *args, **kwargs):
+            before = crowd.wp.copy()
+            step_user(crowd, *args, **kwargs)
+            drew.update(np.flatnonzero((crowd.wp != before).any(axis=1)).tolist())
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mob, "substream", counting)
+            mp.setattr(mob, "step_user", spy)
+            got = sim.run(cfg, record_events=True)
+        # init_users builds one per user, stepping one per user that drew
+        assert sorted(built) == sorted([*range(n_users), *drew])
+        assert len(built) < 2 * n_users
+        assert duration_s < 1.0 or drew
+        assert _report_bits(got) == _report_bits(run_one(cfg, True))
+
+
 # frozen from the first run after the invariant suite passed
 REGRESSION = {
     "user_coverage": 0.6433,
