@@ -273,7 +273,6 @@ def blocked_matrix(
 
     scale = max(np.abs(ap[:, :2]).max(), np.abs(dev).max(), np.abs(cen).max())
     pad = radius.max() + _BOX_SLACK * (1.0 + scale)
-    # contiguous x and y columns: every step below is one scalar operation per row
     (ap_x, ap_y), (dev_x, dev_y), (cx, cy) = (np.array(v.T) for v in (ap[:, :2], dev, cen))
     cells = _CellList(cx, cy, radius.max())
     per_block = max(1, _PAIR_BLOCK // live.size)

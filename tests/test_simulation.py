@@ -765,7 +765,7 @@ class TestStepGenerators:
         # init_users builds one per user, stepping one per user that drew
         assert sorted(built) == sorted([*range(n_users), *drew])
         assert len(built) < 2 * n_users
-        assert duration_s < 1.0 or drew
+        assert drew or duration_s < 1.0  # the long run builds some late
         assert _report_bits(got) == _report_bits(run_one(cfg, True))
 
 
