@@ -161,13 +161,7 @@ def lambert_w0(x: float) -> float:
 def _radius_constant(params: LinkBudgetParams, spectral_efficiency: float) -> float:
     if spectral_efficiency <= 0:
         raise ValueError("spectral efficiency must be positive")
-    g = antenna_gain(params.beamwidth_deg)
-    k = params.p_t_w * g * g / (
-        params.noise_psd_w_hz
-        * params.bandwidth_hz
-        * (4.0 * math.pi * params.f_c_hz / SPEED_OF_LIGHT) ** 2
-        * (2.0 ** spectral_efficiency - 1.0)
-    )
+    k = snr_scale(params) / (2.0 ** spectral_efficiency - 1.0)
     if k <= 0:
         raise ValueError("radius constant must be positive")
     return k

@@ -14,17 +14,18 @@ device's chosen link alone (_link_rate), so the static and dynamic views
 agree.
 
 run() steps one crowd for a batch of configs that differ only on the AP
-side; sweep() runs each series as one batch. Row r of the step arrays is
-user r % m of config r // m, and each config's AP table is padded to the
-batch's largest AP count with entries that count as blocked.
+side; sweep() runs each series as one batch. The crowd, and with
+blockage on the blocked_matrix call over every config's APs stacked, are
+shared by the batch; each config keeps its own AP table, link state and
+accumulators.
 
 run() steps in blocks of K steps, K from _STEP_BLOCK. Only mobility and
 the blockage call depend on the step before, so they run per step: the
 crowd moves, each step's positions are kept, and with blockage on each
-step gets its blocked_matrix call. Association, handoffs, alignment and
-the rate share then run once over the block's (step, row) entries, with
-the same floating-point operations as a loop of single steps, so every
-result is the same whatever K is.
+step gets its blocked_matrix call. Then, config by config, association,
+handoffs, alignment and the rate share run once over the block's
+(step, user) entries, with the same floating-point operations as a loop
+of single steps, so every result is the same whatever K is.
 """
 
 from __future__ import annotations
@@ -234,30 +235,12 @@ class MetricsReport:
     events: tuple = ()
 
 
-class _ApArrays:
-    """The AP geometry of C constellations at one device height, computed
-    once. The tables are (C, A), padded to the largest AP count A where
-    pad is set. xyz stacks the real APs in order (blocked_matrix's
-    ap_xyz); cols maps each table entry to its row there, and the padding
-    to one past the end."""
-
-    def __init__(self, cons: Sequence[Constellation], device_z: float):
-        n = np.array([len(con) for con in cons])
-        self.pad = np.arange(n.max()) >= n[:, None]
-        self.xyz = np.concatenate([con.xyz for con in cons])
-        self.cols = np.where(self.pad, len(self.xyz),
-                             np.cumsum(~self.pad).reshape(self.pad.shape) - 1)
-        table = np.zeros(self.pad.shape + (3,))  # the padding: any point will do, it is blocked
-        table[~self.pad] = self.xyz
-        self.xy, self.dz_sq = table[..., :2].copy(), (table[..., 2] - device_z) ** 2
-        self.align = np.array([con.align_time_s for con in cons])
-
-    def d_sq(self, pos: np.ndarray) -> np.ndarray:
-        """(C*n, A) squared 3-D distance from each AP to a device at each
-        (n, 2) point, constellation-major."""
-        dx = pos[None, :, None, 0] - self.xy[:, None, :, 0]
-        dy = pos[None, :, None, 1] - self.xy[:, None, :, 1]
-        return (dx ** 2 + dy ** 2 + self.dz_sq[:, None, :]).reshape(-1, self.pad.shape[1])
+def _d_sq(con: Constellation, device_z: float, pos: np.ndarray) -> np.ndarray:
+    """(n, A) squared 3-D distance from each AP of con to a device at
+    height device_z at each (n, 2) point."""
+    dx = pos[:, None, 0] - con.xyz[None, :, 0]
+    dy = pos[:, None, 1] - con.xyz[None, :, 1]
+    return dx ** 2 + dy ** 2 + (con.xyz[None, :, 2] - device_z) ** 2
 
 
 def _best_ap(d_sq: np.ndarray, blocked: np.ndarray | None = None) -> np.ndarray:
@@ -317,13 +300,12 @@ def associate(
         return ()
     if pos.ndim != 2 or pos.shape[1] != 2:
         raise ValueError(f"positions: expected an (m, 2) array, got shape {pos.shape}")
-    aps = _ApArrays([constellation], device_height_m)
     blocked = None
     if blockers:
         blocked = geometry.blocked_matrix(
-            aps.xyz, pos, device_height_m, *_body_arrays(blockers), own_body=True
+            constellation.xyz, pos, device_height_m, *_body_arrays(blockers), own_body=True
         )
-    return tuple(_best_ap(aps.d_sq(pos), blocked).tolist())
+    return tuple(_best_ap(_d_sq(constellation, device_height_m, pos), blocked).tolist())
 
 
 def _body_arrays(blockers: Sequence[BodyCylinder]):
@@ -368,55 +350,47 @@ def run(cfg: SimConfig | Sequence[SimConfig], record_events: bool = False):
     if not batch:
         return []
     cons = [build_constellation(c) for c in batch]
-    aps = _ApArrays(cons, batch[0].user_height_m)
-    n_cfg, n_ap = aps.pad.shape
     m, n_steps = batch[0].n_users, int(round(batch[0].duration_s / batch[0].dt_s))
-    # each row's _link_rate constants, (3, rows); one config's as numbers,
-    # which numpy applies faster than arrays
-    radio = [_radio(c.link) for c in batch]
-    radio = radio[0] if n_cfg == 1 else np.repeat(radio, m, axis=0).T
-    covered, handoffs = np.zeros((2, n_cfg * m), dtype=np.int64)
-    thr = np.zeros(n_cfg * m)
-    idle = np.zeros(n_cfg * n_ap, dtype=np.int64)
+    covered, handoffs = np.zeros((2, len(batch), m), dtype=np.int64)
+    thr = np.zeros((len(batch), m))
+    idle = [np.zeros(len(con), dtype=np.int64) for con in cons]
     events = [[] for _ in batch] if record_events else None
     if m:
-        _step_all(batch[0], aps, radio, n_steps, covered, thr, handoffs, idle, events)
+        _step_all(batch, cons, n_steps, covered, thr, handoffs, idle, events)
     else:  # nothing is ever assigned, so every AP idles every step
-        idle += n_steps
+        for idle_c in idle:
+            idle_c += n_steps
 
     pairs = m * n_steps or 1  # no users: the sums are over no pairs
-    reports = []
-    for i, (c, con) in enumerate(zip(batch, cons)):
-        mine, idle_c = slice(i * m, (i + 1) * m), idle[i * n_ap:i * n_ap + len(con)]
-        reports.append(MetricsReport(
-            placement_type=c.placement_type.upper(), n_aps=c.n_aps,
-            effective_height_m=c.effective_height_m(), seed=c.seed,
-            n_steps=n_steps, blockage_enabled=c.blockage_enabled,
-            user_coverage=float(covered[mine].sum() / pairs),
-            mean_throughput_bps=float(thr[mine].sum() / pairs),
-            ap_idle_fraction=float(idle_c.sum() / (len(con) * n_steps)),
-            handoff_count=int(handoffs[mine].sum()),
-            per_user_coverage=tuple(covered[mine] / n_steps),
-            per_user_throughput_bps=tuple(thr[mine] / n_steps),
-            per_ap_idle_fraction=tuple(idle_c / n_steps), p_t_w=c.link.p_t_w,
-            p_o_w=c.p_o_w, height_correction_m=con.height_correction_m,
-            events=tuple(events[i]) if events else (),
-        ))
+    reports = [MetricsReport(
+        placement_type=c.placement_type.upper(), n_aps=c.n_aps,
+        effective_height_m=c.effective_height_m(), seed=c.seed,
+        n_steps=n_steps, blockage_enabled=c.blockage_enabled,
+        user_coverage=float(covered[i].sum() / pairs),
+        mean_throughput_bps=float(thr[i].sum() / pairs),
+        ap_idle_fraction=float(idle[i].sum() / (len(con) * n_steps)),
+        handoff_count=int(handoffs[i].sum()),
+        per_user_coverage=tuple(covered[i] / n_steps),
+        per_user_throughput_bps=tuple(thr[i] / n_steps),
+        per_ap_idle_fraction=tuple(idle[i] / n_steps), p_t_w=c.link.p_t_w,
+        p_o_w=c.p_o_w, height_correction_m=con.height_correction_m,
+        events=tuple(events[i]) if events else (),
+    ) for i, (c, con) in enumerate(zip(batch, cons))]
     return reports[0] if isinstance(cfg, SimConfig) else reports
 
 
-def _step_all(cfg: SimConfig, aps: _ApArrays, radio, n_steps: int, covered, thr, handoffs,
-              idle, events) -> None:
-    """The step loop, in blocks of K steps. Row r is user r % m of config
-    r // m. Within a block the one crowd moves step by step, and with
-    blockage on each step's blocked_matrix call follows its move; then
-    association, handoffs, alignment and the rate share each run once over
-    the block's (step, row) entries, adding to the accumulators. Every
-    entry gets the same floating-point operations as in a loop of single
-    steps, so the result does not depend on K, and the block buffers hold
-    about _STEP_BLOCK (step, row, AP) entries whatever the run's length."""
-    m, (n_cfg, n_ap) = cfg.n_users, aps.pad.shape
-    rows = n_cfg * m
+def _step_all(batch: Sequence[SimConfig], cons: Sequence[Constellation], n_steps: int,
+              covered, thr, handoffs, idle, events) -> None:
+    """The step loop, in blocks of K steps. Within a block the one crowd
+    moves step by step, and with blockage on each step's blocked_matrix
+    call, over every config's APs stacked, follows its move. Then, config
+    by config, association, handoffs, alignment and the rate share each
+    run once over the block's (step, user) entries, adding to that
+    config's row of the accumulators. Every entry gets the same
+    floating-point operations as in a loop of single steps, so the result
+    does not depend on K, and a config's block buffers hold about
+    _STEP_BLOCK (step, user, AP) entries whatever the run's length."""
+    cfg, m = batch[0], batch[0].n_users
     crowd, demand = mobility.init_users(
         cfg.room, m, cfg.seed, v_mean=cfg.v_mean_mps, v_span=cfg.v_span_mps,
         rate_min_bps=cfg.rate_min_bps, rate_max_bps=cfg.rate_max_bps,
@@ -424,61 +398,59 @@ def _step_all(cfg: SimConfig, aps: _ApArrays, radio, n_steps: int, covered, thr,
     # Fresh generators replay the draws init_users made, so each user's
     # first new waypoint is its start point. The pinned results keep this.
     rngs = _Substreams(cfg.seed)
-    demand = np.tile(demand, n_cfg) if n_cfg > 1 else demand
-    slot0 = np.repeat(np.arange(n_cfg) * n_ap, m)  # each row's (config, AP 0) slot
-    k_max = min(max(1, _STEP_BLOCK // (rows * n_ap)), n_steps)
+    xyz = np.concatenate([con.xyz for con in cons])
+    cols = np.cumsum([0] + [len(con) for con in cons])  # config i's APs: cols[i]:cols[i + 1]
+    k_max = min(max(1, _STEP_BLOCK // (m * max(len(con) for con in cons))), n_steps)
     xy = np.empty((k_max, m, 2))
-    blocked = None  # by step, config, user and AP; padding blocked
-    if cfg.blockage_enabled:
-        blocked = np.empty((k_max, n_cfg, m, n_ap), dtype=bool)
-    elif aps.pad.any():
-        blocked = np.tile(aps.pad[:, None, :], (k_max, 1, m, 1))
-    left = _align_table(aps.align, cfg.dt_s, n_steps)
-    cfg_of = np.repeat(np.arange(n_cfg), m)
-    # carried from block to block: each row's AP, the steps since that AP
-    # last changed (a row's dead time depends on it alone), and its shadow
-    assign = np.full(rows, -1, dtype=np.int64)
-    since, shadowed = np.zeros(rows, dtype=np.int64), np.zeros(rows, dtype=bool)
+    hits = np.empty((k_max, m, len(xyz)), dtype=bool) if cfg.blockage_enabled else None
+    lefts = [_align_table(con.align_time_s, cfg.dt_s, n_steps) for con in cons]
+    radios = [_radio(c.link) for c in batch]
+    # carried from block to block, by (config, user): the AP, the steps
+    # since it last changed (the dead time depends on it alone), the shadow
+    assign = np.full((len(batch), m), -1, dtype=np.int64)
+    since = np.zeros((len(batch), m), dtype=np.int64)
+    shadowed = np.zeros((len(batch), m), dtype=bool)
     for k0 in range(0, n_steps, k_max):
         k = min(k_max, n_steps - k0)
         for j in range(k):
             mobility.step_user(crowd, cfg.dt_s, rngs, cfg.room,
                                cfg.v_mean_mps, cfg.v_span_mps, cfg.pause_s)
             xy[j] = crowd.xy
-            if cfg.blockage_enabled:  # every config's APs in one call
-                hit = geometry.blocked_matrix(aps.xyz, crowd.xy, cfg.user_height_m, crowd.xy,
-                                              cfg.user_width_m / 2.0, cfg.body_height_m,
-                                              own_body=True)
-                hit = np.pad(hit, ((0, 0), (0, 1)), constant_values=True)
-                blocked[j] = hit[:, aps.cols].swapaxes(0, 1)
-        d_sq = aps.d_sq(xy[:k].reshape(-1, 2))  # config-major: reorder to step-major
-        d_sq = d_sq.reshape(n_cfg, k, m, n_ap).swapaxes(0, 1).reshape(-1, n_ap)
-        best = _best_ap(d_sq, None if blocked is None else blocked[:k].reshape(-1, n_ap))
-        best = best.reshape(k, rows)
-
+            if hits is not None:  # every config's APs in one call
+                hits[j] = geometry.blocked_matrix(xyz, crowd.xy, cfg.user_height_m, crowd.xy,
+                                                  cfg.user_width_m / 2.0, cfg.body_height_m,
+                                                  own_body=True)
         step = np.arange(k)[:, None]
-        prev = np.concatenate([assign[None], best[:-1]])
-        changed, served = best != prev, best >= 0
-        handoff = changed & served & (prev >= 0)
-        handoffs += handoff.sum(axis=0)
-        last = np.maximum.accumulate(np.where(changed, step, -1), axis=0)  # -1: not this block
-        since = np.where(last >= 0, step - last, since + step + 1)
-        counting = served & (left[np.minimum(since, len(left) - 1), cfg_of] > 0.0)
-        delivered, counts = _share(cfg, best, served & ~counting, d_sq, radio, slot0, idle.size)
-        covered += (delivered >= demand).sum(axis=0)
-        for row in delivered:  # step by step, as the sums are pinned
-            thr += row
-        idle += (counts == 0).sum(axis=0)
+        for i, (con, left, radio) in enumerate(zip(cons, lefts, radios)):
+            d_sq = _d_sq(con, cfg.user_height_m, xy[:k].reshape(-1, 2))
+            blocked = None
+            if hits is not None:  # config i's columns of the blockage buffer
+                blocked = hits[:k, :, cols[i]:cols[i + 1]].reshape(d_sq.shape)
+            best = _best_ap(d_sq, blocked).reshape(k, m)
 
-        if events is not None:
-            logged = [(EVENT_HANDOFF, handoff, best)]
-            if cfg.blockage_enabled:
-                was = np.concatenate([shadowed[None], ~served[:-1]])
-                logged += [(EVENT_BLOCKAGE_START, ~served & ~was, prev),
-                           (EVENT_BLOCKAGE_END, was & served, best)]
-            done = counting & (left[np.minimum(since + 1, len(left) - 1), cfg_of] <= 0.0)
-            _record(events, k0, cfg.dt_s, logged + [(EVENT_ALIGNMENT_DONE, done, best)])
-        assign, since, shadowed = best[-1], since[-1], ~served[-1]
+            prev = np.concatenate([assign[i, None], best[:-1]])
+            changed, served = best != prev, best >= 0
+            handoff = changed & served & (prev >= 0)
+            handoffs[i] += handoff.sum(axis=0)
+            last = np.maximum.accumulate(np.where(changed, step, -1), axis=0)  # -1: not this block
+            age = np.where(last >= 0, step - last, since[i] + step + 1)
+            counting = served & (left[np.minimum(age, len(left) - 1)] > 0.0)
+            delivered, counts = _share(cfg.share_mode, best, served & ~counting, d_sq, radio,
+                                       len(con))
+            covered[i] += (delivered >= demand).sum(axis=0)
+            for row in delivered:  # step by step, as the sums are pinned
+                thr[i] += row
+            idle[i] += (counts == 0).sum(axis=0)
+
+            if events is not None:
+                logged = [(EVENT_HANDOFF, handoff, best)]
+                if hits is not None:
+                    was = np.concatenate([shadowed[i, None], ~served[:-1]])
+                    logged += [(EVENT_BLOCKAGE_START, ~served & ~was, prev),
+                               (EVENT_BLOCKAGE_END, was & served, best)]
+                done = counting & (left[np.minimum(age + 1, len(left) - 1)] <= 0.0)
+                _record(events[i], k0, cfg.dt_s, logged + [(EVENT_ALIGNMENT_DONE, done, best)])
+            assign[i], since[i], shadowed[i] = best[-1], age[-1], ~served[-1]
 
 
 class _Substreams(dict):
@@ -494,57 +466,51 @@ class _Substreams(dict):
         return rng
 
 
-def _align_table(align: np.ndarray, dt_s: float, n_steps: int) -> np.ndarray:
-    """(T, configs): the alignment time left at the start of a step, by
-    steps since the link changed, for each config's dead time align. A step
-    with time left pays dead time, and takes dt_s off it down to 0. The
-    table stops at the first all-zero row or at n_steps + 1 rows, so an
-    index clipped to its end is exact."""
-    table = [align]
-    while len(table) <= n_steps and (table[-1] > 0.0).any():
-        table.append(np.maximum(table[-1] - dt_s, 0.0))
+def _align_table(align_s: float, dt_s: float, n_steps: int) -> np.ndarray:
+    """The alignment time left at the start of a step, by steps since the
+    link changed, for dead time align_s. A step with time left pays dead
+    time, and takes dt_s off it down to 0. The table stops at its first 0
+    or at n_steps + 1 entries, so an index clipped to its end is exact."""
+    table = [align_s]
+    while len(table) <= n_steps and table[-1] > 0.0:
+        table.append(max(table[-1] - dt_s, 0.0))
     return np.array(table)
 
 
-def _share(cfg, best, serving, d_sq, radio, slot0, n_slots):
-    """The rate share of a block of steps: each (step, row) entry's
-    delivered rate and each (step, slot) count of assigned rows, where a
-    row's (config, AP) slot is slot0 + best. Only the serving links' rates
-    are computed."""
-    k, rows = best.shape
+def _share(share_mode, best, serving, d_sq, radio, n_ap):
+    """The rate share of a block of steps: each (step, user) entry's
+    delivered rate and each (step, AP) count of assigned users, where an
+    entry's slot is step * n_ap + best. Only the serving links' rates are
+    computed."""
+    k, m = best.shape
     assigned = best >= 0
-    key = (np.arange(k)[:, None] * n_slots + slot0 + best).ravel()
-    counts = np.bincount(key[assigned.ravel()], minlength=k * n_slots)
+    key = (np.arange(k)[:, None] * n_ap + best).ravel()
+    counts = np.bincount(key[assigned.ravel()], minlength=k * n_ap)
     delivered = np.zeros(best.size)
     idx = np.flatnonzero(serving)
     if idx.size:
         dist_sq = d_sq[idx, best.ravel()[idx]]
-        rate = _link_rate(dist_sq, *(radio[:, idx % rows] if isinstance(radio, np.ndarray)
-                                     else radio))
+        rate = _link_rate(dist_sq, *radio)
         taken = key[idx]
-        if cfg.share_mode == "equal_share":
+        if share_mode == "equal_share":
             delivered[idx] = rate / counts[taken]
-        else:  # single_user: the nearest (strongest) serving row takes the step, ties the lowest
+        else:  # single_user: the nearest (strongest) serving user takes the step, ties the lowest
             order = np.lexsort((dist_sq, taken))
             first = order[np.r_[True, taken[order[1:]] != taken[order[:-1]]]]
             delivered[idx[first]] = rate[first]
-    return delivered.reshape(k, rows), counts.reshape(k, n_slots)
+    return delivered.reshape(k, m), counts.reshape(k, n_ap)
 
 
 def _record(events, k0: int, dt_s: float, logged) -> None:
-    """Append a block's events, (t, kind, user, AP), to their configs'
-    lists in (step, kind, user) order. logged holds (kind, mask, AP) in
-    kind order, mask and AP by (step, row); block step j is at t =
+    """Append a block's events, (t, kind, user, AP), to one config's list
+    in (step, kind, user) order. logged holds (kind, mask, AP) in kind
+    order, mask and AP by (step, user); block step j is at t =
     (k0 + j + 1) * dt_s."""
     kinds, masks, aps = zip(*logged)
-    shape = (len(kinds), len(masks[0]), len(events), -1)  # kind, step, config, user
-
-    def by_config(x):
-        return np.stack(x).reshape(shape).transpose(2, 1, 0, 3)
-    found = np.nonzero(by_config(masks))  # in (config, step, kind, user) order
-    ap = by_config(aps)[found]
-    for c, j, i, u, a in zip(*(x.tolist() for x in (*found, ap))):
-        events[c].append(((k0 + j + 1) * dt_s, kinds[i], u, a))
+    found = np.nonzero(np.stack(masks, axis=1))  # in (step, kind, user) order
+    ap = np.stack(aps, axis=1)[found]
+    for j, i, u, a in zip(*(x.tolist() for x in (*found, ap))):
+        events.append(((k0 + j + 1) * dt_s, kinds[i], u, a))
 
 
 LABEL_DARKNESS, LABEL_ILLUMINATION, LABEL_SHADOW = 0, 1, 2
@@ -552,8 +518,9 @@ LABEL_NAMES = ("darkness", "illumination", "shadow")
 # Heat-map cells per block; the block's (cells, APs) temporaries are a
 # fixed multiple of this, whatever the resolution.
 _CELL_BLOCK = 1 << 15
-# (step, row, AP) entries per block of run()'s step loop; the block's
-# temporaries are a fixed multiple of this, whatever the run's length.
+# (step, user, AP) entries per block of run()'s step loop, for the config
+# with the most APs; a config's block temporaries are a fixed multiple of
+# this, whatever the run's length.
 _STEP_BLOCK = 1 << 12
 
 
@@ -604,7 +571,7 @@ def heatmap(
         )
     radio = _radio(cfg.link)
     z = cfg.user_height_m
-    aps = _ApArrays([build_constellation(cfg)], z)
+    con = build_constellation(cfg)
     bodies = _body_arrays(blockers) if blockers else None
 
     rates = np.empty((nx, ny))
@@ -613,11 +580,11 @@ def heatmap(
     for i0 in range(0, nx, rows):
         i1 = min(i0 + rows, nx)
         cells = np.stack([np.repeat(xs[i0:i1], ny), np.tile(ys, i1 - i0)], axis=1)
-        d_sq = aps.d_sq(cells)
+        d_sq = _d_sq(con, z, cells)
         clear = _best_rate(_best_ap(d_sq), d_sq, radio)
         rate = clear
         if bodies is not None:
-            blocked = geometry.blocked_matrix(aps.xyz, cells, z, *bodies, own_body=False)
+            blocked = geometry.blocked_matrix(con.xyz, cells, z, *bodies, own_body=False)
             rate = _best_rate(_best_ap(d_sq, blocked), d_sq, radio)
         label = np.full(cells.shape[0], LABEL_DARKNESS, dtype=np.int8)
         label[rate >= probe_rate_bps] = LABEL_ILLUMINATION

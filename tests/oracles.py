@@ -38,7 +38,13 @@ import numpy as np
 from thzplan import geometry, mobility
 from thzplan import simulation as sim
 from thzplan.geometry import BodyCylinder
-from thzplan.linkbudget import _radius_constant, absorption_for, shannon_rate, snr_scale
+from thzplan.linkbudget import (
+    SPEED_OF_LIGHT,
+    absorption_for,
+    antenna_gain,
+    shannon_rate,
+    snr_scale,
+)
 from thzplan.mobility import (
     DEFAULT_BODY_HEIGHT_M,
     DEFAULT_BODY_WIDTH_M,
@@ -304,7 +310,15 @@ def coverage_radius_bruteforce(params, spectral_efficiency: float) -> float:
     1 m until the sign flips, then bisects to an interval below 1e-9 m (or
     to float resolution for very large radii).
     """
-    k = _radius_constant(params, spectral_efficiency)
+    # K = p_t g^2 / (N0 B (4 pi f / c)^2 (2^s - 1)), in an order of its
+    # own: linkbudget divides snr_scale by 2^s - 1
+    g_ant = antenna_gain(params.beamwidth_deg)
+    k = params.p_t_w * g_ant * g_ant / (
+        params.noise_psd_w_hz
+        * params.bandwidth_hz
+        * (4.0 * math.pi * params.f_c_hz / SPEED_OF_LIGHT) ** 2
+        * (2.0 ** spectral_efficiency - 1.0)
+    )
     tau = absorption_for(params)
     log_k = math.log(k)
 

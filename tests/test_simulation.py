@@ -659,6 +659,31 @@ class TestBatch:
         assert sim.run([cfg]) == [run_one(cfg)]
         assert sim.run([]) == []
 
+    def test_one_crowd_moves_and_is_blocked_once_per_step(self):
+        # A1, B16 and C8 share the crowd, and one blocked_matrix call per
+        # step takes all 25 of their APs
+        cfg = make_config(duration_s=0.5, blockage_enabled=True, pause_s=0.05)
+        configs = [sim.with_placement(cfg, t, n) for t, n in [("A", 1), ("B", 16), ("C", 8)]]
+        moves, ap_counts = [], []
+        step_user, blocked_matrix = mob.step_user, geo.blocked_matrix
+
+        def moving(*args, **kwargs):
+            moves.append(1)
+            step_user(*args, **kwargs)
+
+        def blocking(ap_xyz, *args, **kwargs):
+            ap_counts.append(len(ap_xyz))
+            return blocked_matrix(ap_xyz, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mob, "step_user", moving)
+            mp.setattr(geo, "blocked_matrix", blocking)
+            batched = sim.run(configs, record_events=True)
+        assert len(moves) == 50
+        assert ap_counts == [25] * 50
+        alone = [run_one(c, True) for c in configs]
+        assert [_report_bits(r) for r in batched] == [_report_bits(r) for r in alone]
+
     @pytest.mark.parametrize("field,value", [
         ("seed", 2), ("n_users", 5), ("dt_s", 0.02), ("blockage_enabled", True),
     ])
@@ -688,7 +713,7 @@ def blocked_batches(draw):
     if shape == "ragged":
         steps = st.builds(lambda q, r: q * k + r, st.integers(1, 3), st.integers(1, k - 1))
     configs = draw(batches(users=st.integers(2, 40), steps=steps))
-    entries = len(configs) * configs[0].n_users * max(c.n_aps for c in configs)
+    entries = configs[0].n_users * max(c.n_aps for c in configs)
     n_steps = round(configs[0].duration_s / configs[0].dt_s)
     return configs, (n_steps + 1) * entries if shape == "whole run" else k * entries
 
@@ -706,8 +731,9 @@ def _tied_first_pair(init_users):
 
 
 class TestStepBlocks:
-    """run() steps in blocks of about _STEP_BLOCK (step, row, AP) entries;
-    the step-by-step oracle must give the same bits across every seam."""
+    """run() steps in blocks of about _STEP_BLOCK (step, user, AP) entries,
+    counted for the batch's config with the most APs; the step-by-step
+    oracle must give the same bits across every seam."""
 
     @settings(max_examples=60, deadline=None)
     @given(blocked_batches())
@@ -722,16 +748,24 @@ class TestStepBlocks:
             alone = [run_one(c, True) for c in configs]
         assert [_report_bits(r) for r in blocked] == [_report_bits(r) for r in alone]
 
-    def test_peak_memory_does_not_grow_with_the_run(self):
+    @pytest.mark.parametrize("layouts,blockage", [
+        ([("B", 4)], False),
+        ([("A", 1), ("B", 16), ("C", 8)], True),  # the (step, user, AP) blockage buffer
+    ], ids=["B4", "A1-B16-C8-blockage"])
+    def test_peak_memory_does_not_grow_with_the_run(self, layouts, blockage):
         # the block buffers have a fixed size, so 2000 steps peak where 20 do
+        def batch(duration_s):
+            cfg = make_config(duration_s=duration_s, blockage_enabled=blockage)
+            return [sim.with_placement(cfg, *layout) for layout in layouts]
+
         def peak(duration_s):
             tracemalloc.start()
             try:
-                sim.run(make_config(duration_s=duration_s))
+                sim.run(batch(duration_s))
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        sim.run(make_config(duration_s=0.2))
+        sim.run(batch(0.2))
         assert peak(20.0) <= peak(0.2) + 1e6
 
 
