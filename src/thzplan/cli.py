@@ -91,9 +91,18 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
+def _radius(link, s: float) -> float:
+    """coverage_radius of a valid link at spectral efficiency s; what can
+    still fail is the flag's value."""
+    try:
+        return linkbudget.coverage_radius(link, s)
+    except (ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"spectral-efficiency: no radius for {s!r}: {exc}") from exc
+
+
 def cmd_radius(args) -> int:
     cfg, _ = _load(args)
-    r = linkbudget.coverage_radius(cfg.link, args.spectral_efficiency)
+    r = _radius(cfg.link, args.spectral_efficiency)
     print(math.ceil(r) if args.ceil else f"{r:.6f}")
     return EXIT_OK
 
@@ -107,8 +116,9 @@ def cmd_coverage_sweep(args) -> int:
     lines = ["f_c_ghz,beamwidth_deg,radius_m"]
     for f in freqs:
         for bw in widths:
-            link = replace(cfg, f_c_hz=f * 1e9, beamwidth_deg=bw).link
-            r = linkbudget.coverage_radius(link, args.spectral_efficiency)
+            point = replace(cfg, f_c_hz=f * 1e9, beamwidth_deg=bw)
+            point.validate()
+            r = _radius(point.link, args.spectral_efficiency)
             lines.append(f"{reporting.fmt(f)},{reporting.fmt(bw)},{reporting.fmt(r)}")
     text = "\n".join(lines)
     if args.out:
@@ -183,10 +193,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, out_default=None):
+    def common(sp, out_default=None, crowd=True):
         sp.add_argument("--config", default=None, help="INI config file")
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--blockage", choices=("on", "off"), default=None)
+        if crowd:  # only the commands that check or run a crowd take its settings
+            sp.add_argument("--seed", type=int, default=None)
+            sp.add_argument("--blockage", choices=("on", "off"), default=None)
         if out_default is not None:
             sp.add_argument("--out", default=out_default, help="output directory")
 
@@ -195,14 +206,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_validate)
 
     sp = sub.add_parser("radius", help="illumination radius for a spectral efficiency")
-    common(sp)
+    common(sp, crowd=False)
     sp.add_argument("--spectral-efficiency", "-s", type=_positive_number, default=0.1,
                     dest="spectral_efficiency", help="bit/s/Hz")
     sp.add_argument("--ceil", action="store_true", help="round up to whole meters")
     sp.set_defaults(func=cmd_radius)
 
     sp = sub.add_parser("coverage-sweep", help="radius over frequency x beamwidth")
-    common(sp)
+    common(sp, crowd=False)
     sp.add_argument("--frequencies", dest="frequencies_ghz", default="570",
                     help="GHz list or start:stop:step")
     sp.add_argument("--beamwidths", dest="beamwidths_deg", default="5,10,20",
@@ -213,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_coverage_sweep)
 
     sp = sub.add_parser("heatmap", help="rasterized best-AP rate field")
-    common(sp, out_default="out")
+    common(sp, out_default="out", crowd=False)
     sp.add_argument("--type", default=None, help="placement type letter override")
     sp.add_argument("--n", type=int, default=None, help="AP count override")
     sp.add_argument("--resolution", type=float, default=10.0, help="cells per meter")

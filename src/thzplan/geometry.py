@@ -171,15 +171,9 @@ def reference_distances(
 ) -> tuple[float, float]:
     """Reference link distances feeding the height correction: grid-average
     nearest-AP distance for the ceiling grid and for the full-height
-    perimeter layout."""
-    if n not in GRID_COUNTS:
-        raise ValueError(f"unsupported AP count {n}; choose from {GRID_COUNTS}")
-    z = np.full(n, room.height_m)
-    d_grid = mean_nearest_distance(
-        room, np.column_stack([_grid_xy(room, n), z]), probe_height_m, grid)
-    d_perim = mean_nearest_distance(
-        room, np.column_stack([_wall_xy(room, n), z]), probe_height_m, grid)
-    return d_grid, d_perim
+    perimeter layout, both as place() builds them."""
+    return tuple(mean_nearest_distance(room, place(room, t, n, 0.0).xyz, probe_height_m, grid)
+                 for t in "BC")
 
 
 # Candidate boxes are padded by the largest radius plus this slack times
@@ -215,11 +209,11 @@ def blocked_matrix(
     Pruning, in three steps:
 
     1. z-window: per AP, the parameter range [t_lo, t_hi] within [0, 1]
-       where the segment lies at or below the tallest body, from the same
-       z_lo/z_hi formulas as the exact test. With the AP above the device,
-       t_lo = (h_max - z_ap) / (z_device - z_ap) and t_hi = 1. No body
-       reaches the segment outside that window, and an AP whose window is
-       empty needs no test at all.
+       where the segment lies at or below the tallest body: the exact
+       test's own window (_z_window) clipped to [0, 1]. With the AP above
+       the device, t_lo = (h_max - z_ap) / (z_device - z_ap) and t_hi = 1.
+       No body reaches the segment outside that window, and an AP whose
+       window is empty needs no test at all.
     2. Candidate rule: blocker centres sit in a uniform cell list. Blocker
        b is a candidate for pair (u, a) when its centre lies in the
        axis-aligned bounding box of the sub-segment over [t_lo, t_hi],
@@ -258,15 +252,8 @@ def blocked_matrix(
 
     az = ap[:, 2]
     dz = device_z - az
-    h_top = height.max()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t0 = (0.0 - az) / dz
-        t1 = (h_top - az) / dz
-    level = dz == 0.0
-    level_inside = level & (az >= 0.0) & (az <= h_top)
-    t_lo = np.where(level, 0.0, np.maximum(np.minimum(t0, t1), 0.0))
-    t_hi = np.where(level, np.where(level_inside, 1.0, -1.0),
-                    np.minimum(np.maximum(t0, t1), 1.0))
+    z_lo, z_hi = _z_window(az, dz, height.max())
+    t_lo, t_hi = np.maximum(z_lo, 0.0), np.minimum(z_hi, 1.0)
     live = np.flatnonzero((t_lo <= t_hi) & (t_hi > 0.0) & (t_lo < 1.0))
     if live.size == 0:
         return blocked
@@ -355,6 +342,21 @@ def _ranges(starts: np.ndarray, counts: np.ndarray):
     return owner, np.arange(owner.size) - first[owner] + starts[owner]
 
 
+def _z_window(az, dz, height):
+    """(z_lo, z_hi): the parameter range where the segment az + t * dz
+    lies in [0, height], unclipped. A level segment (dz == 0) gets [0, 1]
+    when it lies in that span and the empty (inf, -inf) when not. The
+    exact test and blocked_matrix's pruning both use it, so they agree."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t0 = (0.0 - az) / dz
+        t1 = (height - az) / dz
+    level = dz == 0.0
+    inside = level & (az >= 0.0) & (az <= height)
+    z_lo = np.where(level, np.where(inside, 0.0, np.inf), np.minimum(t0, t1))
+    z_hi = np.where(level, np.where(inside, 1.0, -np.inf), np.maximum(t0, t1))
+    return z_lo, z_hi
+
+
 def _cylinder_hits(ax, ay, dx, dy, qa, az, dz, cx, cy, radius, height) -> np.ndarray:
     """Open segment a -> a + d against one solid cylinder, row by row.
 
@@ -366,16 +368,7 @@ def _cylinder_hits(ax, ay, dx, dy, qa, az, dz, cx, cy, radius, height) -> np.nda
     endpoints themselves do not count, since device and AP touch their
     own hulls.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t0 = (0.0 - az) / dz
-        t1 = (height - az) / dz
-    z_lo = np.minimum(t0, t1)
-    z_hi = np.maximum(t0, t1)
-    level = (dz == 0.0)
-    inside_level = level & (az >= 0.0) & (az <= height)
-    z_lo = np.where(level, np.where(inside_level, 0.0, np.inf), z_lo)
-    z_hi = np.where(level, np.where(inside_level, 1.0, -np.inf), z_hi)
-
+    z_lo, z_hi = _z_window(az, dz, height)
     fx, fy = ax - cx, ay - cy
     qb = 2.0 * (fx * dx + fy * dy)
     qc = (fx * fx + fy * fy) - radius * radius

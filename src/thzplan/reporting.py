@@ -7,6 +7,7 @@ inputs give identical files on any platform.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import tempfile
@@ -35,30 +36,22 @@ def fmt(value) -> str:
     return str(value)
 
 
-class _AtomicText:
-    """Write to a sibling temp file, atomically replace on success."""
-
-    def __init__(self, path):
-        self.path = os.fspath(path)
-        d = os.path.dirname(self.path) or "."
-        fd, self.tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-        self.fh = os.fdopen(fd, "w", newline="\n")
-
-    def __enter__(self):
-        return self.fh
-
-    def __exit__(self, exc_type, exc, tb):
-        replaced = False
-        try:
-            # close flushes, so a full disk can fail here, not in write
-            self.fh.close()
-            if exc_type is None:
-                os.replace(self.tmp, self.path)
-                replaced = True
-        finally:
-            if not replaced:
-                os.unlink(self.tmp)
-        return False
+def _write(path, chunks) -> None:
+    """Write the text chunks to a sibling temp file, then atomically
+    replace path with it. On any failure the temp file is removed and path
+    is left as it was; an OSError comes out once, as 'cannot write <path>'."""
+    tmp = None
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
+        with os.fdopen(fd, "w", newline="\n") as fh:  # close flushes, so a full disk fails here
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+        tmp = None
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc}") from exc
+    finally:
+        if tmp is not None:
+            os.unlink(tmp)
 
 
 def result_row(report: MetricsReport) -> tuple:
@@ -71,13 +64,8 @@ def result_row(report: MetricsReport) -> tuple:
 
 def write_results(reports, path) -> None:
     """Long-format sweep table, one row per run."""
-    try:
-        with _AtomicText(path) as fh:
-            fh.write(",".join(RESULT_COLUMNS) + "\n")
-            for r in reports:
-                fh.write(",".join(fmt(v) for v in result_row(r)) + "\n")
-    except OSError as exc:
-        raise OSError(f"cannot write results table {path}: {exc}") from exc
+    _write(path, [",".join(RESULT_COLUMNS) + "\n"]
+           + [",".join(fmt(v) for v in result_row(r)) + "\n" for r in reports])
 
 
 def read_results(path) -> list[dict]:
@@ -97,13 +85,8 @@ def read_results(path) -> list[dict]:
 
 
 def write_events(events, path) -> None:
-    try:
-        with _AtomicText(path) as fh:
-            fh.write(",".join(EVENT_COLUMNS) + "\n")
-            for t, kind, user, ap in events:
-                fh.write(f"{fmt(t)},{kind},{user},{ap}\n")
-    except OSError as exc:
-        raise OSError(f"cannot write event log {path}: {exc}") from exc
+    rows = (f"{fmt(t)},{kind},{user},{ap}\n" for t, kind, user, ap in events)
+    _write(path, itertools.chain([",".join(EVENT_COLUMNS) + "\n"], rows))
 
 
 def write_heatmap(grid: HeatmapGrid, rates_path, labels_path, meta_path) -> None:
@@ -135,24 +118,17 @@ def write_heatmap(grid: HeatmapGrid, rates_path, labels_path, meta_path) -> None
     digits = np.full((nx, max(2 * ny, 1)), ord(","), dtype=np.uint8)
     digits[:, 0:2 * ny:2] = labels + ord("0")
     digits[:, -1] = ord("\n")
-    try:
-        with _AtomicText(rates_path) as fh:
-            for row in index:
-                fh.write(",".join(text[row].tolist()) + "\n")
-        with _AtomicText(labels_path) as fh:
-            fh.write(digits.tobytes().decode("ascii"))
-        meta = {
-            "resolution_cells_per_m": grid.resolution_cells_per_m,
-            "length_m": grid.length_m,
-            "width_m": grid.width_m,
-            "device_height_m": grid.device_height_m,
-            "probe_rate_bps": grid.probe_rate_bps,
-            "label_legend": {str(i): name for i, name in enumerate(LABEL_NAMES)},
-            "shape": [nx, ny],
-        }
-        write_json(meta, meta_path)
-    except OSError as exc:
-        raise OSError(f"cannot write heat map {rates_path}: {exc}") from exc
+    _write(rates_path, (",".join(text[row].tolist()) + "\n" for row in index))
+    _write(labels_path, [digits.tobytes().decode("ascii")])
+    write_json({
+        "resolution_cells_per_m": grid.resolution_cells_per_m,
+        "length_m": grid.length_m,
+        "width_m": grid.width_m,
+        "device_height_m": grid.device_height_m,
+        "probe_rate_bps": grid.probe_rate_bps,
+        "label_legend": {str(i): name for i, name in enumerate(LABEL_NAMES)},
+        "shape": [nx, ny],
+    }, meta_path)
 
 
 def read_heatmap(rates_path, labels_path, meta_path) -> HeatmapGrid:
@@ -172,11 +148,7 @@ def read_heatmap(rates_path, labels_path, meta_path) -> HeatmapGrid:
 
 
 def write_text(text: str, path) -> None:
-    try:
-        with _AtomicText(path) as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise OSError(f"cannot write {path}: {exc}") from exc
+    _write(path, [text])
 
 
 def write_json(payload: dict, path) -> None:

@@ -19,13 +19,14 @@ blockage on the blocked_matrix call over every config's APs stacked, are
 shared by the batch; each config keeps its own AP table, link state and
 accumulators.
 
-run() steps in blocks of K steps, K from _STEP_BLOCK. Only mobility and
-the blockage call depend on the step before, so they run per step: the
-crowd moves, each step's positions are kept, and with blockage on each
-step gets its blocked_matrix call. Then, config by config, association,
-handoffs, alignment and the rate share run once over the block's
-(step, user) entries, with the same floating-point operations as a loop
-of single steps, so every result is the same whatever K is.
+run() steps in blocks of K steps, K from _STEP_BLOCK. Only mobility
+depends on the step before, so it runs per step: the crowd moves and each
+step's positions are kept. With blockage on, each step also gets its own
+blocked_matrix call, only because that kernel has no step axis yet. Then,
+config by config, association, handoffs, alignment and the rate share run
+once over the block's (step, user) entries, with the same floating-point
+operations as a loop of single steps, so every result is the same
+whatever K is.
 """
 
 from __future__ import annotations
@@ -105,7 +106,9 @@ class SimConfig:
 
     def validate(self) -> None:
         """Raise a ConfigError that starts with the field at fault; a rule
-        tying fields together names them all, joined by '/'."""
+        tying fields together names them all, joined by '/'. This checks
+        every rule but one: a config is runnable when build_constellation,
+        which calls this first, succeeds."""
         numbers = [(f.name, getattr(self, f.name)) for f in fields(self)]
         numbers += [(f"room.{f.name}", getattr(self.room, f.name)) for f in fields(self.room)]
         for name, value in numbers:
@@ -191,9 +194,11 @@ def parse_series(label: str) -> tuple[str, int]:
 
 def build_constellation(cfg: SimConfig) -> Constellation:
     """Constellation for a config; wall mounts get the height correction
-    matching the ceiling grid. A room where the wall layout sits closer to
-    the floor cells than the grid does has no such correction: that is a
-    ConfigError naming placement_type."""
+    matching the ceiling grid. This call is the runnable check: it runs
+    cfg.validate() first, then the one rule validate() cannot, that a room
+    where the wall layout sits closer to the floor cells than the grid
+    does has no such correction, a ConfigError naming placement_type."""
+    cfg.validate()
     t = cfg.placement_type.upper()
     h_c = 0.0
     if t == "C":
@@ -341,15 +346,14 @@ def run(cfg: SimConfig | Sequence[SimConfig], record_events: bool = False):
     field that differs. Each report is exactly the one its config gets alone.
     """
     batch = [cfg] if isinstance(cfg, SimConfig) else list(cfg)
+    cons = [build_constellation(c) for c in batch]
     for c in batch:
-        c.validate()
         for (name, want), (_, got) in zip(_crowd_fields(batch[0]), _crowd_fields(c)):
             if got != want:
                 raise ValueError(f"{name}: configs run as one batch must share it, "
                                  f"got {want!r} and {got!r}")
     if not batch:
         return []
-    cons = [build_constellation(c) for c in batch]
     m, n_steps = batch[0].n_users, int(round(batch[0].duration_s / batch[0].dt_s))
     covered, handoffs = np.zeros((2, len(batch), m), dtype=np.int64)
     thr = np.zeros((len(batch), m))
@@ -403,7 +407,7 @@ def _step_all(batch: Sequence[SimConfig], cons: Sequence[Constellation], n_steps
     k_max = min(max(1, _STEP_BLOCK // (m * max(len(con) for con in cons))), n_steps)
     xy = np.empty((k_max, m, 2))
     hits = np.empty((k_max, m, len(xyz)), dtype=bool) if cfg.blockage_enabled else None
-    lefts = [_align_table(con.align_time_s, cfg.dt_s, n_steps) for con in cons]
+    deads = [_dead_steps(con.align_time_s, cfg.dt_s, n_steps) for con in cons]
     radios = [_radio(c.link) for c in batch]
     # carried from block to block, by (config, user): the AP, the steps
     # since it last changed (the dead time depends on it alone), the shadow
@@ -421,7 +425,7 @@ def _step_all(batch: Sequence[SimConfig], cons: Sequence[Constellation], n_steps
                                                   cfg.user_width_m / 2.0, cfg.body_height_m,
                                                   own_body=True)
         step = np.arange(k)[:, None]
-        for i, (con, left, radio) in enumerate(zip(cons, lefts, radios)):
+        for i, (con, dead, radio) in enumerate(zip(cons, deads, radios)):
             d_sq = _d_sq(con, cfg.user_height_m, xy[:k].reshape(-1, 2))
             blocked = None
             if hits is not None:  # config i's columns of the blockage buffer
@@ -434,7 +438,7 @@ def _step_all(batch: Sequence[SimConfig], cons: Sequence[Constellation], n_steps
             handoffs[i] += handoff.sum(axis=0)
             last = np.maximum.accumulate(np.where(changed, step, -1), axis=0)  # -1: not this block
             age = np.where(last >= 0, step - last, since[i] + step + 1)
-            counting = served & (left[np.minimum(age, len(left) - 1)] > 0.0)
+            counting = served & (age < dead)
             delivered, counts = _share(cfg.share_mode, best, served & ~counting, d_sq, radio,
                                        len(con))
             covered[i] += (delivered >= demand).sum(axis=0)
@@ -448,7 +452,7 @@ def _step_all(batch: Sequence[SimConfig], cons: Sequence[Constellation], n_steps
                     was = np.concatenate([shadowed[i, None], ~served[:-1]])
                     logged += [(EVENT_BLOCKAGE_START, ~served & ~was, prev),
                                (EVENT_BLOCKAGE_END, was & served, best)]
-                done = counting & (left[np.minimum(age + 1, len(left) - 1)] <= 0.0)
+                done = counting & (age + 1 == dead)
                 _record(events[i], k0, cfg.dt_s, logged + [(EVENT_ALIGNMENT_DONE, done, best)])
             assign[i], since[i], shadowed[i] = best[-1], age[-1], ~served[-1]
 
@@ -466,15 +470,14 @@ class _Substreams(dict):
         return rng
 
 
-def _align_table(align_s: float, dt_s: float, n_steps: int) -> np.ndarray:
-    """The alignment time left at the start of a step, by steps since the
-    link changed, for dead time align_s. A step with time left pays dead
-    time, and takes dt_s off it down to 0. The table stops at its first 0
-    or at n_steps + 1 entries, so an index clipped to its end is exact."""
-    table = [align_s]
-    while len(table) <= n_steps and table[-1] > 0.0:
-        table.append(max(table[-1] - dt_s, 0.0))
-    return np.array(table)
+def _dead_steps(align_s: float, dt_s: float, n_steps: int) -> int:
+    """How many steps a new or changed link pays dead time align_s: each
+    step with time left pays, and takes dt_s off it down to 0. The count
+    stops at n_steps + 1, longer than any link of the run can age."""
+    left, dead = align_s, 0
+    while dead <= n_steps and left > 0.0:
+        left, dead = max(left - dt_s, 0.0), dead + 1
+    return dead
 
 
 def _share(share_mode, best, serving, d_sq, radio, n_ap):
@@ -559,7 +562,7 @@ def heatmap(
     """
     if not (math.isfinite(resolution_cells_per_m) and resolution_cells_per_m > 0):
         raise ConfigError("resolution: must be a finite positive number")
-    cfg.validate()
+    con = build_constellation(cfg)
     res = resolution_cells_per_m
     nx = math.ceil(cfg.room.length_m * res)
     ny = math.ceil(cfg.room.width_m * res)
@@ -571,7 +574,6 @@ def heatmap(
         )
     radio = _radio(cfg.link)
     z = cfg.user_height_m
-    con = build_constellation(cfg)
     bodies = _body_arrays(blockers) if blockers else None
 
     rates = np.empty((nx, ny))
@@ -629,7 +631,6 @@ def sweep(base: SimConfig | Sequence[SimConfig], axis: str, values,
     bases = [base] if isinstance(base, SimConfig) else base
     series = [[apply_axis(b, axis, v) for v in values] for b in bases]
     for c in (c for configs in series for c in configs):
-        c.validate()
         build_constellation(c)
     workers = min(jobs, len(series))  # a pool for one series only costs its start-up
     if workers > 1:

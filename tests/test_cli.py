@@ -325,6 +325,36 @@ def test_float_flag_needs_finite_positive_number(tmp_path, capsys, monkeypatch, 
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv,field", [
+    (["radius", "-s", "2000"], "spectral-efficiency"),
+    (["radius", "-s", "1e-300"], "spectral-efficiency"),
+    (["coverage-sweep", "--frequencies", "5000", "--out", "out"], "f_c_hz"),
+    (["coverage-sweep", "--beamwidths", "400", "--out", "out"], "beamwidth_deg"),
+    (["coverage-sweep", "-s", "2000", "--out", "out"], "spectral-efficiency"),
+])
+def test_radius_out_of_range_exits_2_naming_field(tmp_path, capsys, monkeypatch, argv, field):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"configuration error: {field}")
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["heatmap", "--blockage", "on"],
+    ["heatmap", "--seed", "3"],
+    ["radius", "--seed", "3"],
+    ["coverage-sweep", "--blockage", "off"],
+])
+def test_commands_without_a_crowd_reject_seed_and_blockage(tmp_path, capsys, monkeypatch, argv):
+    # no crowd is drawn, so neither setting could change what they write
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_CONFIG
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3", "1.5", "two"])
 def test_jobs_needs_positive_whole_number(tmp_path, capsys, monkeypatch, jobs):
     monkeypatch.chdir(tmp_path)

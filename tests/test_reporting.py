@@ -196,9 +196,12 @@ def test_summary_payload_is_every_field_but_events():
 def test_atomic_text_keeps_target_when_body_raises(tmp_path):
     target = tmp_path / "out.csv"
     target.write_text("old\n")
+
+    def interrupted():
+        yield "partial"
+        raise RuntimeError("interrupted")
+
     with pytest.raises(RuntimeError):
-        with reporting._AtomicText(target) as fh:
-            fh.write("partial")
-            raise RuntimeError("interrupted")
+        reporting._write(target, interrupted())
     assert target.read_text() == "old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
