@@ -14,10 +14,10 @@ device's chosen link alone (_link_rate), so the static and dynamic views
 agree.
 
 run() steps one crowd for a batch of configs that differ only on the AP
-side; sweep() runs each series as one batch. The crowd, and with
-blockage on the blocked_matrix call over every config's APs stacked, are
-shared by the batch; each config keeps its own AP table, link state and
-accumulators.
+side; in-process, sweep() runs all of its series as one batch. The crowd,
+and with blockage on the blocked_matrix call over every config's APs
+stacked, are shared by the batch; each config keeps its own AP table, link
+state and accumulators.
 
 run() steps in blocks of K steps, K from _STEP_BLOCK. Only mobility
 depends on the step before, so it runs per step: the crowd moves and each
@@ -240,12 +240,15 @@ class MetricsReport:
     events: tuple = ()
 
 
-def _d_sq(con: Constellation, device_z: float, pos: np.ndarray) -> np.ndarray:
-    """(n, A) squared 3-D distance from each AP of con to a device at
-    height device_z at each (n, 2) point."""
-    dx = pos[:, None, 0] - con.xyz[None, :, 0]
-    dy = pos[:, None, 1] - con.xyz[None, :, 1]
-    return dx ** 2 + dy ** 2 + (con.xyz[None, :, 2] - device_z) ** 2
+def _d_sq(con: Constellation, device_z: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Squared 3-D distance from a device at height device_z at each floor
+    point (x, y) to each AP of con, APs on a new last axis. x and y
+    broadcast against each other: (n,) columns give (n, A), and heatmap()'s
+    (rows, 1) x against its (1, ny) y give (rows, ny, A) from an x table and
+    a y table, with each entry's sum in the same order either way."""
+    d_sq = (x[..., None] - con.xyz[:, 0]) ** 2 + (y[..., None] - con.xyz[:, 1]) ** 2
+    d_sq += (con.xyz[:, 2] - device_z) ** 2  # in place: no second full-size array
+    return d_sq
 
 
 def _best_ap(d_sq: np.ndarray, blocked: np.ndarray | None = None) -> np.ndarray:
@@ -310,7 +313,7 @@ def associate(
         blocked = geometry.blocked_matrix(
             constellation.xyz, pos, device_height_m, *_body_arrays(blockers), own_body=True
         )
-    return tuple(_best_ap(_d_sq(constellation, device_height_m, pos), blocked).tolist())
+    return tuple(_best_ap(_d_sq(constellation, device_height_m, *pos.T), blocked).tolist())
 
 
 def _body_arrays(blockers: Sequence[BodyCylinder]):
@@ -336,6 +339,19 @@ def _crowd_fields(cfg: SimConfig) -> list[tuple[str, object]]:
         (f.name, getattr(cfg, f.name)) for f in fields(cfg) if f.name not in _AP_FIELDS]
 
 
+def _checked(batch: Sequence[SimConfig]) -> list[Constellation]:
+    """The constellations of a batch's configs, once every config has
+    passed the runnable check (build_constellation) and shares the first
+    one's crowd settings; a ValueError names the first that differs."""
+    cons = [build_constellation(c) for c in batch]
+    for c in batch:
+        for (name, want), (_, got) in zip(_crowd_fields(batch[0]), _crowd_fields(c)):
+            if got != want:
+                raise ValueError(f"{name}: configs run as one batch must share it, "
+                                 f"got {want!r} and {got!r}")
+    return cons
+
+
 def run(cfg: SimConfig | Sequence[SimConfig], record_events: bool = False):
     """Execute the configured run(s) and aggregate metrics.
 
@@ -346,12 +362,7 @@ def run(cfg: SimConfig | Sequence[SimConfig], record_events: bool = False):
     field that differs. Each report is exactly the one its config gets alone.
     """
     batch = [cfg] if isinstance(cfg, SimConfig) else list(cfg)
-    cons = [build_constellation(c) for c in batch]
-    for c in batch:
-        for (name, want), (_, got) in zip(_crowd_fields(batch[0]), _crowd_fields(c)):
-            if got != want:
-                raise ValueError(f"{name}: configs run as one batch must share it, "
-                                 f"got {want!r} and {got!r}")
+    cons = _checked(batch)
     if not batch:
         return []
     m, n_steps = batch[0].n_users, int(round(batch[0].duration_s / batch[0].dt_s))
@@ -426,7 +437,7 @@ def _step_all(batch: Sequence[SimConfig], cons: Sequence[Constellation], n_steps
                                                   own_body=True)
         step = np.arange(k)[:, None]
         for i, (con, dead, radio) in enumerate(zip(cons, deads, radios)):
-            d_sq = _d_sq(con, cfg.user_height_m, xy[:k].reshape(-1, 2))
+            d_sq = _d_sq(con, cfg.user_height_m, *xy[:k].reshape(-1, 2).T)
             blocked = None
             if hits is not None:  # config i's columns of the blockage buffer
                 blocked = hits[:k, :, cols[i]:cols[i + 1]].reshape(d_sq.shape)
@@ -558,7 +569,11 @@ def heatmap(
     cells each (one row when a row is longer), so the (cells, APs)
     temporaries stay a fixed size whatever the resolution. Each cell's
     arithmetic is element-wise or a per-cell argmin, so the result does
-    not depend on the block size.
+    not depend on the block size. A cell's squared distance to an AP is
+    an x term plus a y term plus the AP's height term, so a block's
+    distances come from a (rows, APs) table of x terms and an (ny, APs)
+    table of y terms (_d_sq), not from a list of cells; the cells are
+    listed only for the blockage kernel, when there are blockers.
     """
     if not (math.isfinite(resolution_cells_per_m) and resolution_cells_per_m > 0):
         raise ConfigError("resolution: must be a finite positive number")
@@ -581,14 +596,14 @@ def heatmap(
     rows = max(1, _CELL_BLOCK // ny)
     for i0 in range(0, nx, rows):
         i1 = min(i0 + rows, nx)
-        cells = np.stack([np.repeat(xs[i0:i1], ny), np.tile(ys, i1 - i0)], axis=1)
-        d_sq = _d_sq(con, z, cells)
+        d_sq = _d_sq(con, z, xs[i0:i1, None], ys[None, :]).reshape(-1, len(con))
         clear = _best_rate(_best_ap(d_sq), d_sq, radio)
         rate = clear
-        if bodies is not None:
+        if bodies is not None:  # the cells, for the blockage kernel alone
+            cells = np.stack([np.repeat(xs[i0:i1], ny), np.tile(ys, i1 - i0)], axis=1)
             blocked = geometry.blocked_matrix(con.xyz, cells, z, *bodies, own_body=False)
             rate = _best_rate(_best_ap(d_sq, blocked), d_sq, radio)
-        label = np.full(cells.shape[0], LABEL_DARKNESS, dtype=np.int8)
+        label = np.full(rate.shape, LABEL_DARKNESS, dtype=np.int8)
         label[rate >= probe_rate_bps] = LABEL_ILLUMINATION
         label[(rate < probe_rate_bps) & (clear >= probe_rate_bps)] = LABEL_SHADOW
         rates[i0:i1] = rate.reshape(i1 - i0, ny)
@@ -620,22 +635,25 @@ def sweep(base: SimConfig | Sequence[SimConfig], axis: str, values,
           jobs: int = 1) -> list[MetricsReport]:
     """Runs along one axis, identical seed, input order kept.
 
-    base is one config or a sequence of them, one series each. Every config
-    is checked, constellation included, before the first run. An axis moves
-    only the AP side, so each series is one run() batch: one crowd, stepped
-    once, for every value. With jobs > 1 and several series, a pool of at
-    most one process per series runs them; one series runs in-process.
+    base is one config or a sequence of them, one series each. An axis
+    moves only the AP side, so the series may differ only there too, as the
+    configs of one run() batch must; otherwise a ValueError names the
+    field. In-process, every config of every series is one run() batch:
+    one crowd, stepped once, and every config checked, constellation
+    included, before the first step. With jobs > 1 and several series, a
+    pool of at most one process per series runs one batch per series,
+    after the same check of every config up front.
     """
     if not values:
         raise ConfigError("values: sweep needs at least one value")
     bases = [base] if isinstance(base, SimConfig) else base
     series = [[apply_axis(b, axis, v) for v in values] for b in bases]
-    for c in (c for configs in series for c in configs):
-        build_constellation(c)
+    configs = [c for s in series for c in s]
     workers = min(jobs, len(series))  # a pool for one series only costs its start-up
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    if workers <= 1:
+        return run(configs)
+    _checked(configs)
+    from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return [r for reports in pool.map(run, series) for r in reports]
-    return [r for configs in series for r in run(configs)]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return [r for reports in pool.map(run, series) for r in reports]

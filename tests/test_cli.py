@@ -11,6 +11,7 @@ from test_config import BAD_CONFIGS
 from thzplan import cli
 from thzplan import config as cfgmod
 from thzplan import linkbudget as lb
+from thzplan import mobility
 from thzplan import simulation
 from thzplan.simulation import SimConfig
 
@@ -236,9 +237,10 @@ def test_sweep_checks_every_series_before_the_first_run(tmp_path, capsys, monkey
     monkeypatch.chdir(tmp_path)
     path = tmp_path / "long.ini"
     path.write_text(_LONG_C_ROOM)
-    calls = []
-    run = simulation.run
-    monkeypatch.setattr(simulation, "run", lambda *a, **kw: calls.append(1) or run(*a, **kw))
+    calls = []  # no crowd may be set up: a run fails before its first step
+    init_users = mobility.init_users
+    monkeypatch.setattr(mobility, "init_users",
+                        lambda *a, **kw: calls.append(1) or init_users(*a, **kw))
     code = cli.main(["sweep", "--config", str(path), "--types", "B4,C16", "--values", "2,3",
                      "--out", "out"])
     assert code == cli.EXIT_CONFIG

@@ -503,6 +503,14 @@ _HEATMAP_BODIES = [
 ]
 
 
+@st.composite
+def floor_cells(draw):
+    """(nx, ny) cell counts of a room no more than about 1.75 times as long
+    one way as the other, so that every C layout has its height correction."""
+    nx = draw(st.integers(3, 40))
+    return nx, draw(st.integers(max(3, math.ceil(nx / 1.6)), int(nx * 1.6)))
+
+
 class TestHeatmapBlocks:
     """heatmap() fills its grids block by block; the whole-grid oracle must
     give the same bits."""
@@ -544,6 +552,28 @@ class TestHeatmapBlocks:
         assert 500 % (sim._CELL_BLOCK // 500) != 0
         self.assert_matches_oracle(cfg, 50.0, 1e9, None)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        cells=floor_cells(),
+        last=st.tuples(st.floats(0.55, 0.95), st.floats(0.55, 0.95)),
+        res=st.sampled_from([0.8, 1.5, 2.5, 4.0, 6.5]),
+        layout=st.sampled_from([("A", 1)] + [(t, n) for t in "BC" for n in geo.GRID_COUNTS]),
+        probe=st.sampled_from([1e8, 1e9, 2e9, 5e9]),
+        blockers=st.sampled_from([None, _HEATMAP_BODIES]),
+        block=st.integers(1, 300),
+    )
+    def test_blocks_match_the_whole_grid_pass(self, cells, last, res, layout, probe,
+                                              blockers, block):
+        # room sides with a last cell a fraction `last` inside the wall, so
+        # the x and y distance tables differ and every centre lies in the room
+        (nx, ny), (fx, fy) = cells, last
+        room = geo.Room((nx - 1 + fx) / res, (ny - 1 + fy) / res, 3.0)
+        cfg = make_config(room=room, placement_type=layout[0], n_aps=layout[1])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sim, "_CELL_BLOCK", block)  # ragged blocks, or one row each
+            grid = self.assert_matches_oracle(cfg, res, probe, blockers)
+        assert grid.rates_bps.shape == (nx, ny)
+
     def test_peak_memory_stays_below_the_whole_grid_pass(self):
         # the whole-grid pass peaks at about 57 MB here
         cfg = make_config(placement_type="C", n_aps=4)
@@ -576,12 +606,52 @@ class TestSweep:
         assert [r.placement_type for r in reports] == ["A", "B", "C"]
         assert reports[0].n_aps == 1
 
-    def test_several_bases_sweep_series_by_series(self):
+    def test_several_bases_sweep_as_one_batch(self):
         b4 = make_config(duration_s=0.05)
         c8 = sim.with_placement(b4, "C", 8)
         both = sim.sweep([b4, c8], "H", [2.0, 3.0])
         assert both == sim.sweep(b4, "H", [2.0, 3.0]) + sim.sweep(c8, "H", [2.0, 3.0])
         assert [r.placement_type for r in both] == ["B", "B", "C", "C"]
+
+    def test_blockage_on_series_in_one_batch_match_each_series_and_the_pool(self):
+        cfg = make_config(duration_s=0.3, blockage_enabled=True, pause_s=0.05)
+        bases = [sim.with_placement(cfg, t, n) for t, n in [("A", 1), ("B", 16), ("C", 8)]]
+        values = [1.5, 2.5, 3.5]
+        series = [[sim.with_effective_height(b, h) for h in values] for b in bases]
+        one = sim.sweep(bases, "H", values)
+        assert one == [r for s in series for r in sim.run(s)]
+        assert one == sim.sweep(bases, "H", values, jobs=2)
+        assert any(r.user_coverage < 1.0 for r in one)  # blockage shows
+
+    def test_two_series_set_up_one_crowd_and_build_each_constellation_once(self, monkeypatch):
+        crowds, references = [], []
+        init_users, reference_distances = mob.init_users, geo.reference_distances
+
+        def setting_up(*args, **kwargs):
+            crowds.append(1)
+            return init_users(*args, **kwargs)
+
+        def measuring(*args, **kwargs):
+            references.append(1)
+            return reference_distances(*args, **kwargs)
+
+        monkeypatch.setattr(mob, "init_users", setting_up)
+        monkeypatch.setattr(geo, "reference_distances", measuring)
+        b4 = make_config(duration_s=0.05)
+        reports = sim.sweep([b4, sim.with_placement(b4, "C", 4)], "H", [2.0, 3.0, 4.0])
+        assert len(reports) == 6
+        assert crowds == [1]
+        assert len(references) == 3  # one per C config
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_series_with_different_crowds_are_rejected_before_any_run(self, monkeypatch,
+                                                                      jobs):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+        cfg = make_config(duration_s=0.05)
+        monkeypatch.setattr(mob, "init_users", no_run)
+        with pytest.raises(ValueError, match="^seed:"):
+            sim.sweep([cfg, replace(cfg, seed=2)], "H", [2.0, 3.0], jobs=jobs)
 
     def test_parallel_matches_sequential(self):
         # two series, so that jobs=2 starts a pool
