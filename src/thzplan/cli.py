@@ -133,9 +133,8 @@ def cmd_coverage_sweep(args) -> int:
 
 def cmd_heatmap(args) -> int:
     cfg, settings = _load(args)
-    if args.type or args.n is not None:
-        cfg = simulation.with_placement(cfg, args.type or cfg.placement_type, args.n)
-        settings = dict(settings, placement_type=cfg.placement_type, n_aps=cfg.n_aps)
+    cfg = simulation.with_placement(cfg, args.type or cfg.placement_type, args.n)
+    settings = dict(settings, placement_type=cfg.placement_type, n_aps=cfg.n_aps)
     grid = simulation.heatmap(cfg, args.resolution, args.probe_rate_gbps * 1e9)
     out = _ensure_outdir(args.out)
     rates = os.path.join(out, "heatmap_rates.csv")
@@ -225,8 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("heatmap", help="rasterized best-AP rate field")
     common(sp, out_default="out", crowd=False)
-    sp.add_argument("--type", default=None, help="placement type letter override")
-    sp.add_argument("--n", type=int, default=None, help="AP count override")
+    sp.add_argument("--type", default=None, help="placement type override; without --n it "
+                    "keeps the config's AP count if the type takes it, else the type's first")
+    sp.add_argument("--n", type=int, default=None, help="AP count override, one the type takes")
     sp.add_argument("--resolution", type=float, default=10.0, help="cells per meter")
     sp.add_argument("--probe-rate", dest="probe_rate_gbps", type=_positive_number, default=1.0,
                     help="darkness threshold, Gbps")
@@ -241,8 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, out_default="out")
     sp.add_argument("--axis", choices=("H", "N", "placement_type"), default="H")
     sp.add_argument("--values", default="2:7:0.5")
-    sp.add_argument("--types", default=None,
-                    help="comma list of series like A,B4,C4; default: config placement")
+    sp.add_argument("--types", default=None, help="comma list of series like A,B4,C16, "
+                    "a bare letter at the type's first count; default: config placement")
     sp.add_argument("--jobs", type=_positive_int, default=1)
     sp.set_defaults(func=cmd_sweep)
     return p

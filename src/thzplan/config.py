@@ -19,7 +19,7 @@ from dataclasses import fields
 from typing import NamedTuple
 
 from . import __version__ as TOOL_VERSION
-from .geometry import Room
+from .geometry import COUNTS, Room
 from .simulation import ConfigError, SimConfig, with_effective_height
 
 
@@ -117,8 +117,10 @@ def _parse_value(key: str, raw: str):
 
 def load_settings(path=None, overrides: dict | None = None) -> dict:
     """Flat key -> value mapping with defaults, file, then overrides;
-    an override is parsed from str(value) exactly like file text. Type A
-    has one AP, so n_aps defaults to 1 there."""
+    an override is parsed from str(value) exactly like file text. With
+    n_aps unset, a layout that does not take the default count gets its
+    first count in geometry.COUNTS (1 for type A); an unknown type is left
+    for validate() to name."""
     given = {}
     if path is not None:
         parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
@@ -135,8 +137,9 @@ def load_settings(path=None, overrides: dict | None = None) -> dict:
     for key, value in (overrides or {}).items():
         given[key] = _parse_value(key, str(value))
     settings = {key: entry.default for key, entry in _TABLE.items()} | given
-    if settings["placement_type"] == "A":  # any n_aps other than 1 fails validate()
-        settings["n_aps"] = given.get("n_aps", 1)
+    counts = COUNTS.get(settings["placement_type"], (settings["n_aps"],))
+    if "n_aps" not in given and settings["n_aps"] not in counts:
+        settings["n_aps"] = counts[0]
     return settings
 
 

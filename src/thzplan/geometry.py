@@ -2,9 +2,11 @@
 
 Placement layouts follow the lighting analogy: a single central ceiling
 fixture (type A), a uniform ceiling grid (B) and wall-mounted perimeter
-units (C), the three layouts of the evaluation protocol. `place` builds
-each of them as a `Constellation`: an array of the AP positions, one row
-per AP, and one alignment time for the whole layout. Wall mounts face
+units (C), the three layouts of the evaluation protocol. `COUNTS` is the
+one statement of the AP counts each layout takes; the first count of an
+entry is the layout's default. `place` builds each layout as a
+`Constellation`: an array of the AP positions, one row per AP, and one
+alignment time for the whole layout. Wall mounts face
 into the room, and the room is convex, so every AP of every layout sees
 every point of the floor.
 
@@ -24,8 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-ALL_TYPES = ("A", "B", "C")
 GRID_COUNTS = (4, 8, 12, 16)
+# the AP counts each layout takes, its default first
+COUNTS = {"A": (1,), "B": GRID_COUNTS, "C": GRID_COUNTS}
+ALL_TYPES = tuple(COUNTS)
 
 # columns x rows of the ceiling partition per AP count; type A is the
 # 1 x 1 grid, whose one cell centre is the room centre
@@ -105,12 +109,10 @@ def place(
     Every AP hangs height_correction_m below the ceiling.
     """
     t = placement_type.upper()
-    if t not in ALL_TYPES:
+    if t not in COUNTS:
         raise ValueError(f"unknown placement type {placement_type!r}")
-    if t == "A" and n != 1:
-        raise ValueError("type A always uses a single AP")
-    if t != "A" and n not in GRID_COUNTS:
-        raise ValueError(f"unsupported type {t} AP count {n}; choose from {GRID_COUNTS}")
+    if n not in COUNTS[t]:
+        raise ValueError(f"unsupported type {t} AP count {n}; choose from {COUNTS[t]}")
     if not 0.0 <= height_correction_m < room.height_m:
         raise ValueError(
             f"height correction {height_correction_m} outside [0, {room.height_m})"

@@ -259,12 +259,35 @@ def test_sweep_types_without_a_series_exits_2_naming_types(tmp_path, capsys, typ
     assert not out.exists()
 
 
-def test_heatmap_type_a_with_other_count_exits_2_naming_n(tmp_path, capsys):
+@pytest.mark.parametrize("t,n", [("A", "16"), ("B", "5")])
+def test_heatmap_type_a_with_other_count_exits_2_naming_n(tmp_path, capsys, t, n):
     out = tmp_path / "out"
-    code = cli.main(["heatmap", "--type", "A", "--n", "16", "--resolution", "1",
+    code = cli.main(["heatmap", "--type", t, "--n", n, "--resolution", "1",
                      "--out", str(out)])
     assert code == cli.EXIT_CONFIG
     assert "configuration error: n:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("t", ["B", "C"])
+def test_heatmap_from_a_type_a_config_takes_the_first_count(tmp_path, t):
+    a_ini = tmp_path / "a.ini"
+    a_ini.write_text("[placement]\nplacement_type = A\n")
+    out = tmp_path / "out"
+    assert cli.main(["heatmap", "--config", str(a_ini), "--type", t, "--resolution", "1",
+                     "--out", str(out)]) == cli.EXIT_OK
+    resolved = json.loads((out / "manifest.json").read_text())["resolved_config"]
+    assert (resolved["placement_type"], resolved["n_aps"]) == (t, 4)
+
+
+@pytest.mark.parametrize("label", ["A4", "B5"])
+def test_sweep_series_count_the_type_does_not_take_exits_2_naming_label(
+        tmp_path, capsys, label):
+    out = tmp_path / "out"
+    code = cli.main(["sweep", "--config", _tiny_config(tmp_path), "--types", f"B4,{label}",
+                     "--values", "2", "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    assert f"configuration error: series label {label!r}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -298,8 +321,13 @@ def test_type_a_file_records_the_one_ap_it_runs(tmp_path):
 @pytest.mark.parametrize("argv,rows", [
     (["--types", "A", "--values", "2"], ["A,1,2.0"]),
     (["--axis", "placement_type", "--values", "A,B,C"], ["A,1,", "B,4,", "C,4,"]),
+    # a later --config wins: from a type-A config, B and C take their first count
+    (["--config", "a.ini", "--axis", "placement_type", "--values", "A,B,C"],
+     ["A,1,", "B,4,", "C,4,"]),
 ])
-def test_sweep_runs_type_a_with_one_ap(tmp_path, capsys, argv, rows):
+def test_sweep_runs_type_a_with_one_ap(tmp_path, capsys, monkeypatch, argv, rows):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a.ini").write_text(_TINY_CONFIG + "[placement]\nplacement_type = A\n")
     out = tmp_path / "out"
     code = cli.main(["sweep", "--config", _tiny_config(tmp_path), *argv, "--out", str(out)])
     assert code == cli.EXIT_OK

@@ -1,5 +1,6 @@
 import concurrent.futures
 import hashlib
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -119,6 +120,37 @@ class TestConfig:
     def test_parse_series_bad_count_names_series(self, label):
         with pytest.raises(sim.ConfigError, match=repr(label.upper())):
             sim.parse_series(label)
+
+    @pytest.mark.parametrize("label", ["A4", "a16", "B5", "C1", "B0", "C32"])
+    def test_parse_series_count_the_type_does_not_take_names_series(self, label):
+        with pytest.raises(sim.ConfigError, match=f"^series label {label.upper()!r}"):
+            sim.parse_series(label)
+
+    def test_parse_series_bare_letter_takes_the_first_count(self):
+        for t, counts in geo.COUNTS.items():
+            assert sim.parse_series(t.lower()) == (t, counts[0])
+
+    def test_with_placement_follows_the_count_table(self):
+        # every (config layout, target type, count or None) the table allows
+        layouts = [(t, n) for t, counts in geo.COUNTS.items() for n in counts]
+        every_count = sorted({n for counts in geo.COUNTS.values() for n in counts})
+        for (t0, n0), t, n in itertools.product(layouts, geo.COUNTS, [None, *every_count]):
+            cfg = make_config(placement_type=t0, n_aps=n0, duration_s=0.05)
+            counts = geo.COUNTS[t]
+            if n is not None and n not in counts:
+                with pytest.raises(sim.ConfigError, match="^n: "):
+                    sim.with_placement(cfg, t.lower(), n)
+                continue
+            want = n if n is not None else n0 if n0 in counts else counts[0]
+            moved = sim.with_placement(cfg, t.lower(), n)
+            assert (moved.placement_type, moved.n_aps) == (t, want)
+            assert moved == replace(cfg, placement_type=t, n_aps=want)
+            assert len(sim.build_constellation(moved)) == want
+
+    def test_with_placement_leaves_an_unknown_type_to_validate(self):
+        for n in (None, 4, 5):
+            with pytest.raises(sim.ConfigError, match="^placement_type: "):
+                sim.build_constellation(sim.with_placement(make_config(), "X", n))
 
 
 class TestBuildConstellation:
