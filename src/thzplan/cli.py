@@ -242,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--axis", choices=("H", "N", "placement_type"), default="H")
     sp.add_argument("--values", default="2:7:0.5")
     sp.add_argument("--types", default=None, help="comma list of series like A,B4,C16, "
-                    "a bare letter at the type's first count; default: config placement")
+                    "a bare letter takes the type's first count; default: config placement")
     sp.add_argument("--jobs", type=_positive_int, default=1)
     sp.set_defaults(func=cmd_sweep)
     return p

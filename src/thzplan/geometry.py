@@ -6,9 +6,9 @@ units (C), the three layouts of the evaluation protocol. `COUNTS` is the
 one statement of the AP counts each layout takes; the first count of an
 entry is the layout's default. `place` builds each layout as a
 `Constellation`: an array of the AP positions, one row per AP, and one
-alignment time for the whole layout. Wall mounts face
-into the room, and the room is convex, so every AP of every layout sees
-every point of the floor.
+alignment time for the whole layout. Wall mounts face into the room, and
+the room is convex, so every AP of every layout sees every point of the
+floor.
 
 Blockage has one implementation, `blocked_matrix`: every AP -> device
 segment against every vertical body cylinder. A body of height h can only

@@ -657,7 +657,7 @@ def sweep(base: SimConfig | Sequence[SimConfig], axis: str, values,
     bases = [base] if isinstance(base, SimConfig) else base
     series = [[apply_axis(b, axis, v) for v in values] for b in bases]
     configs = [c for s in series for c in s]
-    # the pool stays for many series: 7 paper-length series 6.5 s in one batch, 3.6 s on 2 CPUs
+    # worth it for many series: 7 paper-length series 6.5 s in one batch, 3.6 s on 2 vCPUs
     workers = min(jobs, len(series))  # a pool for one series only costs its start-up
     if workers <= 1:
         return run(configs)
