@@ -163,17 +163,27 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg, settings = _load(args)
+    # the one reader of --axis: how --values parse, and point(b, v), base b at value v
     if args.axis == "placement_type":
         values = [v.strip() for v in args.values.split(",") if v.strip()]
+        point = simulation.with_placement
     else:
         values = _parse_values(args.values, "values")
+        point = simulation.with_effective_height if args.axis == "H" else (
+            lambda b, n: simulation.with_placement(b, b.placement_type, n))
     bases = [cfg]
     if args.types is not None:
         labels = [s for s in args.types.split(",") if s.strip()]
         if not labels:
             raise ConfigError(f"types: expected series like B4,C4, got {args.types!r}")
         bases = [simulation.with_placement(cfg, *simulation.parse_series(s)) for s in labels]
-    reports = simulation.sweep(bases, args.axis, values, jobs=args.jobs)
+    if not values:
+        raise ConfigError("values: sweep needs at least one value")
+    try:
+        series = [[point(b, v) for v in values] for b in bases]
+    except ConfigError as exc:  # the field at fault was set from --values
+        raise ConfigError("values: " + str(exc).partition(": ")[2]) from exc
+    reports = simulation.sweep(series, jobs=args.jobs)
     out = _ensure_outdir(args.out)
     path = os.path.join(out, "sweep.csv")
     reporting.write_results(reports, path)
@@ -240,7 +250,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sweep", help="metric sweeps along H, N, or placement type")
     common(sp, out_default="out")
     sp.add_argument("--axis", choices=("H", "N", "placement_type"), default="H")
-    sp.add_argument("--values", default="2:7:0.5")
+    sp.add_argument("--values", default="2:7:0.5", help="H: effective heights in m, list or "
+                    "start:stop:step; N: AP counts the layout takes, likewise; "
+                    "placement_type: comma list of types")
     sp.add_argument("--types", default=None, help="comma list of series like A,B4,C16, "
                     "a bare letter takes the type's first count; default: config placement")
     sp.add_argument("--jobs", type=_positive_int, default=1)

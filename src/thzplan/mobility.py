@@ -75,8 +75,8 @@ def init_users(
     they equal six uniform calls bit for bit, and a range that is not
     finite or is reversed raises uniform's OverflowError or ValueError.
     """
-    if m <= 0:
-        raise ValueError("user count must be positive")
+    if m < 0:
+        raise ValueError("user count must be >= 0")
     if v_mean - v_span <= 0:
         raise ValueError("speed range must stay positive")
     lo = np.array([0.0, 0.0, 0.0, 0.0, v_mean - v_span, rate_min_bps])

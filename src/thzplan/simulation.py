@@ -170,19 +170,20 @@ def with_placement(cfg: SimConfig, placement_type: str, n_aps: int | None = None
     counts = geometry.COUNTS.get(t, (n,))
     if n not in counts and n_aps is not None:
         raise ConfigError(f"n: type {t} supports {counts}, got {n_aps}")
-    return replace(cfg, placement_type=t, n_aps=n if n in counts else counts[0])
+    # the table's own count, so a count given as 4.0 is stored as 4
+    return replace(cfg, placement_type=t, n_aps=counts[counts.index(n) if n in counts else 0])
 
 
 def with_effective_height(cfg: SimConfig, h_eff_m: float) -> SimConfig:
-    """Move the ceiling so the effective height is h_eff_m (the
-    h_override_m setting)."""
+    """Move the ceiling so the effective height is h_eff_m; an error names
+    the effective_height_m field."""
     height_m = h_eff_m + cfg.user_height_m
     if not (math.isfinite(h_eff_m) and height_m - cfg.user_height_m > 0):
-        raise ConfigError(
-            f"h_override_m: effective height must be finite and positive, got {h_eff_m!r}"
-        )
+        raise ConfigError("effective_height_m: effective height must be finite and positive, "
+                          f"got {h_eff_m!r}")
     if not height_m * height_m < math.inf:
-        raise ConfigError(f"h_override_m: the ceiling's squared height overflows, got {h_eff_m!r}")
+        raise ConfigError("effective_height_m: the ceiling's squared height overflows, "
+                          f"got {h_eff_m!r}")
     return replace(cfg, room=replace(cfg.room, height_m=height_m))
 
 
@@ -190,14 +191,18 @@ def parse_series(label: str) -> tuple[str, int]:
     """'A' -> (A, 1); 'B' -> (B, 4); 'B8' -> (B, 8); 'C16' -> (C, 16). A
     bare letter takes the layout's first count in geometry.COUNTS, whatever
     the config's count. An error names the label: an unknown type, a count
-    that is not a whole number, or one the layout does not take."""
+    that is not a whole number, or one the layout does not take. Leading
+    zeros are dropped, so 'B0004' is B4."""
     label = label.strip().upper()
     counts = geometry.COUNTS.get(label[:1])
     if counts is None:
         raise ConfigError(f"series label {label!r} must start with a placement type")
-    if label[1:] and not (label[1:].isdecimal() and int(label[1:]) in counts):
+    digits = label[1:].lstrip("0")
+    # bounded before int(), which refuses a string of thousands of digits
+    n = int(digits) if digits.isdecimal() and len(digits) <= len(str(max(counts))) else None
+    if label[1:] and n not in counts:
         raise ConfigError(f"series label {label!r}: AP count must be one of {counts}")
-    return label[0], int(label[1:]) if label[1:] else counts[0]
+    return label[0], n if label[1:] else counts[0]
 
 
 def build_constellation(cfg: SimConfig) -> Constellation:
@@ -378,11 +383,7 @@ def run(cfg: SimConfig | Sequence[SimConfig], record_events: bool = False):
     thr = np.zeros((len(batch), m))
     idle = [np.zeros(len(con), dtype=np.int64) for con in cons]
     events = [[] for _ in batch] if record_events else None
-    if m:
-        _step_all(batch, cons, n_steps, covered, thr, handoffs, idle, events)
-    else:  # nothing is ever assigned, so every AP idles every step
-        for idle_c in idle:
-            idle_c += n_steps
+    _step_all(batch, cons, n_steps, covered, thr, handoffs, idle, events)
 
     pairs = m * n_steps or 1  # no users: the sums are over no pairs
     reports = [MetricsReport(
@@ -423,7 +424,7 @@ def _step_all(batch: Sequence[SimConfig], cons: Sequence[Constellation], n_steps
     rngs = _Substreams(cfg.seed)
     xyz = np.concatenate([con.xyz for con in cons])
     cols = np.cumsum([0] + [len(con) for con in cons])  # config i's APs: cols[i]:cols[i + 1]
-    k_max = min(max(1, _STEP_BLOCK // (m * max(len(con) for con in cons))), n_steps)
+    k_max = min(max(1, _STEP_BLOCK // max(1, m * max(len(con) for con in cons))), n_steps)
     xy = np.empty((k_max, m, 2))
     hits = np.empty((k_max, m, len(xyz)), dtype=bool) if cfg.blockage_enabled else None
     deads = [_dead_steps(con.align_time_s, cfg.dt_s, n_steps) for con in cons]
@@ -627,35 +628,19 @@ def heatmap(
     )
 
 
-def apply_axis(cfg: SimConfig, axis: str, value) -> SimConfig:
-    if axis == "H":
-        return with_effective_height(cfg, float(value))
-    if axis == "N":
-        if not float(value).is_integer():
-            raise ConfigError(f"values: an AP count must be a whole number, got {value!r}")
-        return replace(cfg, n_aps=int(value))
-    if axis == "placement_type":
-        return with_placement(cfg, str(value))
-    raise ConfigError(f"axis: unknown sweep axis {axis!r}")
+def sweep(series: Sequence[Sequence[SimConfig]], jobs: int = 1) -> list[MetricsReport]:
+    """Run each series of configs, reports in input order.
 
-
-def sweep(base: SimConfig | Sequence[SimConfig], axis: str, values,
-          jobs: int = 1) -> list[MetricsReport]:
-    """Runs along one axis, identical seed, input order kept.
-
-    base is one config or a sequence of them, one series each. An axis
-    moves only the AP side, so the series may differ only there too, as the
-    configs of one run() batch must; otherwise a ValueError names the
-    field. In-process, every config of every series is one run() batch:
-    one crowd, stepped once, and every config checked, constellation
-    included, before the first step. With jobs > 1 and several series, a
-    pool of at most one process per series runs one batch per series,
-    after the same check of every config up front.
+    A series is a sequence of configs, typically one base config moved
+    point by point along one axis (with_effective_height, with_placement).
+    The configs of every series may differ only on the AP side, as those
+    of one run() batch must; otherwise a ValueError names the field.
+    In-process, every config of every series is one run() batch: one
+    crowd, stepped once, and every config checked, constellation included,
+    before the first step. With jobs > 1 and several series, a pool of at
+    most one process per series runs one batch per series, after the same
+    check of every config up front.
     """
-    if not values:
-        raise ConfigError("values: sweep needs at least one value")
-    bases = [base] if isinstance(base, SimConfig) else base
-    series = [[apply_axis(b, axis, v) for v in values] for b in bases]
     configs = [c for s in series for c in s]
     # worth it for many series: 7 paper-length series 6.5 s in one batch, 3.6 s on 2 vCPUs
     workers = min(jobs, len(series))  # a pool for one series only costs its start-up

@@ -154,13 +154,35 @@ def _tiny_config(tmp_path):
     return str(path)
 
 
-def test_non_whole_ap_count_in_sweep_exits_2_naming_values(tmp_path, capsys):
+@pytest.mark.parametrize("argv", [
+    pytest.param(["--axis", "N", "--values", "4.5,8"], id="N-4.5"),
+    pytest.param(["--axis", "N", "--values", "5"], id="N-5"),
+    pytest.param(["--axis", "N", "--values", "4", "--types", "A"], id="N-4-type-A"),
+    pytest.param(["--axis", "H", "--values", "0,2"], id="H-0"),
+    pytest.param(["--axis", "H", "--values", "1e200"], id="H-1e200"),
+    pytest.param(["--axis", "H", "--values", "nan"], id="H-nan"),
+    pytest.param(["--axis", "placement_type", "--values", ","], id="placement-none"),
+])
+def test_non_whole_ap_count_in_sweep_exits_2_naming_values(tmp_path, capsys, argv):
+    # a point that --values cannot reach names the flag, not the config field it sets
     out = tmp_path / "out"
-    code = cli.main(["sweep", "--config", _tiny_config(tmp_path), "--axis", "N",
-                     "--values", "4.5,8", "--out", str(out)])
+    code = cli.main(["sweep", "--config", _tiny_config(tmp_path), *argv, "--out", str(out)])
     assert code == cli.EXIT_CONFIG
-    assert "configuration error: values:" in capsys.readouterr().err
-    assert not (out / "sweep.csv").exists()
+    assert capsys.readouterr().err.startswith("configuration error: values: ")
+    assert not out.exists()
+
+
+def test_sweep_along_n_writes_the_table_of_the_same_series(tmp_path, capsys):
+    # B,C along N and the six series at the config's H are the same runs
+    tables = []
+    for i, argv in enumerate([["--axis", "N", "--values", "4,8,16", "--types", "B,C"],
+                              ["--types", "B4,B8,B16,C4,C8,C16", "--values", "1.5"]]):
+        out = tmp_path / f"out{i}"
+        assert cli.main(["sweep", "--config", _tiny_config(tmp_path), *argv,
+                         "--out", str(out)]) == cli.EXIT_OK
+        tables.append((out / "sweep.csv").read_bytes())
+    assert tables[0].count(b"\n") == 1 + 6
+    assert tables[0] == tables[1]
 
 
 @pytest.mark.parametrize("argv,flag", [
@@ -280,7 +302,8 @@ def test_heatmap_from_a_type_a_config_takes_the_first_count(tmp_path, t):
     assert (resolved["placement_type"], resolved["n_aps"]) == (t, 4)
 
 
-@pytest.mark.parametrize("label", ["A4", "B5"])
+@pytest.mark.parametrize("label", [
+    "A4", "B5", pytest.param("B" + "9" * 5000, id="B-5000-digits")])
 def test_sweep_series_count_the_type_does_not_take_exits_2_naming_label(
         tmp_path, capsys, label):
     out = tmp_path / "out"

@@ -241,7 +241,7 @@ def test_substream_reproducible(seed, uid):
 
 def test_rejects_bad_args():
     with pytest.raises(ValueError):
-        mob.init_users(Room(), 0, seed=1)
+        mob.init_users(Room(), -1, seed=1)
     with pytest.raises(ValueError):
         mob.init_users(Room(), 5, seed=1, v_mean=0.5, v_span=0.5)
     with pytest.raises(ValueError):

@@ -77,8 +77,7 @@ class TestConfig:
         (lambda: sim.run(make_config(duration_s=math.nan)), "duration_s"),
         (lambda: sim.run(make_config(p_o_w=math.nan, duration_s=0.05)), "p_o_w"),
         (lambda: sim.run(make_config(room=geo.Room(math.inf, 10.0, 3.0))), "room.length_m"),
-        (lambda: sim.sweep(make_config(duration_s=0.05), "H", [math.nan]), "h_override_m"),
-    ], ids=["run-duration", "run-power", "run-room", "sweep-height"])
+    ], ids=["run-duration", "run-power", "run-room"])
     def test_entry_points_reject_non_finite_numbers(self, call, field):
         with pytest.raises(sim.ConfigError, match=f"^{field}:"):
             call()
@@ -90,6 +89,8 @@ class TestConfig:
             lb.LinkBudgetParams(tau_override=-1.0)
         with pytest.raises(ValueError, match="^f_c_hz:"):
             lb.absorption_for(lb.LinkBudgetParams(f_c_hz=5e12))
+        with pytest.raises(ValueError, match="^effective_height_m:"):
+            sim.with_effective_height(make_config(), 0.0)
 
     def test_device_above_ceiling(self):
         with pytest.raises(sim.ConfigError, match="user_height_m"):
@@ -100,7 +101,7 @@ class TestConfig:
         assert cfg.room.height_m == 5.5
         assert cfg.effective_height_m() == 4.0
         for h in (0.0, -1.0, math.nan, math.inf, 1e300):
-            with pytest.raises(sim.ConfigError, match="h_override_m"):
+            with pytest.raises(sim.ConfigError, match="^effective_height_m:"):
                 sim.with_effective_height(make_config(), h)
 
     def test_with_power_budget_split(self):
@@ -113,6 +114,8 @@ class TestConfig:
         assert sim.parse_series("A") == ("A", 1)
         assert sim.parse_series("b4") == ("B", 4)
         assert sim.parse_series("C16") == ("C", 16)
+        assert sim.parse_series("B0004") == ("B", 4)
+        assert sim.parse_series("C" + "0" * 5000 + "8") == ("C", 8)
         with pytest.raises(sim.ConfigError):
             sim.parse_series("X2")
 
@@ -121,7 +124,10 @@ class TestConfig:
         with pytest.raises(sim.ConfigError, match=repr(label.upper())):
             sim.parse_series(label)
 
-    @pytest.mark.parametrize("label", ["A4", "a16", "B5", "C1", "B0", "C32"])
+    @pytest.mark.parametrize("label", [
+        "A4", "a16", "B5", "C1", "B0", "C32",
+        pytest.param("B" + "9" * 5000, id="B-5000-digits"),  # int() would refuse it
+    ])
     def test_parse_series_count_the_type_does_not_take_names_series(self, label):
         with pytest.raises(sim.ConfigError, match=f"^series label {label.upper()!r}"):
             sim.parse_series(label)
@@ -619,40 +625,44 @@ class TestHeatmapBlocks:
         assert peak < 20e6
 
 
+def _along_h(bases, heights):
+    """One series per base config, moved to each effective height."""
+    return [[sim.with_effective_height(b, h) for h in heights] for b in bases]
+
+
 class TestSweep:
     def test_height_axis_cardinality_and_order(self):
         cfg = make_config(duration_s=0.05)
-        reports = sim.sweep(cfg, "H", [2.0, 3.0, 4.0])
+        reports = sim.sweep(_along_h([cfg], [2.0, 3.0, 4.0]))
         assert [r.effective_height_m for r in reports] == [2.0, 3.0, 4.0]
 
     def test_power_split_halves_when_density_doubles(self):
         cfg = make_config(duration_s=0.05)
-        reports = sim.sweep(cfg, "N", [4, 8, 16])
+        reports = sim.sweep([[sim.with_placement(cfg, "B", n) for n in (4, 8, 16)]])
         p = [r.p_t_w for r in reports]
         assert p[0] == pytest.approx(2 * p[1], rel=1e-12)
         assert p[1] == pytest.approx(2 * p[2], rel=1e-12)
 
     def test_placement_axis(self):
         cfg = make_config(duration_s=0.05)
-        reports = sim.sweep(cfg, "placement_type", ["A", "B", "C"])
+        reports = sim.sweep([[sim.with_placement(cfg, t) for t in "ABC"]])
         assert [r.placement_type for r in reports] == ["A", "B", "C"]
         assert reports[0].n_aps == 1
 
     def test_several_bases_sweep_as_one_batch(self):
         b4 = make_config(duration_s=0.05)
         c8 = sim.with_placement(b4, "C", 8)
-        both = sim.sweep([b4, c8], "H", [2.0, 3.0])
-        assert both == sim.sweep(b4, "H", [2.0, 3.0]) + sim.sweep(c8, "H", [2.0, 3.0])
+        both = sim.sweep(_along_h([b4, c8], [2.0, 3.0]))
+        assert both == [r for b in (b4, c8) for r in sim.sweep(_along_h([b], [2.0, 3.0]))]
         assert [r.placement_type for r in both] == ["B", "B", "C", "C"]
 
     def test_blockage_on_series_in_one_batch_match_each_series_and_the_pool(self):
         cfg = make_config(duration_s=0.3, blockage_enabled=True, pause_s=0.05)
         bases = [sim.with_placement(cfg, t, n) for t, n in [("A", 1), ("B", 16), ("C", 8)]]
-        values = [1.5, 2.5, 3.5]
-        series = [[sim.with_effective_height(b, h) for h in values] for b in bases]
-        one = sim.sweep(bases, "H", values)
+        series = _along_h(bases, [1.5, 2.5, 3.5])
+        one = sim.sweep(series)
         assert one == [r for s in series for r in sim.run(s)]
-        assert one == sim.sweep(bases, "H", values, jobs=2)
+        assert one == sim.sweep(series, jobs=2)
         assert any(r.user_coverage < 1.0 for r in one)  # blockage shows
 
     def test_two_series_set_up_one_crowd_and_build_each_constellation_once(self, monkeypatch):
@@ -670,7 +680,7 @@ class TestSweep:
         monkeypatch.setattr(mob, "init_users", setting_up)
         monkeypatch.setattr(geo, "reference_distances", measuring)
         b4 = make_config(duration_s=0.05)
-        reports = sim.sweep([b4, sim.with_placement(b4, "C", 4)], "H", [2.0, 3.0, 4.0])
+        reports = sim.sweep(_along_h([b4, sim.with_placement(b4, "C", 4)], [2.0, 3.0, 4.0]))
         assert len(reports) == 6
         assert crowds == [1]
         assert len(references) == 3  # one per C config
@@ -683,27 +693,21 @@ class TestSweep:
         cfg = make_config(duration_s=0.05)
         monkeypatch.setattr(mob, "init_users", no_run)
         with pytest.raises(ValueError, match="^seed:"):
-            sim.sweep([cfg, replace(cfg, seed=2)], "H", [2.0, 3.0], jobs=jobs)
+            sim.sweep(_along_h([cfg, replace(cfg, seed=2)], [2.0, 3.0]), jobs=jobs)
 
     def test_parallel_matches_sequential(self):
         # two series, so that jobs=2 starts a pool
         cfg = make_config(duration_s=0.2)
-        bases = [cfg, sim.with_placement(cfg, "C", 8)]
-        seq = sim.sweep(bases, "H", [2.0, 3.0])
-        par = sim.sweep(bases, "H", [2.0, 3.0], jobs=2)
-        assert seq == par
+        series = _along_h([cfg, sim.with_placement(cfg, "C", 8)], [2.0, 3.0])
+        assert sim.sweep(series) == sim.sweep(series, jobs=2)
 
     def test_one_series_runs_without_a_pool(self, monkeypatch):
         def no_pool(*args, **kwargs):
             raise AssertionError("a pool for one series")
-        cfg = make_config(duration_s=0.2)
-        seq = sim.sweep(cfg, "H", [2.0, 3.0])
+        series = _along_h([make_config(duration_s=0.2)], [2.0, 3.0])
+        seq = sim.sweep(series)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-        assert sim.sweep(cfg, "H", [2.0, 3.0], jobs=2) == seq
-
-    def test_empty_values_rejected(self):
-        with pytest.raises(sim.ConfigError):
-            sim.sweep(make_config(), "H", [])
+        assert sim.sweep(series, jobs=2) == seq
 
 
 def _bits(value):
