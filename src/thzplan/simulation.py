@@ -6,12 +6,14 @@ AP's beam-alignment dead time, and an AP's rate is time-shared equally
 among its assigned users. Metrics are plain averages over (user, step)
 pairs; an AP is idle in a step when nothing is assigned to it.
 
-run(), heatmap() and associate() share one best-AP rule (_best_ap). All
+run(), heatmap() and associate() share one best-AP rule (_nearest). All
 APs of a layout hang at one height with one power, and the linkbudget
 SNR falls with distance, so the nearest unblocked AP is the strongest:
-the rule needs geometry only. The SNR and rate are computed for each
-device's chosen link alone (_link_rate), so the static and dynamic views
-agree.
+the rule needs geometry only. Association keeps each block of points in
+its own shape, with the APs on a first axis (_d_sq), and returns each
+chosen link's squared distance with its AP. The SNR and rate are
+computed for each device's chosen link alone, from that distance
+(_link_rate), so the static and dynamic views agree.
 
 run() steps one crowd for a batch of configs that differ only on the AP
 side; in-process, sweep() runs all of its series as one batch. The crowd,
@@ -255,25 +257,33 @@ class MetricsReport:
 
 def _d_sq(con: Constellation, device_z: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Squared 3-D distance from a device at height device_z at each floor
-    point (x, y) to each AP of con, APs on a new last axis. x and y
-    broadcast against each other: (n,) columns give (n, A), and heatmap()'s
-    (rows, 1) x against its (1, ny) y give (rows, ny, A) from an x table and
-    a y table, with each entry's sum in the same order either way."""
-    d_sq = (x[..., None] - con.xyz[:, 0]) ** 2 + (y[..., None] - con.xyz[:, 1]) ** 2
-    d_sq += (con.xyz[:, 2] - device_z) ** 2  # in place: no second full-size array
+    point (x, y) to each AP of con, APs on a new first axis: (A, *P) for
+    the points' broadcast shape P. associate()'s (n,) columns give (A, n),
+    run()'s (K, m) blocks of x and y give (A, K, m), and heatmap()'s
+    (rows, 1) x column against its (ny,) y row gives (A, rows, ny) from an
+    x table and a y table. Each entry is its x term plus its y term plus
+    the AP's height term, added in that order whatever the shape."""
+    ap = con.xyz.reshape(len(con), 3, *[1] * max(np.ndim(x), np.ndim(y)))
+    d_sq = (x - ap[:, 0]) ** 2 + (y - ap[:, 1]) ** 2
+    d_sq += (ap[:, 2] - device_z) ** 2  # in place: no second full-size array
     return d_sq
 
 
-def _best_ap(d_sq: np.ndarray, blocked: np.ndarray | None = None) -> np.ndarray:
+def _nearest(d_sq: np.ndarray, blocked: np.ndarray | None = None):
     """The association rule: per device, the nearest AP among those not
     blocked from it (every AP sees the whole floor, see geometry), which is
-    the one with the highest SNR. Ties go to the lowest AP id; a device
-    blocked from every AP gets -1."""
-    if blocked is None:
-        return d_sq.argmin(axis=1).astype(np.int64)
-    best = np.where(blocked, np.inf, d_sq).argmin(axis=1).astype(np.int64)
-    best[blocked.all(axis=1)] = -1
-    return best
+    the one with the highest SNR. d_sq is _d_sq's (A, *P); blocked, if
+    given, holds the same devices with the APs on its last axis (*P, A), as
+    blocked_matrix and run()'s blockage buffer do. Returns (best, near),
+    both of shape P: the chosen AP id, the lowest on a tie, and its squared
+    distance; a device blocked from every AP gets -1 and inf. d_sq must be
+    finite, as every caller's positions make it."""
+    if blocked is not None:
+        d_sq = np.where(np.moveaxis(blocked, -1, 0), np.inf, d_sq)
+    near = d_sq.min(axis=0)
+    best = d_sq.argmin(axis=0)
+    best[near == np.inf] = -1
+    return best, near
 
 
 def _radio(link: LinkBudgetParams) -> tuple[float, float, float]:
@@ -288,14 +298,6 @@ def _link_rate(d_sq, sig, tau, bandwidth_hz):
     with np.errstate(over="ignore"):
         loss = d_sq * np.exp(tau * np.sqrt(d_sq))
     return linkbudget.shannon_rate(sig / loss, bandwidth_hz)
-
-
-def _best_rate(best: np.ndarray, d_sq: np.ndarray, radio) -> np.ndarray:
-    """Link rate from each device to its chosen AP; 0.0 where it has none."""
-    rate = np.zeros(best.shape)
-    idx = np.flatnonzero(best >= 0)
-    rate[idx] = _link_rate(d_sq[idx, best[idx]], *radio)
-    return rate
 
 
 def associate(
@@ -326,7 +328,7 @@ def associate(
         blocked = geometry.blocked_matrix(
             constellation.xyz, pos, device_height_m, *_body_arrays(blockers), own_body=True
         )
-    return tuple(_best_ap(_d_sq(constellation, device_height_m, *pos.T), blocked).tolist())
+    return tuple(_nearest(_d_sq(constellation, device_height_m, *pos.T), blocked)[0].tolist())
 
 
 def _body_arrays(blockers: Sequence[BodyCylinder]):
@@ -413,7 +415,10 @@ def _step_all(batch: Sequence[SimConfig], cons: Sequence[Constellation], n_steps
     config's row of the accumulators. Every entry gets the same
     floating-point operations as in a loop of single steps, so the result
     does not depend on K, and a config's block buffers hold about
-    _STEP_BLOCK (step, user, AP) entries whatever the run's length."""
+    _STEP_BLOCK (AP, step, user) entries whatever the run's length. The
+    block's (K, m) x and y and its (K, m, A) blockage columns go to
+    _d_sq and _nearest as they are, and the share reads each chosen
+    link's distance from _nearest."""
     cfg, m = batch[0], batch[0].n_users
     crowd, demand = mobility.init_users(
         cfg.room, m, cfg.seed, v_mean=cfg.v_mean_mps, v_span=cfg.v_span_mps,
@@ -446,11 +451,10 @@ def _step_all(batch: Sequence[SimConfig], cons: Sequence[Constellation], n_steps
                                                   own_body=True)
         step = np.arange(k)[:, None]
         for i, (con, dead, radio) in enumerate(zip(cons, deads, radios)):
-            d_sq = _d_sq(con, cfg.user_height_m, *xy[:k].reshape(-1, 2).T)
-            blocked = None
-            if hits is not None:  # config i's columns of the blockage buffer
-                blocked = hits[:k, :, cols[i]:cols[i + 1]].reshape(d_sq.shape)
-            best = _best_ap(d_sq, blocked).reshape(k, m)
+            d_sq = _d_sq(con, cfg.user_height_m, xy[:k, :, 0], xy[:k, :, 1])
+            # config i's columns of the blockage buffer
+            blocked = None if hits is None else hits[:k, :, cols[i]:cols[i + 1]]
+            best, near = _nearest(d_sq, blocked)
 
             prev = np.concatenate([assign[i, None], best[:-1]])
             changed, served = best != prev, best >= 0
@@ -459,7 +463,7 @@ def _step_all(batch: Sequence[SimConfig], cons: Sequence[Constellation], n_steps
             last = np.maximum.accumulate(np.where(changed, step, -1), axis=0)  # -1: not this block
             age = np.where(last >= 0, step - last, since[i] + step + 1)
             counting = served & (age < dead)
-            delivered, counts = _share(cfg.share_mode, best, served & ~counting, d_sq, radio,
+            delivered, counts = _share(cfg.share_mode, best, near, served & ~counting, radio,
                                        len(con))
             covered[i] += (delivered >= demand).sum(axis=0)
             for row in delivered:  # step by step, as the sums are pinned
@@ -500,28 +504,24 @@ def _dead_steps(align_s: float, dt_s: float, n_steps: int) -> int:
     return dead
 
 
-def _share(share_mode, best, serving, d_sq, radio, n_ap):
+def _share(share_mode, best, near, serving, radio, n_ap):
     """The rate share of a block of steps: each (step, user) entry's
     delivered rate and each (step, AP) count of assigned users, where an
-    entry's slot is step * n_ap + best. Only the serving links' rates are
-    computed."""
-    k, m = best.shape
-    assigned = best >= 0
-    key = (np.arange(k)[:, None] * n_ap + best).ravel()
-    counts = np.bincount(key[assigned.ravel()], minlength=k * n_ap)
-    delivered = np.zeros(best.size)
-    idx = np.flatnonzero(serving)
-    if idx.size:
-        dist_sq = d_sq[idx, best.ravel()[idx]]
+    entry's slot is step * n_ap + best. best and near are _nearest's, by
+    (step, user); only the serving links' rates are computed."""
+    key = np.arange(len(best))[:, None] * n_ap + best
+    counts = np.bincount(key[best >= 0], minlength=len(best) * n_ap)
+    delivered = np.zeros(best.shape)
+    if serving.any():
+        taken, dist_sq = key[serving], near[serving]
         rate = _link_rate(dist_sq, *radio)
-        taken = key[idx]
         if share_mode == "equal_share":
-            delivered[idx] = rate / counts[taken]
+            delivered[serving] = rate / counts[taken]
         else:  # single_user: the nearest (strongest) serving user takes the step, ties the lowest
             order = np.lexsort((dist_sq, taken))
             first = order[np.r_[True, taken[order[1:]] != taken[order[:-1]]]]
-            delivered[idx[first]] = rate[first]
-    return delivered.reshape(k, m), counts.reshape(k, n_ap)
+            delivered.flat[np.flatnonzero(serving)[first]] = rate[first]
+    return delivered, counts.reshape(len(best), n_ap)
 
 
 def _record(events, k0: int, dt_s: float, logged) -> None:
@@ -538,10 +538,10 @@ def _record(events, k0: int, dt_s: float, logged) -> None:
 
 LABEL_DARKNESS, LABEL_ILLUMINATION, LABEL_SHADOW = 0, 1, 2
 LABEL_NAMES = ("darkness", "illumination", "shadow")
-# Heat-map cells per block; the block's (cells, APs) temporaries are a
+# Heat-map cells per block; the block's (APs, rows, ny) temporaries are a
 # fixed multiple of this, whatever the resolution.
 _CELL_BLOCK = 1 << 15
-# (step, user, AP) entries per block of run()'s step loop, for the config
+# (AP, step, user) entries per block of run()'s step loop, for the config
 # with the most APs; a config's block temporaries are a fixed multiple of
 # this, whatever the run's length.
 _STEP_BLOCK = 1 << 12
@@ -567,7 +567,7 @@ def heatmap(
     """Static best-AP rate field at device height.
 
     Each cell is a device served by the AP run() would pick for it (see
-    _best_ap) at that link's rate; a cell blocked from every AP reads 0.0.
+    _nearest) at that link's rate; a cell blocked from every AP reads 0.0.
     Cells below the probe rate are darkness unless a blocker is what
     pushed them under, in which case they are shadow. No time sharing:
     this is the per-point link capacity, not a loaded-system rate.
@@ -575,14 +575,15 @@ def heatmap(
     of them is the body of the device at a cell.
 
     The grids are filled in blocks of whole x rows, about _CELL_BLOCK
-    cells each (one row when a row is longer), so the (cells, APs)
+    cells each (one row when a row is longer), so the (APs, rows, ny)
     temporaries stay a fixed size whatever the resolution. Each cell's
-    arithmetic is element-wise or a per-cell argmin, so the result does
-    not depend on the block size. A cell's squared distance to an AP is
-    an x term plus a y term plus the AP's height term, so a block's
-    distances come from a (rows, APs) table of x terms and an (ny, APs)
-    table of y terms (_d_sq), not from a list of cells; the cells are
-    listed only for the blockage kernel, when there are blockers.
+    arithmetic is element-wise or a per-cell minimum over the APs, so the
+    result does not depend on the block size. A cell's squared distance
+    to an AP is an x term plus a y term plus the AP's height term, so a
+    block's distances come from an (APs, rows, 1) table of x terms and an
+    (APs, 1, ny) table of y terms (_d_sq), not from a list of cells, and
+    stay in the grid's own (rows, ny) shape; the cells are listed only for
+    the blockage kernel, when there are blockers.
     """
     if not (math.isfinite(resolution_cells_per_m) and resolution_cells_per_m > 0):
         raise ConfigError("resolution: must be a finite positive number")
@@ -605,18 +606,20 @@ def heatmap(
     rows = max(1, _CELL_BLOCK // ny)
     for i0 in range(0, nx, rows):
         i1 = min(i0 + rows, nx)
-        d_sq = _d_sq(con, z, xs[i0:i1, None], ys[None, :]).reshape(-1, len(con))
-        clear = _best_rate(_best_ap(d_sq), d_sq, radio)
-        rate = clear
+        d_sq = _d_sq(con, z, xs[i0:i1, None], ys)
+        # no blockers: every cell is served, by its nearest AP (_nearest's near)
+        clear = rate = _link_rate(d_sq.min(axis=0), *radio)
         if bodies is not None:  # the cells, for the blockage kernel alone
             cells = np.stack([np.repeat(xs[i0:i1], ny), np.tile(ys, i1 - i0)], axis=1)
             blocked = geometry.blocked_matrix(con.xyz, cells, z, *bodies, own_body=False)
-            rate = _best_rate(_best_ap(d_sq, blocked), d_sq, radio)
+            # the kernel's (cells, APs) result, its cells listed x row by x row
+            best, near = _nearest(d_sq, blocked.reshape(i1 - i0, ny, len(con)))
+            rate = np.zeros(near.shape)
+            rate[best >= 0] = _link_rate(near[best >= 0], *radio)
         label = np.full(rate.shape, LABEL_DARKNESS, dtype=np.int8)
         label[rate >= probe_rate_bps] = LABEL_ILLUMINATION
         label[(rate < probe_rate_bps) & (clear >= probe_rate_bps)] = LABEL_SHADOW
-        rates[i0:i1] = rate.reshape(i1 - i0, ny)
-        labels[i0:i1] = label.reshape(i1 - i0, ny)
+        rates[i0:i1], labels[i0:i1] = rate, label
     return HeatmapGrid(
         resolution_cells_per_m=res,
         length_m=cfg.room.length_m,
