@@ -316,19 +316,26 @@ def associate(
     one body per user, in user order, and blocker i never blocks user i's
     links. There is no room here to check a position against, so a
     position off the floor is served like any other point, wall mounts
-    included.
+    included. A position that is not finite, or whose squared distance to
+    an AP overflows, is a ValueError.
     """
     pos = np.asarray(positions, dtype=float)
     if pos.shape == (0,):
         return ()
     if pos.ndim != 2 or pos.shape[1] != 2:
         raise ValueError(f"positions: expected an (m, 2) array, got shape {pos.shape}")
+    with np.errstate(over="ignore"):  # an overflow is refused just below
+        d_sq = _d_sq(constellation, device_height_m, *pos.T)
+    bad = ~np.isfinite(d_sq).all(axis=0)
+    if bad.any():
+        raise ValueError("positions: each must be finite, at a finite squared distance "
+                         f"from every AP, got {pos[bad][0].tolist()}")
     blocked = None
     if blockers:
         blocked = geometry.blocked_matrix(
             constellation.xyz, pos, device_height_m, *_body_arrays(blockers), own_body=True
         )
-    return tuple(_nearest(_d_sq(constellation, device_height_m, *pos.T), blocked)[0].tolist())
+    return tuple(_nearest(d_sq, blocked)[0].tolist())
 
 
 def _body_arrays(blockers: Sequence[BodyCylinder]):

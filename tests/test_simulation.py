@@ -201,11 +201,17 @@ class TestAssociate:
         [5.0, 5.0, 3.0, 3.0],
         [[5.0, 5.0, 1.5]],
         [[[5.0, 5.0]]],
+        [[math.nan, 5.0]],
+        [[math.inf, 5.0]],
+        [[5.0, 5.0], [5.0, -math.inf]],
+        [[1e200, 5.0]],  # finite, but its squared distance overflows
     ])
     def test_positions_must_be_an_m_by_2_array(self, positions):
         con = geo.place(geo.Room(), "B", 4, 5e-3)
-        with pytest.raises(ValueError, match="^positions:"):
-            sim.associate(positions, con)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^positions:"):
+                sim.associate(positions, con)
 
     def test_off_floor_position_is_served_like_any_other(self):
         # (5, -3) lies behind the south wall mount, which is still its
