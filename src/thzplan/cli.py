@@ -183,6 +183,8 @@ def cmd_sweep(args) -> int:
         series = [[point(b, v) for v in values] for b in bases]
     except ConfigError as exc:  # the field at fault was set from --values
         raise ConfigError("values: " + str(exc).partition(": ")[2]) from exc
+    if args.axis == "N":  # the counts the points were built with, not the parsed floats
+        values = [p.n_aps for p in series[0]]
     reports = simulation.sweep(series, jobs=args.jobs)
     out = _ensure_outdir(args.out)
     path = os.path.join(out, "sweep.csv")

@@ -170,8 +170,8 @@ def with_placement(cfg: SimConfig, placement_type: str, n_aps: int | None = None
     t = placement_type.upper()
     n = cfg.n_aps if n_aps is None else n_aps
     counts = geometry.COUNTS.get(t, (n,))
-    if n not in counts and n_aps is not None:
-        raise ConfigError(f"n: type {t} supports {counts}, got {n_aps}")
+    if n not in counts and n_aps is not None:  # a whole count parsed as 5.0 reads 5
+        raise ConfigError(f"n: type {t} supports {counts}, got {str(n_aps).removesuffix('.0')}")
     # the table's own count, so a count given as 4.0 is stored as 4
     return replace(cfg, placement_type=t, n_aps=counts[counts.index(n) if n in counts else 0])
 

@@ -185,6 +185,16 @@ def test_sweep_along_n_writes_the_table_of_the_same_series(tmp_path, capsys):
     assert tables[0] == tables[1]
 
 
+def test_sweep_along_n_records_and_names_whole_counts(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", _tiny_config(tmp_path), "--axis", "N",
+                     "--values", "4,8.0,16", "--types", "B", "--out", str(out)]) == cli.EXIT_OK
+    assert json.loads((out / "manifest.json").read_text())["sweep"]["values"] == [4, 8, 16]
+    capsys.readouterr()
+    assert cli.main(["sweep", "--axis", "N", "--values", "5", "--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.rstrip().endswith("got 5")
+
+
 @pytest.mark.parametrize("argv,flag", [
     (["sweep", "--values", "2,abc"], "values"),
     (["sweep", "--values", "2:x:1"], "values"),
