@@ -192,18 +192,20 @@ def with_effective_height(cfg: SimConfig, h_eff_m: float) -> SimConfig:
 def parse_series(label: str) -> tuple[str, int]:
     """'A' -> (A, 1); 'B' -> (B, 4); 'B8' -> (B, 8); 'C16' -> (C, 16). A
     bare letter takes the layout's first count in geometry.COUNTS, whatever
-    the config's count. An error names the label: an unknown type, a count
-    that is not a whole number, or one the layout does not take. Leading
-    zeros are dropped, so 'B0004' is B4."""
+    the config's count. An error names the label, its first 12 characters
+    when longer: an unknown type, a count that is not a whole number, or
+    one the layout does not take. Leading zeros are dropped, so 'B0004' is
+    B4."""
     label = label.strip().upper()
+    shown = repr(label if len(label) <= 12 else label[:12] + "...")  # an error's line stays short
     counts = geometry.COUNTS.get(label[:1])
     if counts is None:
-        raise ConfigError(f"series label {label!r} must start with a placement type")
+        raise ConfigError(f"series label {shown} must start with a placement type")
     digits = label[1:].lstrip("0")
     # bounded before int(), which refuses a string of thousands of digits
     n = int(digits) if digits.isdecimal() and len(digits) <= len(str(max(counts))) else None
     if label[1:] and n not in counts:
-        raise ConfigError(f"series label {label!r}: AP count must be one of {counts}")
+        raise ConfigError(f"series label {shown}: AP count must be one of {counts}")
     return label[0], n if label[1:] else counts[0]
 
 
