@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import achievable_rate, ap_rows, heatmap_whole_grid, los_blocked, run_one, sees
+from oracles import (achievable_rate, ap_rows, best_ap_by_snr, heatmap_whole_grid, los_blocked,
+                     run_one, sees)
 from thzplan import geometry as geo
 from thzplan import linkbudget as lb
 from thzplan import mobility as mob
@@ -214,6 +215,37 @@ class TestAssociate:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="^positions:"):
                 sim.associate(positions, con)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_nearest_on_a_block_is_the_strongest_ap_of_each_entry(self, data):
+        # _nearest takes run()'s (A, K, m) block as it is; the oracle takes
+        # the same entries as a (K*m, A) SNR matrix. Few distinct distances
+        # make exact ties likely, and every entry blocked from every AP is
+        # drawn too, as is m = 0.
+        a, k, m = (data.draw(st.integers(lo, hi)) for lo, hi in ((1, 5), (1, 4), (0, 5)))
+        d_sq = np.array(data.draw(st.lists(st.sampled_from([0.25, 1.0, 2.0, 2.25, 9.0, 30.0]),
+                                           min_size=a * k * m, max_size=a * k * m)))
+        d_sq = d_sq.reshape(a, k, m)
+        blocked = data.draw(st.sampled_from([None, "drawn", "all"]))
+        if blocked == "all":
+            blocked = np.ones((k, m, a), dtype=bool)
+        elif blocked == "drawn":
+            blocked = np.array(data.draw(st.lists(st.booleans(), min_size=k * m * a,
+                                                  max_size=k * m * a)), dtype=bool)
+            blocked = blocked.reshape(k, m, a)
+        sig, tau, _ = sim._radio(make_config().link)
+        snr = sig / (d_sq * np.exp(tau * np.sqrt(d_sq)))
+        flat = np.moveaxis(snr, 0, -1).reshape(k * m, a)
+        want = best_ap_by_snr(flat, None if blocked is None else blocked.reshape(-1, a))
+
+        best, near = sim._nearest(d_sq, blocked)
+        assert best.shape == near.shape == (k, m)
+        assert best.ravel().tolist() == want.tolist()
+        served = best >= 0
+        at_best = np.take_along_axis(d_sq, np.maximum(best, 0)[None], axis=0)[0]
+        assert near[served].tobytes() == at_best[served].tobytes()
+        assert np.all(near[~served] == np.inf)
 
     def test_off_floor_position_is_served_like_any_other(self):
         # (5, -3) lies behind the south wall mount, which is still its
