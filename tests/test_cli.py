@@ -24,12 +24,11 @@ def test_sweep_bad_series_count_exits_2_naming_series(tmp_path, capsys):
     assert "invalid literal" not in err
 
 
-@pytest.mark.parametrize("label", ["B" + "9" * 5000, "X" + "9" * 5000])
-def test_sweep_long_series_label_exits_2_with_a_short_line(tmp_path, capsys, label):
-    code = cli.main(["sweep", "--types", label, "--out", str(tmp_path / "out")])
+def test_sweep_long_unknown_label_exits_2_with_a_short_line(tmp_path, capsys):
+    code = cli.main(["sweep", "--types", "X" + "9" * 5000, "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith(f"configuration error: series label '{label[:12]}...'")
+    assert err.startswith("configuration error: series label 'X99999999999...' must start")
     assert err.count("\n") == 1 and len(err) < 100
 
 
@@ -330,7 +329,9 @@ def test_sweep_series_count_the_type_does_not_take_exits_2_naming_label(
                      "--values", "2", "--out", str(out)])
     assert code == cli.EXIT_CONFIG
     shown = label if len(label) <= 12 else label[:12] + "..."  # a long label is cut
-    assert f"configuration error: series label {shown!r}:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: series label {shown!r}:")
+    assert err.count("\n") == 1 and len(err) < 100
     assert not out.exists()
 
 
