@@ -330,8 +330,8 @@ def associate(
         d_sq = _d_sq(constellation, device_height_m, *pos.T)
     bad = ~np.isfinite(d_sq).all(axis=0)
     if bad.any():
-        raise ValueError("positions: each must be finite, at a finite squared distance "
-                         f"from every AP, got {pos[bad][0].tolist()}")
+        raise ValueError(f"positions: {pos[bad][0].tolist()} at device height {device_height_m!r} "
+                         "is not finite, or too far from an AP to square the distance")
     blocked = None
     if blockers:
         blocked = geometry.blocked_matrix(
