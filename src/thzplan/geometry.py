@@ -10,6 +10,13 @@ alignment time for the whole layout. Wall mounts face into the room, and
 the room is convex, so every AP of every layout sees every point of the
 floor.
 
+Association has one rule: a device is served by the nearest AP not
+blocked from it (`nearest`), over the squared distances of `d_sq`, which
+keeps a block of points in its own shape with the APs on a first axis.
+The simulation's runs, heat maps and `associate` use the pair, and
+`reference_distances` takes the wall mounts' height correction from the
+same distances.
+
 Blockage has one implementation, `blocked_matrix`: every AP -> device
 segment against every vertical body cylinder. A body of height h can only
 cut the part of a segment below h, which for a ceiling AP is the last
@@ -152,30 +159,57 @@ def height_correction(
     return effective_height_m * -math.expm1(tau_per_m * (d_grid_m - d_perimeter_m) / 2.0)
 
 
-def mean_nearest_distance(
-    room: Room, nodes_xyz, probe_height_m: float, grid: int = 50
-) -> float:
-    """Mean 3-D distance from a uniform floor grid at probe height to the
-    nearest of the given node positions."""
-    nodes = np.asarray(nodes_xyz, dtype=float).reshape(-1, 3)
-    xs = (np.arange(grid) + 0.5) * room.length_m / grid
-    ys = (np.arange(grid) + 0.5) * room.width_m / grid
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    dx = gx[..., None] - nodes[:, 0]
-    dy = gy[..., None] - nodes[:, 1]
-    dz = probe_height_m - nodes[:, 2]
-    d = np.sqrt(dx * dx + dy * dy + dz * dz)
-    return float(d.min(axis=-1).mean())
-
-
 def reference_distances(
     room: Room, n: int, probe_height_m: float = 1.5, grid: int = 50
 ) -> tuple[float, float]:
     """Reference link distances feeding the height correction: grid-average
     nearest-AP distance for the ceiling grid and for the full-height
-    perimeter layout, both as place() builds them."""
-    return tuple(mean_nearest_distance(room, place(room, t, n, 0.0).xyz, probe_height_m, grid)
-                 for t in "BC")
+    perimeter layout, both as place() builds them. The grid is grid x grid
+    cell centres of the floor at probe height, and the distances are
+    d_sq's, so the rule is the one association uses."""
+    xs = (np.arange(grid) + 0.5) * room.length_m / grid
+    ys = (np.arange(grid) + 0.5) * room.width_m / grid
+    return tuple(float(np.sqrt(d_sq(place(room, t, n, 0.0).xyz, probe_height_m, xs[:, None], ys)
+                               .min(axis=0)).mean()) for t in "BC")
+
+
+def d_sq(ap_xyz: np.ndarray, device_z: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Squared 3-D distance from a device at height device_z at each floor
+    point (x, y) to each AP of ap_xyz (A, 3), APs on a new first axis:
+    (A, *P) for the points' broadcast shape P. (n,) columns give (A, n),
+    (K, m) blocks of x and y give (A, K, m), and an (rows, 1) x column
+    against an (ny,) y row gives (A, rows, ny) from an x table and a y
+    table. Each entry is its x term plus its y term plus the AP's height
+    term, added in that order whatever the shape."""
+    ap = ap_xyz.reshape(len(ap_xyz), 3, *[1] * max(np.ndim(x), np.ndim(y)))
+    out = (x - ap[:, 0]) ** 2 + (y - ap[:, 1]) ** 2
+    out += (ap[:, 2] - device_z) ** 2  # in place: no second full-size array
+    return out
+
+
+def nearest(dist_sq: np.ndarray, blocked: np.ndarray | None = None):
+    """The association rule: per device, the nearest AP among those not
+    blocked from it (every AP sees the whole floor), which is the one with
+    the highest SNR, since all APs of a layout hang at one height with one
+    power and the SNR falls with distance. dist_sq is d_sq's (A, *P);
+    blocked, if given, holds the same devices with the APs on its last
+    axis (*P, A), as blocked_matrix does. Returns (best, near), both of
+    shape P: the chosen AP id, the lowest on a tie, and its squared
+    distance; a device blocked from every AP gets -1 and inf. dist_sq must
+    be finite."""
+    if blocked is not None:
+        dist_sq = np.where(np.moveaxis(blocked, -1, 0), np.inf, dist_sq)
+    near = dist_sq.min(axis=0)
+    best = dist_sq.argmin(axis=0)
+    best[near == np.inf] = -1
+    return best, near
+
+
+def body_arrays(blockers):
+    """(centres, radii, heights) of a sequence of BodyCylinder: the blocker
+    arguments of blocked_matrix."""
+    return tuple(np.array([getattr(c, name) for c in blockers], dtype=float)
+                 for name in ("center", "radius_m", "height_m"))
 
 
 # Candidate boxes are padded by the largest radius plus this slack times

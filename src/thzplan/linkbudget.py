@@ -6,10 +6,12 @@ single access point. All quantities are linear (W, W/Hz, dimensionless
 gains); dB conversions belong to the config boundary.
 
 A link's SNR is snr_scale(params) / (d^2 e^(tau d)), with tau from
-absorption_for(params), and its rate is shannon_rate(snr, B): the
-simulation's runs and heat maps compute each chosen link through these
-functions. The SNR falls with d, so choosing the link takes no radio
-model: simulation.associate() picks the nearest unblocked AP.
+absorption_for(params), and its rate is shannon_rate(snr, B). link_rate
+states that law once, over the constants radio() takes from the params:
+the simulation's runs and heat maps compute each chosen link through it,
+and coverage_radius inverts it. The SNR falls with d, so choosing the
+link takes no radio model: geometry.nearest picks the nearest unblocked
+AP.
 """
 
 from __future__ import annotations
@@ -156,6 +158,20 @@ def lambert_w0(x: float) -> float:
         if w <= -1.0:
             w = -1.0 + 1e-15
     return w
+
+
+def radio(params: LinkBudgetParams) -> tuple[float, float, float]:
+    """(SNR scale, absorption tau, bandwidth) of a link: link_rate's constants."""
+    return snr_scale(params), absorption_for(params), params.bandwidth_hz
+
+
+def link_rate(d_sq, sig, tau, bandwidth_hz):
+    """Shannon rate of links of squared length d_sq: the SNR
+    sig / (d^2 e^(tau d)), computed only for the links given. e^(tau d)
+    may overflow to inf, which gives the SNR's limit 0."""
+    with np.errstate(over="ignore"):
+        loss = d_sq * np.exp(tau * np.sqrt(d_sq))
+    return shannon_rate(sig / loss, bandwidth_hz)
 
 
 def _radius_constant(params: LinkBudgetParams, spectral_efficiency: float) -> float:

@@ -4,9 +4,10 @@ Every user owns an independent substream derived from the run seed, so a
 trajectory depends only on (seed, user id, room, mobility parameters, dt
 sequence). That derivation rule is part of the determinism contract:
 substream i is numpy's PCG64 seeded with SeedSequence([seed, i]).
-init_users draws each user's set-up from substream i; run() then steps
-with fresh substreams and builds user i's generator the first time that
-user draws a new waypoint, so a user who never draws costs no generator.
+init_users draws each user's set-up from substream i; stepping then uses
+fresh substreams, as Substreams(seed) builds them: user i's generator is
+built the first time that user draws a new waypoint, so a user who never
+draws costs no generator.
 """
 
 from __future__ import annotations
@@ -27,12 +28,22 @@ DEFAULT_RATE_MAX_BPS = 10e9
 
 
 def substream(seed: int, user_id: int) -> np.random.Generator:
-    """Per-user RNG stream; the (seed, id) pair fully determines it.
-
-    A stream built late is in the same fresh state as one built early, so
-    run() builds a user's stepping generator on first use.
-    """
+    """Per-user RNG stream; the (seed, id) pair fully determines it."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, user_id])))
+
+
+class Substreams(dict):
+    """Each user's stepping generator, substream(seed, i), built the first
+    time step_user asks for it: step_user's rngs. A generator built late is
+    in the same fresh state as one built early, and most users of a short
+    run never draw."""
+
+    def __init__(self, seed: int):
+        self.seed = seed
+
+    def __missing__(self, i):
+        rng = self[i] = substream(self.seed, int(i))
+        return rng
 
 
 def _draw_waypoint(rng, room: Room):

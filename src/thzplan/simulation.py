@@ -6,14 +6,17 @@ AP's beam-alignment dead time, and an AP's rate is time-shared equally
 among its assigned users. Metrics are plain averages over (user, step)
 pairs; an AP is idle in a step when nothing is assigned to it.
 
-run(), heatmap() and associate() share one best-AP rule (_nearest). All
-APs of a layout hang at one height with one power, and the linkbudget
-SNR falls with distance, so the nearest unblocked AP is the strongest:
-the rule needs geometry only. Association keeps each block of points in
-its own shape, with the APs on a first axis (_d_sq), and returns each
-chosen link's squared distance with its AP. The SNR and rate are
-computed for each device's chosen link alone, from that distance
-(_link_rate), so the static and dynamic views agree.
+This module holds the config model, the step loop, heatmap(),
+associate() and sweep(); each model rule lives in the module that states
+it. run(), heatmap() and associate() share one best-AP rule,
+geometry.nearest over geometry.d_sq: all APs of a layout hang at one
+height with one power, and the SNR falls with distance, so the nearest
+unblocked AP is the strongest. Association keeps each block of points in
+its own shape, with the APs on a first axis, and returns each chosen
+link's squared distance with its AP. The rate is computed for each
+device's chosen link alone, from that distance (linkbudget.link_rate), so
+the static and dynamic views agree. The users step with
+mobility.Substreams' generators.
 
 run() steps one crowd for a batch of configs that differ only on the AP
 side; in-process, sweep() runs all of its series as one batch. The crowd,
@@ -219,14 +222,10 @@ def build_constellation(cfg: SimConfig) -> Constellation:
     t = cfg.placement_type.upper()
     h_c = 0.0
     if t == "C":
-        d_grid, d_perim = geometry.reference_distances(
-            cfg.room, cfg.n_aps, cfg.user_height_m
-        )
+        d_grid, d_perim = geometry.reference_distances(cfg.room, cfg.n_aps, cfg.user_height_m)
         tau = linkbudget.absorption_for(cfg.link)
         try:
-            h_c = geometry.height_correction(
-                cfg.effective_height_m(), d_grid, d_perim, tau
-            )
+            h_c = geometry.height_correction(cfg.effective_height_m(), d_grid, d_perim, tau)
         except ValueError as exc:
             room = cfg.room
             raise ConfigError(
@@ -257,51 +256,6 @@ class MetricsReport:
     events: tuple = ()
 
 
-def _d_sq(con: Constellation, device_z: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Squared 3-D distance from a device at height device_z at each floor
-    point (x, y) to each AP of con, APs on a new first axis: (A, *P) for
-    the points' broadcast shape P. associate()'s (n,) columns give (A, n),
-    run()'s (K, m) blocks of x and y give (A, K, m), and heatmap()'s
-    (rows, 1) x column against its (ny,) y row gives (A, rows, ny) from an
-    x table and a y table. Each entry is its x term plus its y term plus
-    the AP's height term, added in that order whatever the shape."""
-    ap = con.xyz.reshape(len(con), 3, *[1] * max(np.ndim(x), np.ndim(y)))
-    d_sq = (x - ap[:, 0]) ** 2 + (y - ap[:, 1]) ** 2
-    d_sq += (ap[:, 2] - device_z) ** 2  # in place: no second full-size array
-    return d_sq
-
-
-def _nearest(d_sq: np.ndarray, blocked: np.ndarray | None = None):
-    """The association rule: per device, the nearest AP among those not
-    blocked from it (every AP sees the whole floor, see geometry), which is
-    the one with the highest SNR. d_sq is _d_sq's (A, *P); blocked, if
-    given, holds the same devices with the APs on its last axis (*P, A), as
-    blocked_matrix and run()'s blockage buffer do. Returns (best, near),
-    both of shape P: the chosen AP id, the lowest on a tie, and its squared
-    distance; a device blocked from every AP gets -1 and inf. d_sq must be
-    finite, as every caller's positions make it."""
-    if blocked is not None:
-        d_sq = np.where(np.moveaxis(blocked, -1, 0), np.inf, d_sq)
-    near = d_sq.min(axis=0)
-    best = d_sq.argmin(axis=0)
-    best[near == np.inf] = -1
-    return best, near
-
-
-def _radio(link: LinkBudgetParams) -> tuple[float, float, float]:
-    """(SNR scale, absorption tau, bandwidth) of a link: _link_rate's constants."""
-    return linkbudget.snr_scale(link), linkbudget.absorption_for(link), link.bandwidth_hz
-
-
-def _link_rate(d_sq, sig, tau, bandwidth_hz):
-    """Shannon rate of links of squared length d_sq: the linkbudget SNR
-    sig / (d^2 e^(tau d)), computed only for the links given. e^(tau d)
-    may overflow to inf, which gives the SNR's limit 0."""
-    with np.errstate(over="ignore"):
-        loss = d_sq * np.exp(tau * np.sqrt(d_sq))
-    return linkbudget.shannon_rate(sig / loss, bandwidth_hz)
-
-
 def associate(
     positions,
     constellation: Constellation,
@@ -327,27 +281,16 @@ def associate(
     if pos.ndim != 2 or pos.shape[1] != 2:
         raise ValueError(f"positions: expected an (m, 2) array, got shape {pos.shape}")
     with np.errstate(over="ignore"):  # an overflow is refused just below
-        d_sq = _d_sq(constellation, device_height_m, *pos.T)
+        d_sq = geometry.d_sq(constellation.xyz, device_height_m, *pos.T)
     bad = ~np.isfinite(d_sq).all(axis=0)
     if bad.any():
         raise ValueError(f"positions: {pos[bad][0].tolist()} at device height {device_height_m!r} "
                          "is not finite, or too far from an AP to square the distance")
     blocked = None
     if blockers:
-        blocked = geometry.blocked_matrix(
-            constellation.xyz, pos, device_height_m, *_body_arrays(blockers), own_body=True
-        )
-    return tuple(_nearest(d_sq, blocked)[0].tolist())
-
-
-def _body_arrays(blockers: Sequence[BodyCylinder]):
-    """(centres, radii, heights) of the blockers: the blocker arguments of
-    geometry.blocked_matrix."""
-    return (
-        np.array([c.center for c in blockers], dtype=float),
-        np.array([c.radius_m for c in blockers]),
-        np.array([c.height_m for c in blockers]),
-    )
+        blocked = geometry.blocked_matrix(constellation.xyz, pos, device_height_m,
+                                          *geometry.body_arrays(blockers), own_body=True)
+    return tuple(geometry.nearest(d_sq, blocked)[0].tolist())
 
 
 # The AP side of a config: the configs of one run() batch may differ in
@@ -426,8 +369,8 @@ def _step_all(batch: Sequence[SimConfig], cons: Sequence[Constellation], n_steps
     does not depend on K, and a config's block buffers hold about
     _STEP_BLOCK (AP, step, user) entries whatever the run's length. The
     block's (K, m) x and y and its (K, m, A) blockage columns go to
-    _d_sq and _nearest as they are, and the share reads each chosen
-    link's distance from _nearest."""
+    geometry.d_sq and geometry.nearest as they are, and the share reads
+    each chosen link's distance from nearest."""
     cfg, m = batch[0], batch[0].n_users
     crowd, demand = mobility.init_users(
         cfg.room, m, cfg.seed, v_mean=cfg.v_mean_mps, v_span=cfg.v_span_mps,
@@ -435,14 +378,14 @@ def _step_all(batch: Sequence[SimConfig], cons: Sequence[Constellation], n_steps
     )
     # Fresh generators replay the draws init_users made, so each user's
     # first new waypoint is its start point. The pinned results keep this.
-    rngs = _Substreams(cfg.seed)
+    rngs = mobility.Substreams(cfg.seed)
     xyz = np.concatenate([con.xyz for con in cons])
     cols = np.cumsum([0] + [len(con) for con in cons])  # config i's APs: cols[i]:cols[i + 1]
     k_max = min(max(1, _STEP_BLOCK // max(1, m * max(len(con) for con in cons))), n_steps)
     xy = np.empty((k_max, m, 2))
     hits = np.empty((k_max, m, len(xyz)), dtype=bool) if cfg.blockage_enabled else None
     deads = [_dead_steps(con.align_time_s, cfg.dt_s, n_steps) for con in cons]
-    radios = [_radio(c.link) for c in batch]
+    radios = [linkbudget.radio(c.link) for c in batch]
     # carried from block to block, by (config, user): the AP, the steps
     # since it last changed (the dead time depends on it alone), the shadow
     assign = np.full((len(batch), m), -1, dtype=np.int64)
@@ -460,10 +403,10 @@ def _step_all(batch: Sequence[SimConfig], cons: Sequence[Constellation], n_steps
                                                   own_body=True)
         step = np.arange(k)[:, None]
         for i, (con, dead, radio) in enumerate(zip(cons, deads, radios)):
-            d_sq = _d_sq(con, cfg.user_height_m, xy[:k, :, 0], xy[:k, :, 1])
+            d_sq = geometry.d_sq(con.xyz, cfg.user_height_m, xy[:k, :, 0], xy[:k, :, 1])
             # config i's columns of the blockage buffer
             blocked = None if hits is None else hits[:k, :, cols[i]:cols[i + 1]]
-            best, near = _nearest(d_sq, blocked)
+            best, near = geometry.nearest(d_sq, blocked)
 
             prev = np.concatenate([assign[i, None], best[:-1]])
             changed, served = best != prev, best >= 0
@@ -490,19 +433,6 @@ def _step_all(batch: Sequence[SimConfig], cons: Sequence[Constellation], n_steps
             assign[i], since[i], shadowed[i] = best[-1], age[-1], ~served[-1]
 
 
-class _Substreams(dict):
-    """Each user's stepping generator, built the first time step_user asks
-    for it. A generator built late is in the same fresh state as one built
-    early, and most users of a short run never draw."""
-
-    def __init__(self, seed: int):
-        self.seed = seed
-
-    def __missing__(self, i):
-        rng = self[i] = mobility.substream(self.seed, int(i))
-        return rng
-
-
 def _dead_steps(align_s: float, dt_s: float, n_steps: int) -> int:
     """How many steps a new or changed link pays dead time align_s: each
     step with time left pays, and takes dt_s off it down to 0. The count
@@ -516,14 +446,14 @@ def _dead_steps(align_s: float, dt_s: float, n_steps: int) -> int:
 def _share(share_mode, best, near, serving, radio, n_ap):
     """The rate share of a block of steps: each (step, user) entry's
     delivered rate and each (step, AP) count of assigned users, where an
-    entry's slot is step * n_ap + best. best and near are _nearest's, by
+    entry's slot is step * n_ap + best. best and near are nearest's, by
     (step, user); only the serving links' rates are computed."""
     key = np.arange(len(best))[:, None] * n_ap + best
     counts = np.bincount(key[best >= 0], minlength=len(best) * n_ap)
     delivered = np.zeros(best.shape)
     if serving.any():
         taken, dist_sq = key[serving], near[serving]
-        rate = _link_rate(dist_sq, *radio)
+        rate = linkbudget.link_rate(dist_sq, *radio)
         if share_mode == "equal_share":
             delivered[serving] = rate / counts[taken]
         else:  # single_user: the nearest (strongest) serving user takes the step, ties the lowest
@@ -576,9 +506,9 @@ def heatmap(
     """Static best-AP rate field at device height.
 
     Each cell is a device served by the AP run() would pick for it (see
-    _nearest) at that link's rate; a cell blocked from every AP reads 0.0.
-    Cells below the probe rate are darkness unless a blocker is what
-    pushed them under, in which case they are shadow. No time sharing:
+    geometry.nearest) at that link's rate; a cell blocked from every AP
+    reads 0.0. Cells below the probe rate are darkness unless a blocker is
+    what pushed them under, in which case they are shadow. No time sharing:
     this is the per-point link capacity, not a loaded-system rate.
     blockers is a sequence of BodyCylinder, each with its own size; none
     of them is the body of the device at a cell.
@@ -590,9 +520,9 @@ def heatmap(
     result does not depend on the block size. A cell's squared distance
     to an AP is an x term plus a y term plus the AP's height term, so a
     block's distances come from an (APs, rows, 1) table of x terms and an
-    (APs, 1, ny) table of y terms (_d_sq), not from a list of cells, and
-    stay in the grid's own (rows, ny) shape; the cells are listed only for
-    the blockage kernel, when there are blockers.
+    (APs, 1, ny) table of y terms (geometry.d_sq), not from a list of
+    cells, and stay in the grid's own (rows, ny) shape; the cells are
+    listed only for the blockage kernel, when there are blockers.
     """
     if not (math.isfinite(resolution_cells_per_m) and resolution_cells_per_m > 0):
         raise ConfigError("resolution: must be a finite positive number")
@@ -606,25 +536,25 @@ def heatmap(
         raise ConfigError(
             f"resolution: {res} cells/m centres the last cell outside the room"
         )
-    radio = _radio(cfg.link)
+    radio = linkbudget.radio(cfg.link)
     z = cfg.user_height_m
-    bodies = _body_arrays(blockers) if blockers else None
+    bodies = geometry.body_arrays(blockers) if blockers else None
 
     rates = np.empty((nx, ny))
     labels = np.empty((nx, ny), dtype=np.int8)
     rows = max(1, _CELL_BLOCK // ny)
     for i0 in range(0, nx, rows):
         i1 = min(i0 + rows, nx)
-        d_sq = _d_sq(con, z, xs[i0:i1, None], ys)
-        # no blockers: every cell is served, by its nearest AP (_nearest's near)
-        clear = rate = _link_rate(d_sq.min(axis=0), *radio)
+        d_sq = geometry.d_sq(con.xyz, z, xs[i0:i1, None], ys)
+        # no blockers: every cell is served, by its nearest AP (nearest's near)
+        clear = rate = linkbudget.link_rate(d_sq.min(axis=0), *radio)
         if bodies is not None:  # the cells, for the blockage kernel alone
             cells = np.stack([np.repeat(xs[i0:i1], ny), np.tile(ys, i1 - i0)], axis=1)
             blocked = geometry.blocked_matrix(con.xyz, cells, z, *bodies, own_body=False)
             # the kernel's (cells, APs) result, its cells listed x row by x row
-            best, near = _nearest(d_sq, blocked.reshape(i1 - i0, ny, len(con)))
+            best, near = geometry.nearest(d_sq, blocked.reshape(i1 - i0, ny, len(con)))
             rate = np.zeros(near.shape)
-            rate[best >= 0] = _link_rate(near[best >= 0], *radio)
+            rate[best >= 0] = linkbudget.link_rate(near[best >= 0], *radio)
         label = np.full(rate.shape, LABEL_DARKNESS, dtype=np.int8)
         label[rate >= probe_rate_bps] = LABEL_ILLUMINATION
         label[(rate < probe_rate_bps) & (clear >= probe_rate_bps)] = LABEL_SHADOW

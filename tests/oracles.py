@@ -14,6 +14,9 @@ inward normal. The library has no view test, since every floor point is
 in view of every AP; the tests that enumerate links keep it, to show
 that it removes nothing in the room. `coverage_radius_bruteforce` finds
 the illumination radius by bisection instead of through Lambert W.
+`mean_nearest_distance` is a layout's mean nearest-node distance over a
+floor grid, from a (cells, nodes) meshgrid; `geometry.reference_distances`
+takes it from `geometry.d_sq` and must match it bit for bit.
 `heatmap_whole_grid` computes a heat map's rates and labels in one pass
 over every cell; `simulation.heatmap` fills the same grids block by
 block and must match it bit for bit. `heatmap_csv_rows` is the heat-map
@@ -24,8 +27,8 @@ constants and `run_one` steps one config on its own, with its own crowd;
 give each config exactly the report `run_one` gives it. `best_ap_by_snr`
 and `best_rate_by_snr` are the association rule stated on the full
 (devices, APs) SNR matrix: the strongest unblocked AP. `run_one` and
-`heatmap_whole_grid` associate by it, so the library's nearest-AP rule is
-checked against the strongest-AP rule.
+`heatmap_whole_grid` associate by it, so the library's nearest-AP rule
+(`geometry.nearest`) is checked against the strongest-AP rule.
 """
 
 from __future__ import annotations
@@ -344,6 +347,22 @@ def coverage_radius_bruteforce(params, spectral_efficiency: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def mean_nearest_distance(room, nodes_xyz, probe_height_m: float, grid: int = 50) -> float:
+    """Mean 3-D distance from a uniform grid x grid floor grid at probe
+    height to the nearest of the given node positions, over a meshgrid of
+    every (cell, node) pair: `geometry.reference_distances` must give
+    exactly this for each layout it measures."""
+    nodes = np.asarray(nodes_xyz, dtype=float).reshape(-1, 3)
+    xs = (np.arange(grid) + 0.5) * room.length_m / grid
+    ys = (np.arange(grid) + 0.5) * room.width_m / grid
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    dx = gx[..., None] - nodes[:, 0]
+    dy = gy[..., None] - nodes[:, 1]
+    dz = probe_height_m - nodes[:, 2]
+    d = np.sqrt(dx * dx + dy * dy + dz * dz)
+    return float(d.min(axis=-1).mean())
+
+
 def heatmap_whole_grid(cfg, resolution_cells_per_m, probe_rate_bps, blockers=None):
     """(rates, labels) of `simulation.heatmap`, every cell in one pass.
 
@@ -365,7 +384,7 @@ def heatmap_whole_grid(cfg, resolution_cells_per_m, probe_rate_bps, blockers=Non
     rates = clear
     if blockers:
         blocked = geometry.blocked_matrix(aps.xyz, cells, cfg.user_height_m,
-                                          *sim._body_arrays(blockers), own_body=False)
+                                          *geometry.body_arrays(blockers), own_body=False)
         rates = best_rate_by_snr(best_ap_by_snr(snr, blocked), snr, link.bandwidth_hz)
 
     labels = np.full(cells.shape[0], sim.LABEL_DARKNESS, dtype=np.int8)

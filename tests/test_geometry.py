@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import ap_rows, los_blocked, sees
+from oracles import ap_rows, los_blocked, mean_nearest_distance, sees
 from thzplan import geometry as geo
 
 
@@ -249,12 +250,14 @@ class TestReferenceDistances:
             for a, b in zip(coarse, fine):
                 assert abs(a - b) / b < 0.01
 
-    def test_identical_constellations_coincide(self):
-        room = geo.Room()
-        nodes = geo.place(room, "B", 4, T_ALIGN).xyz
-        a = geo.mean_nearest_distance(room, nodes, 1.5)
-        b = geo.mean_nearest_distance(room, nodes, 1.5)
-        assert a == b
+    def test_equals_the_mean_nearest_distance_oracle(self):
+        # bit for bit, over rooms, probe heights, grids and every count
+        rooms = [geo.Room(), geo.Room(28.0, 3.0, 3.0), geo.Room(7.3, 11.9, 2.7)]
+        for room, z, grid in itertools.product(rooms, (0.0, 1.1, 1.5), (7, 50, 100)):
+            for n in geo.COUNTS["C"]:  # the counts build_constellation measures
+                want = tuple(mean_nearest_distance(room, geo.place(room, t, n, 0.0).xyz, z, grid)
+                             for t in "BC")
+                assert geo.reference_distances(room, n, z, grid) == want, (room, z, grid, n)
 
     @pytest.mark.parametrize("n", [4, 8, 12, 16])
     def test_perimeter_never_closer(self, n):

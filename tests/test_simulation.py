@@ -219,7 +219,7 @@ class TestAssociate:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_nearest_on_a_block_is_the_strongest_ap_of_each_entry(self, data):
-        # _nearest takes run()'s (A, K, m) block as it is; the oracle takes
+        # nearest takes run()'s (A, K, m) block as it is; the oracle takes
         # the same entries as a (K*m, A) SNR matrix. Few distinct distances
         # make exact ties likely, and every entry blocked from every AP is
         # drawn too, as is m = 0.
@@ -234,12 +234,12 @@ class TestAssociate:
             blocked = np.array(data.draw(st.lists(st.booleans(), min_size=k * m * a,
                                                   max_size=k * m * a)), dtype=bool)
             blocked = blocked.reshape(k, m, a)
-        sig, tau, _ = sim._radio(make_config().link)
+        sig, tau, _ = lb.radio(make_config().link)
         snr = sig / (d_sq * np.exp(tau * np.sqrt(d_sq)))
         flat = np.moveaxis(snr, 0, -1).reshape(k * m, a)
         want = best_ap_by_snr(flat, None if blocked is None else blocked.reshape(-1, a))
 
-        best, near = sim._nearest(d_sq, blocked)
+        best, near = geo.nearest(d_sq, blocked)
         assert best.shape == near.shape == (k, m)
         assert best.ravel().tolist() == want.tolist()
         served = best >= 0
