@@ -117,22 +117,29 @@ def _parse_value(key: str, raw: str):
 
 def load_settings(path=None, overrides: dict | None = None) -> dict:
     """Flat key -> value mapping with defaults, file, then overrides;
-    an override is parsed from str(value) exactly like file text. With
+    an override is parsed from str(value) exactly like file text. A key
+    the file sets twice, in one section or in two, is a ConfigError naming
+    it; [DEFAULT] is a section like any other. With
     n_aps unset, a layout that does not take the default count gets its
     first count in geometry.COUNTS (1 for type A); an unknown type is left
     for validate() to name."""
     given = {}
     if path is not None:
-        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+        # no section name is "", so [DEFAULT] is an ordinary section
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), default_section="")
         try:
             with open(path) as fh:
                 parser.read_file(fh)
         except OSError as exc:
             raise ConfigError(f"config: cannot read {path}: {exc}") from exc
+        except configparser.DuplicateOptionError as exc:
+            raise ConfigError(f"{exc.option}: set twice in [{exc.section}] of {path}") from exc
         except configparser.Error as exc:
             raise ConfigError(f"config: parse error in {path}: {exc}") from exc
         for section in parser.sections():
             for key, raw in parser.items(section):
+                if key in given:
+                    raise ConfigError(f"{key}: set twice, the second time in [{section}] of {path}")
                 given[key] = _parse_value(key, raw)
     for key, value in (overrides or {}).items():
         given[key] = _parse_value(key, str(value))

@@ -111,3 +111,25 @@ def test_non_string_override_is_parsed_like_file_text():
     assert type(cfg.seed) is int and cfg.seed == 7
     assert settings["p_o_dbm"] == -3.0
     assert cfg.p_o_w == cfgmod.dbm_to_watts(-3.0)
+
+
+@pytest.mark.parametrize("text", [
+    "[radio]\nf_c_ghz = 300\n[room]\nf_c_ghz = 600\n",  # once took the last, 600 GHz
+    "[radio]\nf_c_ghz = 300\nf_c_ghz = 600\n",
+    "[DEFAULT]\nf_c_ghz = 300\n[radio]\nf_c_ghz = 600\n",
+], ids=["two-sections", "one-section", "default-and-a-section"])
+def test_a_key_set_twice_is_an_error_naming_it(tmp_path, text):
+    path = tmp_path / "twice.ini"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match="^f_c_ghz: set twice"):
+        cfgmod.load_config(path)
+
+
+def test_default_section_keys_take_effect(tmp_path):
+    # [DEFAULT] is an ordinary section, not configparser's fallback for others
+    path = tmp_path / "default.ini"
+    path.write_text("[DEFAULT]\nseed = 4\n")
+    cfg, settings = cfgmod.load_config(path)
+    assert cfg.seed == settings["seed"] == 4
+    path.write_text("[DEFAULT]\nseed = 4\n[users]\nn_users = 3\n")
+    assert cfgmod.load_config(path)[0] == SimConfig(seed=4, n_users=3)
