@@ -107,6 +107,10 @@ def cmd_radius(args) -> int:
     return EXIT_OK
 
 
+# the coverage-sweep flag each point field is set from
+_AXIS_FLAGS = {"f_c_hz": "frequencies", "beamwidth_deg": "beamwidths"}
+
+
 def cmd_coverage_sweep(args) -> int:
     cfg, _ = _load(args)
     freqs = _parse_values(args.frequencies_ghz, "frequencies")
@@ -117,7 +121,12 @@ def cmd_coverage_sweep(args) -> int:
     for f in freqs:
         for bw in widths:
             point = replace(cfg, f_c_hz=f * 1e9, beamwidth_deg=bw)
-            point.validate()
+            try:
+                point.validate()
+            except ConfigError as exc:  # name the flags the fields at fault were set from
+                names, _, rest = str(exc).partition(": ")
+                flags = [_AXIS_FLAGS[n] for n in names.split("/") if n in _AXIS_FLAGS]
+                raise ConfigError(f"{'/'.join(flags) or names}: {rest}") from exc
             r = _radius(point.link, args.spectral_efficiency)
             lines.append(f"{reporting.fmt(f)},{reporting.fmt(bw)},{reporting.fmt(r)}")
     text = "\n".join(lines)

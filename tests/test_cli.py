@@ -402,14 +402,16 @@ def test_float_flag_needs_finite_positive_number(tmp_path, capsys, monkeypatch, 
 @pytest.mark.parametrize("argv,field", [
     (["radius", "-s", "2000"], "spectral-efficiency"),
     (["radius", "-s", "1e-300"], "spectral-efficiency"),
-    (["coverage-sweep", "--frequencies", "5000", "--out", "out"], "f_c_hz"),
-    (["coverage-sweep", "--beamwidths", "400", "--out", "out"], "beamwidth_deg"),
+    (["coverage-sweep", "--frequencies", "5000", "--out", "out"], "frequencies"),
+    (["coverage-sweep", "--beamwidths", "400", "--out", "out"], "beamwidths"),
     (["coverage-sweep", "-s", "2000", "--out", "out"], "spectral-efficiency"),
+    # a rule tying both point fields names both flags
+    (["coverage-sweep", "--beamwidths", "1e-300", "--out", "out"], "frequencies/beamwidths"),
 ])
 def test_radius_out_of_range_exits_2_naming_field(tmp_path, capsys, monkeypatch, argv, field):
     monkeypatch.chdir(tmp_path)
     assert cli.main(argv) == cli.EXIT_CONFIG
-    assert capsys.readouterr().err.startswith(f"configuration error: {field}")
+    assert capsys.readouterr().err.startswith(f"configuration error: {field}:")
     assert not any(tmp_path.iterdir())
 
 

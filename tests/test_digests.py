@@ -46,6 +46,7 @@ CONFIGS = {
     "f5000": "[radio]\nf_c_ghz = 5000\n",
     "below": "[users]\nuser_height_m = -1\n",
     "huge": "[room]\nroom_l_m = 1e300\n",
+    "twice": "[radio]\nf_c_ghz = 300\n[room]\nf_c_ghz = 600\n",
 }
 
 OUTPUT_CASES = {
@@ -81,9 +82,10 @@ FAILURE_CASES = {
     "validate-huge": ("validate --config {huge}", "configuration error: room_l_m:"),
     "radius-2000": ("radius -s 2000", "configuration error: spectral-efficiency:"),
     "coverage-sweep-5000": ("coverage-sweep --frequencies 5000 --out {out}",
-                            "configuration error: f_c_hz:"),
+                            "configuration error: frequencies:"),
     "heatmap-blockage": ("heatmap --blockage on --out {out}", "usage: thzplan"),
     "sweep-n-5": ("sweep --axis N --values 5 --out {out}", "configuration error: values:"),
+    "validate-twice": ("validate --config {twice}", "configuration error: f_c_ghz:"),
 }
 
 
