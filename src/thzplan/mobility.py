@@ -33,8 +33,8 @@ def substream(seed: int, user_id: int) -> np.random.Generator:
 
 
 class Substreams(dict):
-    """Each user's stepping generator, substream(seed, i), built the first
-    time step_user asks for it: step_user's rngs. A generator built late is
+    """step_user's rngs: user i's stepping generator, substream(seed, i),
+    built the first time step_user asks for it. A generator built late is
     in the same fresh state as one built early, and most users of a short
     run never draw."""
 

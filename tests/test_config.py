@@ -114,7 +114,7 @@ def test_non_string_override_is_parsed_like_file_text():
 
 
 @pytest.mark.parametrize("text", [
-    "[radio]\nf_c_ghz = 300\n[room]\nf_c_ghz = 600\n",  # once took the last, 600 GHz
+    "[radio]\nf_c_ghz = 300\n[room]\nf_c_ghz = 600\n",
     "[radio]\nf_c_ghz = 300\nf_c_ghz = 600\n",
     "[DEFAULT]\nf_c_ghz = 300\n[radio]\nf_c_ghz = 600\n",
 ], ids=["two-sections", "one-section", "default-and-a-section"])
