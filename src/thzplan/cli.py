@@ -116,8 +116,9 @@ def cmd_coverage_sweep(args) -> int:
     freqs = _parse_values(args.frequencies_ghz, "frequencies")
     widths = _parse_values(args.beamwidths_deg, "beamwidths")
     if not freqs or not widths:
-        raise ConfigError("coverage sweep needs non-empty frequency and beamwidth axes")
-    lines = ["f_c_ghz,beamwidth_deg,radius_m"]
+        flag = "beamwidths" if freqs else "frequencies"
+        raise ConfigError(f"{flag}: coverage sweep needs at least one value")
+    rows = []
     for f in freqs:
         for bw in widths:
             point = replace(cfg, f_c_hz=f * 1e9, beamwidth_deg=bw)
@@ -127,16 +128,14 @@ def cmd_coverage_sweep(args) -> int:
                 names, _, rest = str(exc).partition(": ")
                 flags = [_AXIS_FLAGS[n] for n in names.split("/") if n in _AXIS_FLAGS]
                 raise ConfigError(f"{'/'.join(flags) or names}: {rest}") from exc
-            r = _radius(point.link, args.spectral_efficiency)
-            lines.append(f"{reporting.fmt(f)},{reporting.fmt(bw)},{reporting.fmt(r)}")
-    text = "\n".join(lines)
+            rows.append((f, bw, _radius(point.link, args.spectral_efficiency)))
+    text = "".join(reporting.csv_lines(reporting.COVERAGE_COLUMNS, rows))
     if args.out:
-        out = _ensure_outdir(args.out)
-        path = os.path.join(out, "coverage_sweep.csv")
-        reporting.write_text(text + "\n", path)
+        path = os.path.join(_ensure_outdir(args.out), "coverage_sweep.csv")
+        reporting.write_text(text, path)
         print(path)
     else:
-        print(text)
+        sys.stdout.write(text)
     return EXIT_OK
 
 

@@ -36,7 +36,6 @@ import numpy as np
 GRID_COUNTS = (4, 8, 12, 16)
 # the AP counts each layout takes, its default first
 COUNTS = {"A": (1,), "B": GRID_COUNTS, "C": GRID_COUNTS}
-ALL_TYPES = tuple(COUNTS)
 
 # columns x rows of the ceiling partition per AP count; type A is the
 # 1 x 1 grid, whose one cell centre is the room centre

@@ -1,5 +1,13 @@
 """Stable on-disk formats for metrics, sweeps, heat maps, and events.
 
+Each format is stated once, and its writer and reader follow from that
+statement: RESULT_TABLE gives each results column its MetricsReport
+field and read-back type, EVENT_COLUMNS and COVERAGE_COLUMNS name the
+other tables' columns, and the heat-map sidecar's scalar keys are
+HeatmapGrid's own scalar fields. The results, event and coverage tables
+go out through one helper, csv_lines; the heat-map grids have no header
+and their own writer.
+
 All writers are byte-deterministic: fixed column order, shortest
 round-trip float text, LF newlines, atomic replace on close. Identical
 inputs give identical files on any platform.
@@ -7,7 +15,6 @@ inputs give identical files on any platform.
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 import tempfile
@@ -17,12 +24,23 @@ import numpy as np
 
 from .simulation import LABEL_NAMES, HeatmapGrid, MetricsReport
 
-RESULT_COLUMNS = (
-    "placement_type", "n_aps", "h_m", "seed",
-    "user_coverage", "mean_throughput_bps", "ap_idle_fraction", "handoff_count",
+# results.csv and sweep.csv: each column, the MetricsReport field it holds
+# and the type it reads back as; a column not listed reads back as text
+RESULT_TABLE = (
+    ("placement_type", "placement_type", str),
+    ("n_aps", "n_aps", int),
+    ("h_m", "effective_height_m", float),
+    ("seed", "seed", int),
+    ("user_coverage", "user_coverage", float),
+    ("mean_throughput_bps", "mean_throughput_bps", float),
+    ("ap_idle_fraction", "ap_idle_fraction", float),
+    ("handoff_count", "handoff_count", int),
 )
+RESULT_COLUMNS = tuple(column for column, _, _ in RESULT_TABLE)
 
 EVENT_COLUMNS = ("t_s", "event_kind", "user_id", "ap_id")
+
+COVERAGE_COLUMNS = ("f_c_ghz", "beamwidth_deg", "radius_m")
 
 
 def fmt(value) -> str:
@@ -54,39 +72,32 @@ def _write(path, chunks) -> None:
             os.unlink(tmp)
 
 
+def csv_lines(columns, rows):
+    """The header, then each row's values as fmt text; LF ends each line."""
+    yield ",".join(columns) + "\n"
+    for row in rows:
+        yield ",".join(map(fmt, row)) + "\n"
+
+
 def result_row(report: MetricsReport) -> tuple:
-    return (
-        report.placement_type, report.n_aps, report.effective_height_m,
-        report.seed, report.user_coverage, report.mean_throughput_bps,
-        report.ap_idle_fraction, report.handoff_count,
-    )
+    return tuple(getattr(report, name) for _, name, _ in RESULT_TABLE)
 
 
 def write_results(reports, path) -> None:
     """Long-format sweep table, one row per run."""
-    _write(path, [",".join(RESULT_COLUMNS) + "\n"]
-           + [",".join(fmt(v) for v in result_row(r)) + "\n" for r in reports])
+    _write(path, csv_lines(RESULT_COLUMNS, map(result_row, reports)))
 
 
 def read_results(path) -> list[dict]:
-    rows = []
+    kinds = {column: kind for column, _, kind in RESULT_TABLE}
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-        for line in fh:
-            parts = line.rstrip("\n").split(",")
-            row = dict(zip(header, parts))
-            row["n_aps"] = int(row["n_aps"])
-            row["seed"] = int(row["seed"])
-            row["handoff_count"] = int(row["handoff_count"])
-            for k in ("h_m", "user_coverage", "mean_throughput_bps", "ap_idle_fraction"):
-                row[k] = float(row[k])
-            rows.append(row)
-    return rows
+        return [{c: kinds.get(c, str)(v) for c, v in zip(header, line.rstrip("\n").split(","))}
+                for line in fh]
 
 
 def write_events(events, path) -> None:
-    rows = (f"{fmt(t)},{kind},{user},{ap}\n" for t, kind, user, ap in events)
-    _write(path, itertools.chain([",".join(EVENT_COLUMNS) + "\n"], rows))
+    _write(path, csv_lines(EVENT_COLUMNS, events))
 
 
 def write_heatmap(grid: HeatmapGrid, rates_path, labels_path, meta_path) -> None:
@@ -120,30 +131,18 @@ def write_heatmap(grid: HeatmapGrid, rates_path, labels_path, meta_path) -> None
     digits[:, -1] = ord("\n")
     _write(rates_path, (",".join(text[row].tolist()) + "\n" for row in index))
     _write(labels_path, [digits.tobytes().decode("ascii")])
-    write_json({
-        "resolution_cells_per_m": grid.resolution_cells_per_m,
-        "length_m": grid.length_m,
-        "width_m": grid.width_m,
-        "device_height_m": grid.device_height_m,
-        "probe_rate_bps": grid.probe_rate_bps,
-        "label_legend": {str(i): name for i, name in enumerate(LABEL_NAMES)},
-        "shape": [nx, ny],
-    }, meta_path)
+    meta = {k: v for k, v in vars(grid).items() if np.ndim(v) == 0}  # the scalar fields
+    write_json(dict(meta, shape=[nx, ny],
+                    label_legend={str(i): name for i, name in enumerate(LABEL_NAMES)}), meta_path)
 
 
 def read_heatmap(rates_path, labels_path, meta_path) -> HeatmapGrid:
     with open(meta_path) as fh:
         meta = json.load(fh)
-    rates = np.loadtxt(rates_path, delimiter=",", ndmin=2)
-    labels = np.loadtxt(labels_path, delimiter=",", dtype=np.int8, ndmin=2)
     return HeatmapGrid(
-        resolution_cells_per_m=meta["resolution_cells_per_m"],
-        length_m=meta["length_m"],
-        width_m=meta["width_m"],
-        device_height_m=meta["device_height_m"],
-        probe_rate_bps=meta["probe_rate_bps"],
-        rates_bps=rates,
-        labels=labels,
+        rates_bps=np.loadtxt(rates_path, delimiter=",", ndmin=2),
+        labels=np.loadtxt(labels_path, delimiter=",", dtype=np.int8, ndmin=2),
+        **{f.name: meta[f.name] for f in fields(HeatmapGrid) if f.name in meta},
     )
 
 

@@ -210,12 +210,16 @@ def test_sweep_along_n_records_and_names_whole_counts(tmp_path, capsys):
     (["coverage-sweep", "--frequencies", "abc"], "frequencies"),
     (["coverage-sweep", "--beamwidths", "5,nan"], "beamwidths"),
     (["heatmap", "--resolution", "nan"], "resolution"),
+    # an empty axis names its flag; with both empty, the first
+    (["coverage-sweep", "--frequencies", ","], "frequencies"),
+    (["coverage-sweep", "--beamwidths", ","], "beamwidths"),
+    (["coverage-sweep", "--frequencies", ",", "--beamwidths", ","], "frequencies"),
 ])
 def test_unreadable_number_exits_2_naming_flag(tmp_path, capsys, argv, flag):
     out = tmp_path / "out"
     code = cli.main([*argv, "--config", _tiny_config(tmp_path), "--out", str(out)])
     assert code == cli.EXIT_CONFIG
-    assert f"configuration error: {flag}:" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"configuration error: {flag}:")
     assert not out.exists()
 
 

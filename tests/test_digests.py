@@ -37,6 +37,8 @@ CONFIGS = {
     "empty": "[users]\nn_users = 0\n[simulation]\nduration_s = 0.5\nblockage = on\n",
     "single": "[users]\nn_users = 20\n[simulation]\nduration_s = 1.0\nseed = 5\n"
               "blockage = on\nshare_mode = single_user\npause_s = 0.1\n",
+    "pauses": "[users]\nn_users = 20\n[simulation]\nduration_s = 3.0\nseed = 5\n"
+              "blockage = on\nshare_mode = single_user\npause_s = 0.1\n",
     "short": "[simulation]\nduration_s = 0.05\n",
     "blocked": "[simulation]\nduration_s = 0.05\nblockage = on\n",
     "type_a": "[placement]\nplacement_type = A\n[simulation]\nduration_s = 0.05\n",
@@ -53,6 +55,7 @@ OUTPUT_CASES = {
     "simulate-golden": "simulate --config {golden} --events --out {out}",
     "simulate-empty": "simulate --config {empty} --events --out {out}",
     "simulate-single-user": "simulate --config {single} --events --out {out}",
+    "simulate-pauses": "simulate --config {pauses} --events --out {out}",
     "sweep-b4-c4": "sweep --config {golden} --types B4,C4 --out {out}",
     "sweep-mixed-blocked": "sweep --config {blocked} --types A,B16,C8 --values 1.5:3.5:1 "
                            "--out {out}",
@@ -83,6 +86,8 @@ FAILURE_CASES = {
     "radius-2000": ("radius -s 2000", "configuration error: spectral-efficiency:"),
     "coverage-sweep-5000": ("coverage-sweep --frequencies 5000 --out {out}",
                             "configuration error: frequencies:"),
+    "coverage-sweep-empty": ("coverage-sweep --frequencies , --out {out}",
+                             "configuration error: frequencies:"),
     "heatmap-blockage": ("heatmap --blockage on --out {out}", "usage: thzplan"),
     "sweep-n-5": ("sweep --axis N --values 5 --out {out}", "configuration error: values:"),
     "validate-twice": ("validate --config {twice}", "configuration error: f_c_ghz:"),

@@ -176,8 +176,8 @@ class TestPlacementC:
 
 class TestVariants:
     def test_dispatch(self):
-        assert geo.ALL_TYPES == ("A", "B", "C")
-        for t in geo.ALL_TYPES:
+        assert tuple(geo.COUNTS) == ("A", "B", "C")
+        for t in geo.COUNTS:
             con = geo.place(geo.Room(), t, 1 if t == "A" else 4, T_ALIGN)
             assert con.placement_type == t
         for t in ("Z", "D", "E", "F"):

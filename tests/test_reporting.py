@@ -172,6 +172,18 @@ def test_results_round_trip_exactly(tmp_path):
                                                    float, int]
 
 
+def test_a_column_the_table_does_not_know_reads_back_as_text(tmp_path):
+    path = tmp_path / "results.csv"
+    reporting.write_results([_report()], path)
+    lines = path.read_text().splitlines()
+    path.write_text(f"{lines[0]},note\n{lines[1]},7\n")
+    [row] = reporting.read_results(path)
+    assert list(row) == [*reporting.RESULT_COLUMNS, "note"]
+    assert row["note"] == "7"
+    assert {c: row[c] for c in reporting.RESULT_COLUMNS} == dict(
+        zip(reporting.RESULT_COLUMNS, reporting.result_row(_report())))
+
+
 def test_event_log_text(tmp_path):
     path = tmp_path / "events.csv"
     reporting.write_events([(0.01, "handoff", 3, 1), (0.1 + 0.2, "blockage_start", 0, -1),
