@@ -16,7 +16,6 @@ AP.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -39,21 +38,10 @@ def _absorption_table() -> tuple[np.ndarray, np.ndarray, float]:
     tau (1/m) at one reference relative humidity, generated at a fixed
     25 C. The arrays are read-only, as every caller shares them."""
     ref = resources.files("thzplan.data").joinpath(_TABLE_RESOURCE)
-    freqs, taus, refs = [], [], set()
-    with resources.as_file(ref) as path, open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            freqs.append(float(row["frequency_hz"]))
-            taus.append(float(row["tau_per_m"]))
-            refs.add(float(row["reference_humidity"]))
-    freq, tau = np.array(freqs), np.array(taus)
-    if freq.size < 2:
-        raise ValueError("absorption table needs at least two rows")
-    if np.any(np.diff(freq) <= 0):
-        raise ValueError("absorption table frequencies must be increasing")
-    if len(refs) != 1 or not 0 < min(refs) <= 1:
-        raise ValueError("absorption table needs one reference_humidity in (0, 1]")
+    with resources.as_file(ref) as path:
+        freq, tau, humidity = np.loadtxt(path, delimiter=",", skiprows=1, unpack=True)
     freq.flags.writeable = tau.flags.writeable = False
-    return freq, tau, refs.pop()
+    return freq, tau, float(humidity[0])
 
 
 @dataclass(frozen=True)

@@ -57,6 +57,14 @@ def test_parse_values_builds_ranges_by_index():
     assert cli._parse_values("2:7:0.5", "values") == [2.0 + 0.5 * i for i in range(11)]
 
 
+def process_env() -> dict:
+    """The environment of a child Python process that imports this
+    checkout's thzplan: os.environ with its src directory first on
+    PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(thzplan.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
 
 # Caps the size of any file the process writes at 16 bytes, so the CSV
 # write fails part way through.
@@ -73,12 +81,9 @@ def test_failed_coverage_sweep_write_keeps_existing_file(tmp_path):
     old = tmp_path / "coverage_sweep.csv"
     old.write_text("f_c_ghz,beamwidth_deg,radius_m\n570.0,10.0,11.0\n")
     before = old.read_bytes()
-    src = os.path.dirname(os.path.dirname(thzplan.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run(
         [sys.executable, "-c", _FAILING_WRITE, str(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=process_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == cli.EXIT_RUNTIME, proc.stderr
     assert "coverage_sweep.csv" in proc.stderr
@@ -91,13 +96,10 @@ def test_an_absorption_that_zeroes_every_snr_runs_without_a_warning(tmp_path):
     # is the limit, not a fault, so nothing reaches stderr
     path = tmp_path / "dim.ini"
     path.write_text("[radio]\ntau_override_per_m = 1000\n[simulation]\nduration_s = 0.05\n")
-    src = os.path.dirname(os.path.dirname(thzplan.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run(
         [sys.executable, "-m", "thzplan.cli", "simulate", "--config", str(path),
          "--out", str(tmp_path / "out")],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=process_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == cli.EXIT_OK, proc.stderr
     assert proc.stderr == ""

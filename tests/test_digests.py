@@ -5,7 +5,10 @@ stdout (the output root written as "<out>") and the size and sha256 of
 every file it writes must equal its row of tests/digests.json. Like
 TestRegression, the digests rest on numpy's exp, log2 and sqrt, bit for
 bit. Each case in FAILURE_CASES must exit 2, print its stderr prefix and
-write nothing.
+write nothing, both in-process and in a process of its own, which also
+covers the real exit status and cli's __main__ block. These lists are the
+one statement of the CLI's cases; CI's smoke step runs only the installed
+console script.
 
 The table is a pin: an intended change of output bytes regenerates it by
 hand, and the change records the old and new digests:
@@ -21,12 +24,14 @@ import contextlib
 import hashlib
 import io
 import json
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 
+from test_cli import process_env
 from thzplan import cli
 
 TABLE_PATH = Path(__file__).with_name("digests.json")
@@ -66,9 +71,17 @@ OUTPUT_CASES = {
     "heatmap-a-to-b": "heatmap --config {type_a} --type B --resolution 5 --out {out}",
     "coverage-sweep": "coverage-sweep --config {short} --frequencies 300:900:100 "
                       "--beamwidths 5,10,20 --out {out}",
+    "validate": "validate",
+    "validate-type-a": "validate --config {type_a}",
+    "radius": "radius -s 0.1",
+    "heatmap-a": "heatmap --type A --n 1 --resolution 2 --out {out}",
+    "sweep-one-series-jobs-2": "sweep --config {short} --jobs 2 --values 2:3:0.5 --out {out}",
+    "sweep-mixed-blocked-jobs-2": "sweep --config {blocked} --types A,B16,C8 "
+                                  "--values 1.5:3.5:1 --jobs 2 --out {out}",
+    "coverage-sweep-defaults": "coverage-sweep --out {out}",
 }
 
-# the exit-2 paths of CI's smoke step, each with the start of its stderr
+# the exit-2 paths of the CLI, each with the start of its stderr
 FAILURE_CASES = {
     "validate-nan": ("validate --config {nan}", "configuration error: duration_s:"),
     "radius-nan": ("radius -s nan", "usage: thzplan radius"),
@@ -94,17 +107,22 @@ FAILURE_CASES = {
 }
 
 
-def _main(command: str, root: Path) -> tuple[int, str, str]:
-    """(exit code, stdout, stderr) of one command run in-process, its
-    configs written under root and its output root at root/out."""
+def _argv(command: str, root: Path) -> list[str]:
+    """One command's arguments, its configs written under root and its
+    output root at root/out."""
     names = {"out": str(root / "out")}
     for name, text in CONFIGS.items():
         names[name] = str(root / f"{name}.ini")
         Path(names[name]).write_text(text)
+    return [arg.format(**names) for arg in command.split()]
+
+
+def _main(command: str, root: Path) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of one command run in-process."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = cli.main([arg.format(**names) for arg in command.split()])
+            code = cli.main(_argv(command, root))
         except SystemExit as exc:  # argparse's own errors
             code = exc.code
     return code, out.getvalue(), err.getvalue()
@@ -130,13 +148,31 @@ def test_every_output_byte_is_pinned(tmp_path, name):
     assert outputs(OUTPUT_CASES[name], tmp_path) == json.loads(TABLE_PATH.read_text())[name]
 
 
+def test_the_pool_writes_the_in_process_files():
+    table = json.loads(TABLE_PATH.read_text())
+    assert table["sweep-mixed-blocked-jobs-2"] == table["sweep-mixed-blocked"]
+
+
+def _exits_2(name: str, root: Path, code: int, stdout: str, stderr: str) -> None:
+    """The four checks of a failure case: exit 2, nothing on stdout, its
+    stderr prefix, and no output root."""
+    assert (code, stdout) == (cli.EXIT_CONFIG, "")
+    assert stderr.startswith(FAILURE_CASES[name][1]), stderr
+    assert not (root / "out").exists()
+
+
 @pytest.mark.parametrize("name", sorted(FAILURE_CASES))
 def test_smoke_failure_exits_2_with_its_message(tmp_path, name):
-    command, prefix = FAILURE_CASES[name]
-    code, stdout, stderr = _main(command, tmp_path)
-    assert (code, stdout) == (cli.EXIT_CONFIG, "")
-    assert stderr.startswith(prefix), stderr
-    assert not (tmp_path / "out").exists()
+    _exits_2(name, tmp_path, *_main(FAILURE_CASES[name][0], tmp_path))
+
+
+@pytest.mark.parametrize("name", sorted(FAILURE_CASES))
+def test_smoke_failure_exits_2_from_a_process(tmp_path, name):
+    proc = subprocess.run(
+        [sys.executable, "-m", "thzplan.cli", *_argv(FAILURE_CASES[name][0], tmp_path)],
+        env=process_env(), capture_output=True, text=True, timeout=120,
+    )
+    _exits_2(name, tmp_path, proc.returncode, proc.stdout, proc.stderr)
 
 
 if __name__ == "__main__":  # prints the table; see the module docstring

@@ -1,4 +1,5 @@
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -43,6 +44,17 @@ class TestAntennaGain:
 
 
 class TestAbsorption:
+    def test_the_shipped_table_is_well_formed(self):
+        # _absorption_table loads the file without checking it, so the
+        # package's own copy is checked here
+        text = resources.files("thzplan.data").joinpath(lb._TABLE_RESOURCE).read_text()
+        header, *rows = text.splitlines()
+        assert header == "frequency_hz,tau_per_m,reference_humidity"
+        freq, _, humidity = np.array([row.split(",") for row in rows], dtype=float).T
+        assert len(rows) >= 2
+        assert np.all(np.diff(freq) > 0)
+        assert len(set(humidity)) == 1 and 0 < humidity[0] <= 1
+
     def test_override_passthrough(self):
         p = table_params(f_c_hz=1.0, humidity=0.9, tau_override=0.05)
         assert lb.absorption_for(p) == 0.05
