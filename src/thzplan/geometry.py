@@ -23,7 +23,10 @@ cut the part of a segment below h, which for a ceiling AP is the last
 (h - z_device) / (z_ap - z_device) of it, 20% for a 3 m ceiling, 1.5 m
 device and 1.8 m body. The kernel tests only the blockers whose centres
 lie near that part, found through a cell list, and gives exactly the
-booleans of a test of every (user, AP, blocker) triple.
+booleans of a test of every (user, AP, blocker) triple. It computes each
+(AP, body) z-window once per call and tests the candidates in chunks
+small enough for their temporaries to stay in the cache, so its memory
+grows with the crowd only by (AP, body) and (user, AP) tables.
 """
 
 from __future__ import annotations
@@ -217,9 +220,14 @@ def body_arrays(blockers):
 # of magnitude above that and far below any cell size.
 _BOX_SLACK = 1e-6
 # (user, AP) pairs per block and candidate triples per exact-test chunk;
-# peak memory is a fixed multiple of these, whatever the user count.
+# peak memory is a fixed multiple of these, whatever the user count. A
+# chunk's twenty-odd (N,) temporaries take 64 KB each at 1 << 13, about
+# 1.3 MB together, which stays in a 2 MB per-core L2 cache. In a measured
+# table of chunk sizes (CHANGES.md), 1 << 13 was the fastest or tied from
+# 200 to 2000 users, and 1 << 16 made one 1000-user call peak at 7.8 MB
+# of traced memory against 2.2 MB.
 _PAIR_BLOCK = 4096
-_CANDIDATE_CHUNK = 1 << 16
+_CANDIDATE_CHUNK = 1 << 13
 
 
 def blocked_matrix(
@@ -239,16 +247,21 @@ def blocked_matrix(
     centers_xy[b], z in [0, height_m], with radius radius_m. radius_m and
     height_m are scalars or one value per blocker. With own_body, blocker
     u is user u's own body and never blocks user u's links (it needs one
-    blocker per user). Returns a (U, A) boolean array.
+    blocker per user). Returns a (U, A) boolean array. Every coordinate,
+    radius and height must be finite and every radius positive; any other
+    input raises ValueError naming the argument, before any work is done.
 
     Pruning, in three steps:
 
-    1. z-window: per AP, the parameter range [t_lo, t_hi] within [0, 1]
-       where the segment lies at or below the tallest body: the exact
-       test's own window (_z_window) clipped to [0, 1]. With the AP above
-       the device, t_lo = (h_max - z_ap) / (z_device - z_ap) and t_hi = 1.
-       No body reaches the segment outside that window, and an AP whose
-       window is empty needs no test at all.
+    1. z-window: the exact test's window of each (AP, blocker) pair, the
+       parameter range where the segment lies within the body's z span
+       (_z_window), depends on the AP and the body alone, so it is
+       computed once per call as an (A, B) table that the exact test
+       gathers per triple. Per AP, [t_lo, t_hi] is the hull of its row
+       clipped to [0, 1], for bodies on the floor the window of the
+       tallest. With the AP above the device, t_lo = (h_max - z_ap) /
+       (z_device - z_ap) and t_hi = 1. No body reaches the segment outside that window, and an
+       AP whose window is empty needs no test at all.
     2. Candidate rule: blocker centres sit in a uniform cell list. Blocker
        b is a candidate for pair (u, a) when its centre lies in the
        axis-aligned bounding box of the sub-segment over [t_lo, t_hi],
@@ -260,13 +273,17 @@ def blocked_matrix(
        operations in the same order, in chunks of at most
        _CANDIDATE_CHUNK triples (more only when one cell row holds more
        blockers), over blocks of about _PAIR_BLOCK pairs, so memory stays
-       bounded as users grow.
+       bounded as users grow. A chunk is sized for its temporaries to stay
+       in the cache, and its path is the gathers of its triples' columns
+       and the cylinder arithmetic.
 
     The kernel works in column form: x and y of the AP positions, the
     devices, the blocker centres, the segment starts and directions and
     the candidate boxes are separate contiguous (N,) arrays, so the box
     filter is four comparisons and each pair's squared xy length is
-    computed once and gathered for its triples.
+    computed once and gathered for its triples. The blockers' x, y and
+    squared radius, and the z-window table's columns, are kept in cell
+    list order, so the positions of a cell list run index them directly.
 
     Exactness contract: the result equals, boolean for boolean, that
     arithmetic applied to every (user, AP, blocker) triple, including
@@ -281,27 +298,44 @@ def blocked_matrix(
     height = np.broadcast_to(np.asarray(height_m, dtype=float), (n_blk,))
     if own_body and n_blk != n_usr:
         raise ValueError(f"own_body needs one blocker per user, got {n_blk} for {n_usr}")
+    # the largest absolute coordinate of each argument is NaN or inf
+    # exactly when one of its coordinates is
+    extent = {"ap_xyz": np.abs(ap).max(initial=0.0), "device_xy": np.abs(dev).max(initial=0.0),
+              "centers_xy": np.abs(cen).max(initial=0.0), "device_z": abs(device_z)}
+    for name, value in extent.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name}: every coordinate must be finite")
+    r_max = radius.max(initial=0.0)
+    # the box pad is the largest radius, which covers every body only when
+    # each radius is positive: the exact test squares it
+    if not (radius.min(initial=1.0) > 0.0 and r_max < math.inf):
+        raise ValueError("radius_m: every radius must be finite and positive")
+    if not np.isfinite(height).all():
+        raise ValueError("height_m: every height must be finite")
     blocked = np.zeros((n_usr, n_ap), dtype=bool)
     if blocked.size == 0 or n_blk == 0:
         return blocked
 
-    az = ap[:, 2]
-    dz = device_z - az
-    z_lo, z_hi = _z_window(az, dz, height.max())
-    t_lo, t_hi = np.maximum(z_lo, 0.0), np.minimum(z_hi, 1.0)
+    cells = _CellList(cen[:, 0], cen[:, 1], r_max)
+    # each (AP, blocker) z-window, blockers in cell order, once per call;
+    # an AP's pruning window is the hull of its row
+    z_lo, z_hi = _z_window(ap[:, 2:], device_z - ap[:, 2:], height[cells.order])
+    t_lo, t_hi = np.maximum(z_lo.min(axis=1), 0.0), np.minimum(z_hi.max(axis=1), 1.0)
     live = np.flatnonzero((t_lo <= t_hi) & (t_hi > 0.0) & (t_lo < 1.0))
     if live.size == 0:
         return blocked
 
-    scale = max(np.abs(ap[:, :2]).max(), np.abs(dev).max(), np.abs(cen).max())
-    pad = radius.max() + _BOX_SLACK * (1.0 + scale)
-    (ap_x, ap_y), (dev_x, dev_y), (cx, cy) = (np.array(v.T) for v in (ap[:, :2], dev, cen))
-    cells = _CellList(cx, cy, radius.max())
+    pad = r_max + _BOX_SLACK * (1.0 + max(extent.values()))
+    (ap_x, ap_y), (dev_x, dev_y) = (np.array(v.T) for v in (ap[:, :2], dev))
+    # flat, so triple (pair on AP a, cell position k) reads entry a * n_blk + k
+    z_lo, z_hi = z_lo.ravel(), z_hi.ravel()
+    r_sq = (radius * radius)[cells.order]
+    own = np.argsort(cells.order) if own_body else None  # user u's body's cell position
     per_block = max(1, _PAIR_BLOCK // live.size)
     for u0 in range(0, n_usr, per_block):
         users = np.arange(u0, min(u0 + per_block, n_usr))
         pu = np.repeat(users, live.size)
-        pa = np.tile(live, users.size)
+        pa = np.repeat(live[None], users.size, axis=0).ravel()  # np.tile, at a third of its cost
         ax, ay = ap_x[pa], ap_y[pa]
         dx, dy = dev_x[pu] - ax, dev_y[pu] - ay
         qa = dx * dx + dy * dy
@@ -310,6 +344,7 @@ def blocked_matrix(
         lo_x, hi_x = np.minimum(*ex) - pad, np.maximum(*ex) + pad
         lo_y, hi_y = np.minimum(*ey) - pad, np.maximum(*ey) + pad
         pair, start, count = cells.query(lo_x, hi_x, lo_y, hi_y)
+        own_pos = own[pu] if own_body else None
         cum = np.cumsum(count)
         e0 = 0
         while e0 < count.size:
@@ -317,14 +352,14 @@ def blocked_matrix(
             e1 = max(e0 + 1, int(np.searchsorted(cum, limit, side="right")))
             entry, pos = _ranges(start[e0:e1], count[e0:e1])
             p = pair[e0:e1][entry]
-            b = cells.order[pos]
-            bx, by = cx[b], cy[b]
+            bx, by = cells.x[pos], cells.y[pos]
             keep = (bx >= lo_x[p]) & (bx <= hi_x[p]) & (by >= lo_y[p]) & (by <= hi_y[p])
             if own_body:
-                keep &= b != pu[p]
-            p, b = p[keep], b[keep]
-            hit = _cylinder_hits(ax[p], ay[p], dx[p], dy[p], qa[p], az[pa[p]], dz[pa[p]],
-                                 bx[keep], by[keep], radius[b], height[b])
+                keep &= pos != own_pos[p]
+            p, pos = p[keep], pos[keep]
+            win = pa[p] * n_blk + pos
+            hit = _cylinder_hits(ax[p], ay[p], dx[p], dy[p], qa[p], bx[keep], by[keep],
+                                 r_sq[pos], z_lo[win], z_hi[win])
             blocked[pu[p[hit]], pa[p[hit]]] = True
             e0 = e1
     return blocked
@@ -344,20 +379,24 @@ class _CellList:
         self.nx = int(min(span_x // self.cell, cx.size)) + 1
         self.ny = int(min(span_y // self.cell, cx.size)) + 1
         flat = self._index(cy, self.y0, self.ny) * self.nx + self._index(cx, self.x0, self.nx)
+        # order[k] is the blocker at cell position k; x and y are its centre
         self.order = np.argsort(flat, kind="stable")
+        self.x, self.y = cx[self.order], cy[self.order]
         self.first = np.concatenate(
             ([0], np.cumsum(np.bincount(flat, minlength=self.nx * self.ny)))
         )
 
     def _index(self, v: np.ndarray, origin: float, n: int) -> np.ndarray:
-        cell = np.floor((v - origin) / self.cell)
-        return np.minimum(np.maximum(cell, 0), n - 1).astype(np.intp)
+        # clipped to [0, n - 1] before the cast, which then is the floor
+        cell = np.maximum((v - origin) / self.cell, 0.0)
+        return np.minimum(cell, n - 1).astype(np.intp)
 
     def query(self, lo_x, hi_x, lo_y, hi_y):
         """Blockers in the cells each box overlaps, one run per cell row.
 
-        Returns (box, start, count): run k holds order[start[k]:start[k] +
-        count[k]] for box number box[k]. Empty runs are left out.
+        Returns (box, start, count): run k holds the cell positions
+        start[k]:start[k] + count[k] for box number box[k]. Empty runs are
+        left out.
         """
         ix0, ix1 = self._index(lo_x, self.x0, self.nx), self._index(hi_x, self.x0, self.nx)
         iy0, iy1 = self._index(lo_y, self.y0, self.ny), self._index(hi_y, self.y0, self.ny)
@@ -380,8 +419,9 @@ def _ranges(starts: np.ndarray, counts: np.ndarray):
 def _z_window(az, dz, height):
     """(z_lo, z_hi): the parameter range where the segment az + t * dz
     lies in [0, height], unclipped. A level segment (dz == 0) gets [0, 1]
-    when it lies in that span and the empty (inf, -inf) when not. The
-    exact test and blocked_matrix's pruning both use it, so they agree."""
+    when it lies in that span and the empty (inf, -inf) when not.
+    blocked_matrix takes both the exact test's windows and its pruning
+    windows from one (AP, blocker) table of it, so they agree."""
     with np.errstate(divide="ignore", invalid="ignore"):
         t0 = (0.0 - az) / dz
         t1 = (height - az) / dz
@@ -392,21 +432,22 @@ def _z_window(az, dz, height):
     return z_lo, z_hi
 
 
-def _cylinder_hits(ax, ay, dx, dy, qa, az, dz, cx, cy, radius, height) -> np.ndarray:
+def _cylinder_hits(ax, ay, dx, dy, qa, cx, cy, r_sq, z_lo, z_hi) -> np.ndarray:
     """Open segment a -> a + d against one solid cylinder, row by row.
 
     Every argument is (N,), one row per (segment, cylinder) triple: the
-    segment's start (ax, ay, az) and direction (dx, dy, dz), with
-    qa = dx * dx + dy * dy, and the cylinder's centre (cx, cy), radius and
-    height. The segment is hit when the parameter windows of its z span
-    and of its xy track within the disc overlap inside (0, 1); the
+    segment's xy start (ax, ay) and direction (dx, dy), with
+    qa = dx * dx + dy * dy, the cylinder's centre (cx, cy) and squared
+    radius, and the _z_window of the segment against the cylinder's
+    height, which depends only on the AP and the cylinder and so comes
+    from a table. The segment is hit when the parameter windows of its z
+    span and of its xy track within the disc overlap inside (0, 1); the
     endpoints themselves do not count, since device and AP touch their
     own hulls.
     """
-    z_lo, z_hi = _z_window(az, dz, height)
     fx, fy = ax - cx, ay - cy
     qb = 2.0 * (fx * dx + fy * dy)
-    qc = (fx * fx + fy * fy) - radius * radius
+    qc = (fx * fx + fy * fy) - r_sq
     disc = qb * qb - 4.0 * qa * qc
     hit_possible = disc >= 0.0
     root = np.sqrt(np.where(hit_possible, disc, 0.0))

@@ -152,6 +152,66 @@ def test_axis_aligned_near_tangent_bodies():
                 centre = np.nextafter(centre, away)
 
 
+def test_candidates_across_several_default_chunks_match_dense_oracle(monkeypatch):
+    # the scenes above fit in one candidate chunk at the default
+    # constants; a dense crowd in a small room under 16 APs spans several
+    chunks = 0
+
+    def counting(*args):
+        nonlocal chunks
+        chunks += 1
+        return cylinder_hits(*args)
+
+    cylinder_hits = geo._cylinder_hits
+    monkeypatch.setattr(geo, "_cylinder_hits", counting)
+    rng = np.random.default_rng(11)
+    ap = geo.place(geo.Room(3.0, 3.0, 3.0), "B", 16, 5e-3).xyz
+    dev = rng.uniform(0.0, 3.0, (150, 2))
+    radius = rng.choice((0.05, RADIUS, 0.25), 150)
+    height = rng.choice((1.2, 1.8, 2.1), 150)
+    for own_body in (True, False):
+        centers = dev if own_body else rng.uniform(-0.2, 3.2, (150, 2))
+        chunks = 0
+        _check_scene((ap, dev, 1.5, centers, radius, height, own_body))
+        assert chunks > 1, chunks
+
+
+# (argument, key, index, bad value), each in an otherwise valid call. A
+# negative radius would be squared by the exact test but shrink the box
+# pad, which is the largest radius, and drop bodies the test counts
+BAD_ARGUMENTS = [
+    ("ap_xyz", "ap", (0, 0), np.nan),
+    ("ap_xyz", "ap", (0, 2), np.inf),
+    ("device_xy", "dev", (1, 1), np.nan),
+    ("device_xy", "dev", (0, 0), -np.inf),
+    ("device_z", "device_z", None, np.nan),
+    ("centers_xy", "centers", (2, 0), np.nan),
+    ("centers_xy", "centers", (0, 1), np.inf),
+    ("radius_m", "radius", (1,), -RADIUS),
+    ("radius_m", "radius", (0,), 0.0),
+    ("radius_m", "radius", (2,), np.nan),
+    ("radius_m", "radius", (1,), np.inf),
+    ("height_m", "height", (0,), np.nan),
+    ("height_m", "height", (2,), np.inf),
+    ("height_m", "height", (1,), -np.inf),
+]
+
+
+@pytest.mark.parametrize("name,key,index,value", BAD_ARGUMENTS)
+def test_bad_input_is_refused_naming_the_argument(name, key, index, value):
+    args = {"ap": np.array([[5.0, 5.0, 3.0], [2.0, 8.0, 3.0]]),
+            "dev": np.array([[1.0, 1.0], [4.0, 4.5], [9.0, 2.0]]), "device_z": 1.5,
+            "centers": np.array([[3.0, 3.0], [4.0, 4.0], [6.0, 7.0]]),
+            "radius": np.full(3, RADIUS), "height": np.full(3, 1.8)}
+    if index is None:
+        args[key] = value
+    else:
+        args[key][index] = value
+    with pytest.raises(ValueError, match=f"^{name}: "):
+        geo.blocked_matrix(args["ap"], args["dev"], args["device_z"], args["centers"],
+                           args["radius"], args["height"], own_body=False)
+
+
 def test_own_body_needs_one_blocker_per_user():
     ap = np.array([[5.0, 5.0, 3.0]])
     dev = np.array([[1.0, 1.0], [2.0, 2.0]])
@@ -168,16 +228,33 @@ def test_run_matches_dense_oracle(monkeypatch):
     assert pruned == dense
 
 
-def test_peak_memory_stays_flat_at_2000_users():
+def _traced_peak(n_usr):
+    """Traced peak bytes and result of one own-body call on B16, n_usr
+    users uniform over the default room."""
     rng = np.random.default_rng(3)
     ap = geo.place(geo.Room(), "B", 16, 5e-3).xyz
-    pos = rng.uniform(0.0, 10.0, (2000, 2))
+    pos = rng.uniform(0.0, 10.0, (n_usr, 2))
     tracemalloc.start()
     try:
         blocked = geo.blocked_matrix(ap, pos, 1.5, pos, RADIUS, 1.8, own_body=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return peak, blocked
+
+
+def test_peak_memory_stays_flat_at_2000_users():
+    peak, blocked = _traced_peak(2000)
     assert blocked.any()
-    # one (user, AP, blocker) float64 array alone would take 512 MB here
-    assert peak < 32e6
+    # one (user, AP, blocker) float64 array alone would take 512 MB here;
+    # the kernel's working set is one cache-sized candidate chunk, one
+    # pair block and the (AP, blocker) z-window table, about 3.6 MB
+    assert peak < 5e6
+
+
+def test_peak_memory_grows_only_by_the_user_by_ap_arrays():
+    # from 1000 to 4000 users only the (AP, blocker) z-window table, its
+    # temporaries and the (user, AP) result grow: at most eight float64
+    # (user, AP) arrays' worth
+    (small, _), (large, _) = _traced_peak(1000), _traced_peak(4000)
+    assert large - small <= 8 * 8 * (4000 - 1000) * 16
