@@ -222,10 +222,10 @@ _BOX_SLACK = 1e-6
 # (user, AP) pairs per block and candidate triples per exact-test chunk;
 # peak memory is a fixed multiple of these, whatever the user count. A
 # chunk's twenty-odd (N,) temporaries take 64 KB each at 1 << 13, about
-# 1.3 MB together, which stays in a 2 MB per-core L2 cache. In a measured
-# table of chunk sizes (CHANGES.md), 1 << 13 was the fastest or tied from
-# 200 to 2000 users, and 1 << 16 made one 1000-user call peak at 7.8 MB
-# of traced memory against 2.2 MB.
+# 1.3 MB together, which fits a 2 MB per-core L2 cache. In two measured
+# tables of chunk sizes (CHANGES.md), 1 << 13 was within noise of the
+# fastest at 200 to 2000 users, and 1 << 16 made one 1000-user call peak
+# at 7.8 MB of traced memory against 2.2 MB.
 _PAIR_BLOCK = 4096
 _CANDIDATE_CHUNK = 1 << 13
 
@@ -260,8 +260,9 @@ def blocked_matrix(
        gathers per triple. Per AP, [t_lo, t_hi] is the hull of its row
        clipped to [0, 1], for bodies on the floor the window of the
        tallest. With the AP above the device, t_lo = (h_max - z_ap) /
-       (z_device - z_ap) and t_hi = 1. No body reaches the segment outside that window, and an
-       AP whose window is empty needs no test at all.
+       (z_device - z_ap) and t_hi = 1. No body reaches the segment
+       outside that window, and an AP whose window is empty needs no
+       test at all.
     2. Candidate rule: blocker centres sit in a uniform cell list. Blocker
        b is a candidate for pair (u, a) when its centre lies in the
        axis-aligned bounding box of the sub-segment over [t_lo, t_hi],
@@ -317,8 +318,6 @@ def blocked_matrix(
         return blocked
 
     cells = _CellList(cen[:, 0], cen[:, 1], r_max)
-    # each (AP, blocker) z-window, blockers in cell order, once per call;
-    # an AP's pruning window is the hull of its row
     z_lo, z_hi = _z_window(ap[:, 2:], device_z - ap[:, 2:], height[cells.order])
     t_lo, t_hi = np.maximum(z_lo.min(axis=1), 0.0), np.minimum(z_hi.max(axis=1), 1.0)
     live = np.flatnonzero((t_lo <= t_hi) & (t_hi > 0.0) & (t_lo < 1.0))
