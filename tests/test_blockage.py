@@ -176,40 +176,39 @@ def test_candidates_across_several_default_chunks_match_dense_oracle(monkeypatch
         assert chunks > 1, chunks
 
 
-# (argument, key, index, bad value), each in an otherwise valid call. A
+# (argument, index, bad value), each in an otherwise valid call. A
 # negative radius would be squared by the exact test but shrink the box
 # pad, which is the largest radius, and drop bodies the test counts
 BAD_ARGUMENTS = [
-    ("ap_xyz", "ap", (0, 0), np.nan),
-    ("ap_xyz", "ap", (0, 2), np.inf),
-    ("device_xy", "dev", (1, 1), np.nan),
-    ("device_xy", "dev", (0, 0), -np.inf),
-    ("device_z", "device_z", None, np.nan),
-    ("centers_xy", "centers", (2, 0), np.nan),
-    ("centers_xy", "centers", (0, 1), np.inf),
-    ("radius_m", "radius", (1,), -RADIUS),
-    ("radius_m", "radius", (0,), 0.0),
-    ("radius_m", "radius", (2,), np.nan),
-    ("radius_m", "radius", (1,), np.inf),
-    ("height_m", "height", (0,), np.nan),
-    ("height_m", "height", (2,), np.inf),
-    ("height_m", "height", (1,), -np.inf),
+    ("ap_xyz", (0, 0), np.nan),
+    ("ap_xyz", (0, 2), np.inf),
+    ("device_xy", (1, 1), np.nan),
+    ("device_xy", (0, 0), -np.inf),
+    ("device_z", None, np.nan),
+    ("centers_xy", (2, 0), np.nan),
+    ("centers_xy", (0, 1), np.inf),
+    ("radius_m", (1,), -RADIUS),
+    ("radius_m", (0,), 0.0),
+    ("radius_m", (2,), np.nan),
+    ("radius_m", (1,), np.inf),
+    ("height_m", (0,), np.nan),
+    ("height_m", (2,), np.inf),
+    ("height_m", (1,), -np.inf),
 ]
 
 
-@pytest.mark.parametrize("name,key,index,value", BAD_ARGUMENTS)
-def test_bad_input_is_refused_naming_the_argument(name, key, index, value):
-    args = {"ap": np.array([[5.0, 5.0, 3.0], [2.0, 8.0, 3.0]]),
-            "dev": np.array([[1.0, 1.0], [4.0, 4.5], [9.0, 2.0]]), "device_z": 1.5,
-            "centers": np.array([[3.0, 3.0], [4.0, 4.0], [6.0, 7.0]]),
-            "radius": np.full(3, RADIUS), "height": np.full(3, 1.8)}
+@pytest.mark.parametrize("name,index,value", BAD_ARGUMENTS)
+def test_bad_input_is_refused_naming_the_argument(name, index, value):
+    args = {"ap_xyz": np.array([[5.0, 5.0, 3.0], [2.0, 8.0, 3.0]]),
+            "device_xy": np.array([[1.0, 1.0], [4.0, 4.5], [9.0, 2.0]]), "device_z": 1.5,
+            "centers_xy": np.array([[3.0, 3.0], [4.0, 4.0], [6.0, 7.0]]),
+            "radius_m": np.full(3, RADIUS), "height_m": np.full(3, 1.8)}
     if index is None:
-        args[key] = value
+        args[name] = value
     else:
-        args[key][index] = value
+        args[name][index] = value
     with pytest.raises(ValueError, match=f"^{name}: "):
-        geo.blocked_matrix(args["ap"], args["dev"], args["device_z"], args["centers"],
-                           args["radius"], args["height"], own_body=False)
+        geo.blocked_matrix(**args, own_body=False)
 
 
 def test_own_body_needs_one_blocker_per_user():
