@@ -4,7 +4,6 @@
 __version__ = "0.1.0"
 
 from .geometry import (
-    BodyCylinder,
     Constellation,
     Room,
     height_correction,

@@ -23,10 +23,10 @@ cut the part of a segment below h, which for a ceiling AP is the last
 (h - z_device) / (z_ap - z_device) of it, 20% for a 3 m ceiling, 1.5 m
 device and 1.8 m body. The kernel tests only the blockers whose centres
 lie near that part, found through a cell list, and gives exactly the
-booleans of a test of every (user, AP, blocker) triple. It computes each
-(AP, body) z-window once per call and tests the candidates in chunks
-small enough for their temporaries to stay in the cache, so its memory
-grows with the crowd only by (AP, body) and (user, AP) tables.
+booleans of a test of every (user, AP, blocker) triple. It computes one
+(AP height, body) table of z-windows per call and tests the candidates in
+chunks small enough for their temporaries to stay in the cache, so its
+memory grows with the crowd only by that table and the (user, AP) ones.
 """
 
 from __future__ import annotations
@@ -73,19 +73,6 @@ class Constellation:
 
     def __len__(self):
         return len(self.xyz)
-
-
-@dataclass(frozen=True)
-class BodyCylinder:
-    """Vertical solid cylinder used as a human blocker, z in [0, height]."""
-
-    center: tuple[float, float]
-    radius_m: float
-    height_m: float
-
-    def __post_init__(self):
-        if self.radius_m <= 0 or self.height_m <= 0:
-            raise ValueError("cylinder radius and height must be positive")
 
 
 def _grid_xy(room: Room, n: int) -> np.ndarray:
@@ -207,13 +194,6 @@ def nearest(dist_sq: np.ndarray, blocked: np.ndarray | None = None):
     return best, near
 
 
-def body_arrays(blockers):
-    """(centres, radii, heights) of a sequence of BodyCylinder: the blocker
-    arguments of blocked_matrix."""
-    return tuple(np.array([getattr(c, name) for c in blockers], dtype=float)
-                 for name in ("center", "radius_m", "height_m"))
-
-
 # Candidate boxes are padded by the largest radius plus this slack times
 # the coordinate scale. Rounding lets the exact test count a centre a few
 # ulps farther than one radius from the segment; the slack is many orders
@@ -255,14 +235,14 @@ def blocked_matrix(
 
     1. z-window: the exact test's window of each (AP, blocker) pair, the
        parameter range where the segment lies within the body's z span
-       (_z_window), depends on the AP and the body alone, so it is
-       computed once per call as an (A, B) table that the exact test
-       gathers per triple. Per AP, [t_lo, t_hi] is the hull of its row
-       clipped to [0, 1], for bodies on the floor the window of the
-       tallest. With the AP above the device, t_lo = (h_max - z_ap) /
-       (z_device - z_ap) and t_hi = 1. No body reaches the segment
-       outside that window, and an AP whose window is empty needs no
-       test at all.
+       (_z_window), depends on the AP's height and the body alone, so it
+       is computed once per call as an (AP height, body) table, one row
+       per distinct AP height, that the exact test gathers per triple.
+       Per AP, [t_lo, t_hi] is the hull of its height's row clipped to
+       [0, 1], for bodies on the floor the window of the tallest. With
+       the AP above the device, t_lo = (h_max - z_ap) / (z_device - z_ap)
+       and t_hi = 1. No body reaches the segment outside that window, and
+       an AP whose window is empty needs no test at all.
     2. Candidate rule: blocker centres sit in a uniform cell list. Blocker
        b is a candidate for pair (u, a) when its centre lies in the
        axis-aligned bounding box of the sub-segment over [t_lo, t_hi],
@@ -318,15 +298,18 @@ def blocked_matrix(
         return blocked
 
     cells = _CellList(cen[:, 0], cen[:, 1], r_max)
-    z_lo, z_hi = _z_window(ap[:, 2:], device_z - ap[:, 2:], height[cells.order])
-    t_lo, t_hi = np.maximum(z_lo.min(axis=1), 0.0), np.minimum(z_hi.max(axis=1), 1.0)
+    # one table row per distinct AP height; AP a reads row ap_row[a]
+    ap_z, ap_row = np.unique(ap[:, 2], return_inverse=True)
+    z_lo, z_hi = _z_window(ap_z[:, None], device_z - ap_z[:, None], height[cells.order])
+    t_lo = np.maximum(z_lo.min(axis=1), 0.0)[ap_row]
+    t_hi = np.minimum(z_hi.max(axis=1), 1.0)[ap_row]
     live = np.flatnonzero((t_lo <= t_hi) & (t_hi > 0.0) & (t_lo < 1.0))
     if live.size == 0:
         return blocked
 
     pad = r_max + _BOX_SLACK * (1.0 + max(extent.values()))
     (ap_x, ap_y), (dev_x, dev_y) = (np.array(v.T) for v in (ap[:, :2], dev))
-    # flat, so triple (pair on AP a, cell position k) reads entry a * n_blk + k
+    # flat, so triple (pair on AP a, cell position k) reads entry ap_row[a] * n_blk + k
     z_lo, z_hi = z_lo.ravel(), z_hi.ravel()
     r_sq = (radius * radius)[cells.order]
     own = np.argsort(cells.order) if own_body else None  # user u's body's cell position
@@ -335,6 +318,7 @@ def blocked_matrix(
         users = np.arange(u0, min(u0 + per_block, n_usr))
         pu = np.repeat(users, live.size)
         pa = np.repeat(live[None], users.size, axis=0).ravel()  # np.tile, at a third of its cost
+        row = ap_row[pa] * n_blk
         ax, ay = ap_x[pa], ap_y[pa]
         dx, dy = dev_x[pu] - ax, dev_y[pu] - ay
         qa = dx * dx + dy * dy
@@ -356,7 +340,7 @@ def blocked_matrix(
             if own_body:
                 keep &= pos != own_pos[p]
             p, pos = p[keep], pos[keep]
-            win = pa[p] * n_blk + pos
+            win = row[p] + pos
             hit = _cylinder_hits(ax[p], ay[p], dx[p], dy[p], qa[p], bx[keep], by[keep],
                                  r_sq[pos], z_lo[win], z_hi[win])
             blocked[pu[p[hit]], pa[p[hit]]] = True
@@ -420,7 +404,7 @@ def _z_window(az, dz, height):
     lies in [0, height], unclipped. A level segment (dz == 0) gets [0, 1]
     when it lies in that span and the empty (inf, -inf) when not.
     blocked_matrix takes both the exact test's windows and its pruning
-    windows from one (AP, blocker) table of it, so they agree."""
+    windows from one (AP height, blocker) table of it, so they agree."""
     with np.errstate(divide="ignore", invalid="ignore"):
         t0 = (0.0 - az) / dz
         t1 = (height - az) / dz
@@ -438,11 +422,11 @@ def _cylinder_hits(ax, ay, dx, dy, qa, cx, cy, r_sq, z_lo, z_hi) -> np.ndarray:
     segment's xy start (ax, ay) and direction (dx, dy), with
     qa = dx * dx + dy * dy, the cylinder's centre (cx, cy) and squared
     radius, and the _z_window of the segment against the cylinder's
-    height, which depends only on the AP and the cylinder and so comes
-    from a table. The segment is hit when the parameter windows of its z
-    span and of its xy track within the disc overlap inside (0, 1); the
-    endpoints themselves do not count, since device and AP touch their
-    own hulls.
+    height, which depends only on the AP's height and the cylinder and so
+    comes from a table. The segment is hit when the parameter windows of
+    its z span and of its xy track within the disc overlap inside (0, 1);
+    the endpoints themselves do not count, since device and AP touch
+    their own hulls.
     """
     fx, fy = ax - cx, ay - cy
     qb = 2.0 * (fx * dx + fy * dy)

@@ -43,7 +43,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import geometry, linkbudget, mobility
-from .geometry import BodyCylinder, Constellation, Room
+from .geometry import Constellation, Room
 from .linkbudget import LinkBudgetParams
 
 
@@ -260,7 +260,7 @@ def associate(
     positions,
     constellation: Constellation,
     *,
-    blockers: Sequence[BodyCylinder] | None = None,
+    blockers: tuple | None = None,
     device_height_m: float = mobility.DEFAULT_DEVICE_HEIGHT_M,
 ) -> tuple[int, ...]:
     """AP id per user by run()'s rule: the nearest AP that, with blockers,
@@ -268,12 +268,15 @@ def associate(
     budget enters: the nearest AP is the strongest.
 
     positions is an (m, 2) array of the users' floor coordinates (a
-    Crowd's xy); no positions give (). Ties go to the lowest AP id. blockers, if given, holds
-    one body per user, in user order, and blocker i never blocks user i's
-    links. There is no room here to check a position against, so a
-    position off the floor is served like any other point, wall mounts
-    included. A position that is not finite, or whose squared distance to
-    an AP overflows, is a ValueError.
+    Crowd's xy); no positions give (). Ties go to the lowest AP id.
+    blockers, if given, is (centers_xy, radius_m, height_m) as
+    geometry.blocked_matrix takes them: one body per user, in user order,
+    each radius and height a scalar or one value per body; blocker i never
+    blocks user i's links. There is no room here to check a position
+    against, so a position off the floor is served like any other point,
+    wall mounts included. A position that is not finite, or whose squared
+    distance to an AP overflows, is a ValueError, and so is a body that
+    blocked_matrix refuses.
     """
     pos = np.asarray(positions, dtype=float)
     if pos.shape == (0,):
@@ -287,9 +290,9 @@ def associate(
         raise ValueError(f"positions: {pos[bad][0].tolist()} at device height {device_height_m!r} "
                          "is not finite, or too far from an AP to square the distance")
     blocked = None
-    if blockers:
-        blocked = geometry.blocked_matrix(constellation.xyz, pos, device_height_m,
-                                          *geometry.body_arrays(blockers), own_body=True)
+    if blockers is not None:
+        blocked = geometry.blocked_matrix(constellation.xyz, pos, device_height_m, *blockers,
+                                          own_body=True)
     return tuple(geometry.nearest(d_sq, blocked)[0].tolist())
 
 
@@ -501,7 +504,7 @@ def heatmap(
     cfg: SimConfig,
     resolution_cells_per_m: float,
     probe_rate_bps: float,
-    blockers: Sequence[BodyCylinder] | None = None,
+    blockers: tuple | None = None,
 ) -> HeatmapGrid:
     """Static best-AP rate field at device height.
 
@@ -510,8 +513,9 @@ def heatmap(
     reads 0.0. Cells below the probe rate are darkness unless a blocker is
     what pushed them under, in which case they are shadow. No time sharing:
     this is the per-point link capacity, not a loaded-system rate.
-    blockers is a sequence of BodyCylinder, each with its own size; none
-    of them is the body of the device at a cell.
+    blockers, if given, is (centers_xy, radius_m, height_m) as
+    geometry.blocked_matrix takes them, each radius and height a scalar or
+    one value per body; none of them is the body of the device at a cell.
 
     The grids are filled in blocks of whole x rows, about _CELL_BLOCK
     cells each (one row when a row is longer), so the (APs, rows, ny)
@@ -538,7 +542,6 @@ def heatmap(
         )
     radio = linkbudget.radio(cfg.link)
     z = cfg.user_height_m
-    bodies = geometry.body_arrays(blockers) if blockers else None
 
     rates = np.empty((nx, ny))
     labels = np.empty((nx, ny), dtype=np.int8)
@@ -548,9 +551,9 @@ def heatmap(
         d_sq = geometry.d_sq(con.xyz, z, xs[i0:i1, None], ys)
         # no blockers: every cell is served, by its nearest AP (nearest's near)
         clear = rate = linkbudget.link_rate(d_sq.min(axis=0), *radio)
-        if bodies is not None:  # the cells, for the blockage kernel alone
+        if blockers is not None:  # the cells, for the blockage kernel alone
             cells = np.stack([np.repeat(xs[i0:i1], ny), np.tile(ys, i1 - i0)], axis=1)
-            blocked = geometry.blocked_matrix(con.xyz, cells, z, *bodies, own_body=False)
+            blocked = geometry.blocked_matrix(con.xyz, cells, z, *blockers, own_body=False)
             # the kernel's (cells, APs) result, its cells listed x row by x row
             best, near = geometry.nearest(d_sq, blocked.reshape(i1 - i0, ny, len(con)))
             rate = np.zeros(near.shape)

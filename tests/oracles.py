@@ -40,7 +40,6 @@ import numpy as np
 
 from thzplan import geometry, mobility
 from thzplan import simulation as sim
-from thzplan.geometry import BodyCylinder
 from thzplan.linkbudget import (
     SPEED_OF_LIGHT,
     absorption_for,
@@ -78,8 +77,9 @@ class UserState:
     pause_left_s: float = 0.0
 
     @property
-    def body(self) -> BodyCylinder:
-        return BodyCylinder((self.x, self.y), self.body_radius_m, self.body_height_m)
+    def body(self) -> tuple[tuple[float, float], float, float]:
+        """(center, radius, height) of the user's body cylinder."""
+        return (self.x, self.y), self.body_radius_m, self.body_height_m
 
 
 def crowd_of(users) -> Crowd:
@@ -163,27 +163,28 @@ def achievable_rate(d_m, params):
 
 
 def segment_cylinder_hit(a, b, cyl) -> bool:
-    """Open segment (a, b) against one solid vertical cylinder."""
+    """Open segment (a, b) against one solid vertical cylinder, given as
+    (center, radius, height) with z in [0, height]."""
     ax, ay, az = a
     bx, by, bz = b
     dx, dy, dz = bx - ax, by - ay, bz - az
-    cx, cy = cyl.center
+    (cx, cy), radius, height = cyl
 
     # parameter window where z(t) lies within the cylinder's span
     if dz == 0.0:
-        if not 0.0 <= az <= cyl.height_m:
+        if not 0.0 <= az <= height:
             return False
         z_lo, z_hi = 0.0, 1.0
     else:
         t0 = (0.0 - az) / dz
-        t1 = (cyl.height_m - az) / dz
+        t1 = (height - az) / dz
         z_lo, z_hi = min(t0, t1), max(t0, t1)
 
     # parameter window where the xy track lies within the disc
     fx, fy = ax - cx, ay - cy
     qa = dx * dx + dy * dy
     qb = 2.0 * (fx * dx + fy * dy)
-    qc = fx * fx + fy * fy - cyl.radius_m * cyl.radius_m
+    qc = fx * fx + fy * fy - radius * radius
     if qa == 0.0:
         if qc > 0.0:
             return False
@@ -207,9 +208,9 @@ def segment_cylinder_hit(a, b, cyl) -> bool:
 def los_blocked(a, b, blockers, exclude: int | None = None) -> bool:
     """True when the open segment a-b intersects any blocker cylinder.
 
-    a and b are (x, y, z) points; blockers is a sequence of BodyCylinder;
-    exclude skips the blocker at that index (the receiving user's own
-    body).
+    a and b are (x, y, z) points; blockers is a sequence of (center,
+    radius, height) cylinders; exclude skips the blocker at that index
+    (the receiving user's own body).
     """
     if tuple(a) == tuple(b):
         raise ValueError("segment endpoints coincide")
@@ -366,7 +367,8 @@ def mean_nearest_distance(room, nodes_xyz, probe_height_m: float, grid: int = 50
 def heatmap_whole_grid(cfg, resolution_cells_per_m, probe_rate_bps, blockers=None):
     """(rates, labels) of `simulation.heatmap`, every cell in one pass.
 
-    Holds (cells, APs) temporaries for the whole grid at once.
+    Holds (cells, APs) temporaries for the whole grid at once. blockers
+    is heatmap()'s (centers_xy, radius_m, height_m).
     """
     res = resolution_cells_per_m
     nx = math.ceil(cfg.room.length_m * res)
@@ -382,9 +384,9 @@ def heatmap_whole_grid(cfg, resolution_cells_per_m, probe_rate_bps, blockers=Non
     best = best_ap_by_snr(snr)
     clear = best_rate_by_snr(best, snr, link.bandwidth_hz)
     rates = clear
-    if blockers:
-        blocked = geometry.blocked_matrix(aps.xyz, cells, cfg.user_height_m,
-                                          *geometry.body_arrays(blockers), own_body=False)
+    if blockers is not None:
+        blocked = geometry.blocked_matrix(aps.xyz, cells, cfg.user_height_m, *blockers,
+                                          own_body=False)
         rates = best_rate_by_snr(best_ap_by_snr(snr, blocked), snr, link.bandwidth_hz)
 
     labels = np.full(cells.shape[0], sim.LABEL_DARKNESS, dtype=np.int8)

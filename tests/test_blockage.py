@@ -227,11 +227,12 @@ def test_run_matches_dense_oracle(monkeypatch):
     assert pruned == dense
 
 
-def _traced_peak(n_usr):
-    """Traced peak bytes and result of one own-body call on B16, n_usr
-    users uniform over the default room."""
+def _traced_peak(n_usr, ap=None):
+    """Traced peak bytes and result of one own-body call on the APs ap, B16
+    when None, n_usr users uniform over the default room."""
     rng = np.random.default_rng(3)
-    ap = geo.place(geo.Room(), "B", 16, 5e-3).xyz
+    if ap is None:
+        ap = geo.place(geo.Room(), "B", 16, 5e-3).xyz
     pos = rng.uniform(0.0, 10.0, (n_usr, 2))
     tracemalloc.start()
     try:
@@ -257,3 +258,18 @@ def test_peak_memory_grows_only_by_the_user_by_ap_arrays():
     # (user, AP) arrays' worth
     (small, _), (large, _) = _traced_peak(1000), _traced_peak(4000)
     assert large - small <= 8 * 8 * (4000 - 1000) * 16
+
+
+def test_peak_memory_takes_one_table_row_per_ap_height():
+    # a sweep of every layout over 11 effective heights stacks 891 APs at
+    # 55 distinct heights: the ceiling ones and each wall layout's own
+    # corrected ones. The z-window table has one row per height, about
+    # 3.9 MB at its peak; one row per AP peaked at 37.5 MB
+    layouts = [("A", 1)] + [(t, n) for t in "BC" for n in geo.GRID_COUNTS]
+    configs = [sim.with_effective_height(sim.with_placement(sim.SimConfig(), t, n), h)
+               for t, n in layouts for h in np.linspace(2.0, 7.0, 11)]
+    ap = np.concatenate([sim.build_constellation(c).xyz for c in configs])
+    assert ap.shape == (891, 3) and np.unique(ap[:, 2]).size == 55
+    peak, blocked = _traced_peak(1000, ap)
+    assert blocked.any()
+    assert peak < 6e6

@@ -17,11 +17,10 @@ def sampling_oracle(a, b, blockers, exclude=None, n=10000):
     for i in range(n):
         t = (i + 0.5) / n
         x, y, z = ax + t * (bx - ax), ay + t * (by - ay), az + t * (bz - az)
-        for j, cyl in enumerate(blockers):
+        for j, ((cx, cy), radius, height) in enumerate(blockers):
             if j == exclude:
                 continue
-            cx, cy = cyl.center
-            if (x - cx) ** 2 + (y - cy) ** 2 <= cyl.radius_m ** 2 and 0 <= z <= cyl.height_m:
+            if (x - cx) ** 2 + (y - cy) ** 2 <= radius ** 2 and 0 <= z <= height:
                 return True
     return False
 
@@ -268,7 +267,7 @@ class TestReferenceDistances:
 class TestLosBlocked:
     def test_direct_hit(self):
         a, b = (0.0, 0.0, 2.0), (10.0, 0.0, 2.0)
-        blk = [geo.BodyCylinder((5.0, 0.0), 0.1, 3.0)]
+        blk = [((5.0, 0.0), 0.1, 3.0)]
         assert los_blocked(a, b, blk)
         assert sampling_oracle(a, b, blk)
 
@@ -278,19 +277,19 @@ class TestLosBlocked:
     def test_pass_above_short_blocker(self):
         # segment dips to z=2.2125..2.2875 over the disc, above a 1.8 m body
         a, b = (5.0, 5.0, 3.0), (5.0, 9.0, 1.5)
-        blk = [geo.BodyCylinder((5.0, 7.0), 0.1, 1.8)]
+        blk = [((5.0, 7.0), 0.1, 1.8)]
         assert not los_blocked(a, b, blk)
         assert not sampling_oracle(a, b, blk)
 
     def test_blocks_taller_body(self):
         a, b = (5.0, 5.0, 3.0), (5.0, 9.0, 1.5)
-        blk = [geo.BodyCylinder((5.0, 7.0), 0.1, 2.4)]
+        blk = [((5.0, 7.0), 0.1, 2.4)]
         assert los_blocked(a, b, blk)
         assert sampling_oracle(a, b, blk)
 
     def test_exclude_own_cylinder(self):
         a, b = (5.0, 5.0, 3.0), (5.0, 9.0, 1.5)
-        blk = [geo.BodyCylinder((5.0, 8.9), 0.2, 1.8)]
+        blk = [((5.0, 8.9), 0.2, 1.8)]
         assert los_blocked(a, b, blk)
         assert not los_blocked(a, b, blk, exclude=0)
 
@@ -306,20 +305,17 @@ class TestLosBlocked:
         dev = (data.draw(rng_f(0, 10)), data.draw(rng_f(0, 10)), 1.5)
         assume(math.dist(ap, dev) > 1e-6)
         blockers = [
-            geo.BodyCylinder(
-                (data.draw(rng_f(0, 10)), data.draw(rng_f(0, 10))),
-                0.1, data.draw(rng_f(1.2, 2.2)),
-            )
+            ((data.draw(rng_f(0, 10)), data.draw(rng_f(0, 10))), 0.1, data.draw(rng_f(1.2, 2.2)))
             for _ in range(data.draw(st.integers(0, 4)))
         ]
         # keep clear of tangency so the finite oracle cannot disagree
         for cyl in blockers:
-            d_xy = _point_segment_distance_xy(ap, dev, cyl.center)
-            assume(abs(d_xy - cyl.radius_m) > 5e-3)
+            center, radius, height = cyl
+            assume(abs(_point_segment_distance_xy(ap, dev, center) - radius) > 5e-3)
             z_at = _z_at_circle_crossing(ap, dev, cyl)
             if z_at is not None:
-                assume(abs(z_at[0] - cyl.height_m) > 5e-3)
-                assume(abs(z_at[1] - cyl.height_m) > 5e-3)
+                assume(abs(z_at[0] - height) > 5e-3)
+                assume(abs(z_at[1] - height) > 5e-3)
         got = los_blocked(ap, dev, blockers)
         assert got == sampling_oracle(ap, dev, blockers, n=20000)
         assert got == los_blocked(dev, ap, blockers)  # symmetric
@@ -342,7 +338,7 @@ class TestLosBlocked:
             np.array(aps), np.array(users), 1.5, np.array(users), 0.1, 1.8,
             own_body=True,
         )
-        cylinders = [geo.BodyCylinder(u, 0.1, 1.8) for u in users]
+        cylinders = [(u, 0.1, 1.8) for u in users]
         for ui in range(n_usr):
             for ai in range(n_ap):
                 scalar = los_blocked(aps[ai], (*users[ui], 1.5), cylinders, exclude=ui)
@@ -364,13 +360,13 @@ def _point_segment_distance_xy(a, b, c):
 def _z_at_circle_crossing(a, b, cyl):
     ax, ay, az = a
     bx, by, bz = b
-    cx, cy = cyl.center
+    (cx, cy), radius, _ = cyl
     dx, dy = bx - ax, by - ay
     qa = dx * dx + dy * dy
     if qa == 0:
         return None
     qb = 2 * ((ax - cx) * dx + (ay - cy) * dy)
-    qc = (ax - cx) ** 2 + (ay - cy) ** 2 - cyl.radius_m ** 2
+    qc = (ax - cx) ** 2 + (ay - cy) ** 2 - radius ** 2
     disc = qb * qb - 4 * qa * qc
     if disc <= 0:
         return None

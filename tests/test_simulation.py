@@ -262,14 +262,15 @@ class TestAssociate:
             m = int(rng.integers(1, 6))
             xy = [(rng.uniform(0, room.length_m), rng.uniform(0, room.width_m))
                   for _ in range(m)]
-            blockers = [geo.BodyCylinder(p, 0.1, 1.8) for p in xy] if trial % 2 else None
+            blockers = (np.array(xy), 0.1, 1.8) if trial % 2 else None
             got = sim.associate(np.array(xy), con, blockers=blockers)
+            cylinders = [(p, 0.1, 1.8) for p in xy] if trial % 2 else []
             for i, (x, y) in enumerate(xy):
                 best, best_d = -1, None
                 for ap_id, xyz, facing in ap_rows(con, room):
                     if not sees(xyz, facing, x, y):
                         continue
-                    if blockers and los_blocked(xyz, (x, y, 1.5), blockers, exclude=i):
+                    if los_blocked(xyz, (x, y, 1.5), cylinders, exclude=i):
                         continue
                     d = math.dist(xyz, (x, y, 1.5))
                     if best_d is None or d < best_d:
@@ -416,8 +417,7 @@ class TestBlockageCrossing:
         for k in range(400):
             t = k * dt
             xy = [(5.0, 8.0), (3.0 + speed * t, 7.7)]  # watcher, walker
-            bodies = [geo.BodyCylinder(p, 0.1, 1.8) for p in xy]
-            got = sim.associate(np.array(xy), con, blockers=bodies)
+            got = sim.associate(np.array(xy), con, blockers=(np.array(xy), 0.1, 1.8))
             assert got[1] == 0  # walker keeps its own link
             if got[0] == -1:
                 blocked_steps.append(t)
@@ -475,8 +475,7 @@ class TestHeatmap:
         cfg = make_config(placement_type="A", n_aps=1)
         clear = sim.heatmap(cfg, 10.0, 1e9)
         assert not np.any(clear.labels == sim.LABEL_SHADOW)
-        blocker = geo.BodyCylinder((5.05, 8.8), 0.1, 1.8)
-        shaded = sim.heatmap(cfg, 10.0, 1e9, blockers=[blocker])
+        shaded = sim.heatmap(cfg, 10.0, 1e9, blockers=(np.array([[5.05, 8.8]]), 0.1, 1.8))
         # cell behind the blocker on the far side from the AP
         ix, iy = 50, 90  # center (5.05, 9.05)
         assert shaded.labels[ix, iy] == sim.LABEL_SHADOW
@@ -488,20 +487,19 @@ class TestHeatmap:
         # 4 cells at 0.2 cells/m; the body cuts the ray from the AP to cell
         # (0, 0), the other blockers stand in far corners
         cfg = make_config(placement_type="A", n_aps=1)
-        body = geo.BodyCylinder((2.75, 2.75), 0.1, 1.8)
-        corners = [geo.BodyCylinder(xy, 0.1, 1.8)
-                   for xy in ((9.9, 0.1), (0.1, 9.9), (9.9, 9.9))]
-        grid = sim.heatmap(cfg, 0.2, 1e9, blockers=[body, *corners[:n_blockers - 1]])
+        centers = np.array([(2.75, 2.75), (9.9, 0.1), (0.1, 9.9), (9.9, 9.9)])
+        grid = sim.heatmap(cfg, 0.2, 1e9, blockers=(centers[:n_blockers], 0.1, 1.8))
         assert grid.labels.shape == (2, 2)
         assert grid.labels[0, 0] == sim.LABEL_SHADOW
         assert grid.rates_bps[0, 0] == 0.0
 
     # the ray from the AP to a cell centre passes (2.75, 2.75) or its
-    # mirror image at z = 1.65 m; the offset bodies sit 0.08 m off the ray
-    _SHORT = geo.BodyCylinder((2.75, 2.75), 0.1, 1.6)
-    _TALL = geo.BodyCylinder((7.25, 7.25), 0.1, 1.8)
-    _THIN = geo.BodyCylinder((2.75 + 0.08 / math.sqrt(2), 7.25 + 0.08 / math.sqrt(2)), 0.05, 1.8)
-    _WIDE = geo.BodyCylinder((7.25 + 0.08 / math.sqrt(2), 2.75 + 0.08 / math.sqrt(2)), 0.2, 1.8)
+    # mirror image at z = 1.65 m; the offset bodies sit 0.08 m off the ray.
+    # Each body is (center, radius, height)
+    _SHORT = ((2.75, 2.75), 0.1, 1.6)
+    _TALL = ((7.25, 7.25), 0.1, 1.8)
+    _THIN = ((2.75 + 0.08 / math.sqrt(2), 7.25 + 0.08 / math.sqrt(2)), 0.05, 1.8)
+    _WIDE = ((7.25 + 0.08 / math.sqrt(2), 2.75 + 0.08 / math.sqrt(2)), 0.2, 1.8)
 
     @pytest.mark.parametrize("blockers,clear,shadow", [
         ((_SHORT, _TALL), (0, 0), (1, 1)),
@@ -511,7 +509,7 @@ class TestHeatmap:
     ])
     def test_each_blocker_keeps_its_own_size(self, blockers, clear, shadow):
         cfg = make_config(placement_type="A", n_aps=1)
-        grid = sim.heatmap(cfg, 0.2, 1e9, blockers=list(blockers))
+        grid = sim.heatmap(cfg, 0.2, 1e9, blockers=tuple(map(np.array, zip(*blockers))))
         assert grid.labels[clear] == sim.LABEL_ILLUMINATION
         assert grid.labels[shadow] == sim.LABEL_SHADOW
 
@@ -573,12 +571,9 @@ class TestHeatmap:
                 sim.heatmap(make_config(), bad, 1e9)
 
 
-_HEATMAP_BODIES = [
-    geo.BodyCylinder((5.05, 8.8), 0.1, 1.8),
-    geo.BodyCylinder((2.75, 2.75), 0.25, 1.6),
-    geo.BodyCylinder((0.3, 9.6), 0.2, 1.9),
-    geo.BodyCylinder((9.4, 4.1), 0.15, 1.7),
-]
+# (centers_xy, radius_m, height_m), one size per body
+_HEATMAP_BODIES = (np.array([(5.05, 8.8), (2.75, 2.75), (0.3, 9.6), (9.4, 4.1)]),
+                   np.array([0.1, 0.25, 0.2, 0.15]), np.array([1.8, 1.6, 1.9, 1.7]))
 
 
 @st.composite
@@ -613,7 +608,7 @@ class TestHeatmapBlocks:
                           n_aps=layout[1])
         grid = self.assert_matches_oracle(cfg, 10.0, 2e9, blockers)
         assert grid.rates_bps.shape == (97, 61)
-        if blockers:
+        if blockers is not None:
             assert np.any(grid.labels == sim.LABEL_SHADOW)
 
     @pytest.mark.parametrize("blockers", [None, _HEATMAP_BODIES], ids=["clear", "bodies"])
@@ -663,6 +658,45 @@ class TestHeatmapBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 20e6
+
+
+class TestBlockerArguments:
+    """associate() and heatmap() take blockers as blocked_matrix's own
+    (centers_xy, radius_m, height_m) and hand them on as they are."""
+
+    @pytest.mark.parametrize("layout", [("A", 1), ("B", 4), ("B", 16), ("C", 4), ("C", 16)])
+    def test_no_bodies_change_no_cell(self, layout):
+        cfg = make_config(placement_type=layout[0], n_aps=layout[1])
+        clear = sim.heatmap(cfg, 50, 1e9)
+        empty = sim.heatmap(cfg, 50, 1e9, blockers=(np.empty((0, 2)), 0.1, 1.8))
+        assert empty.rates_bps.tobytes() == clear.rates_bps.tobytes()
+        assert np.array_equal(empty.labels, clear.labels)
+
+    def test_scalar_size_is_every_body_s_size(self):
+        rng = np.random.default_rng(5)
+        xy = rng.uniform(0.0, 10.0, (60, 2))
+        scalar, per_body = (xy, 0.1, 1.8), (xy, np.full(60, 0.1), np.full(60, 1.8))
+        cfg = make_config(placement_type="B", n_aps=16)
+        a, b = (sim.heatmap(cfg, 5.0, 1e9, blockers=bodies) for bodies in (scalar, per_body))
+        assert np.any(a.labels == sim.LABEL_SHADOW)
+        assert a.rates_bps.tobytes() == b.rates_bps.tobytes()
+        assert np.array_equal(a.labels, b.labels)
+        con = sim.build_constellation(cfg)
+        got = sim.associate(xy, con, blockers=scalar)
+        assert got == sim.associate(xy, con, blockers=per_body)
+        assert got != sim.associate(xy, con)
+
+    @pytest.mark.parametrize("name,radius,height", [("radius_m", math.nan, 1.8),
+                                                    ("height_m", 0.1, math.inf)])
+    @pytest.mark.parametrize("entry", ["associate", "heatmap"])
+    def test_a_refused_body_names_its_argument(self, entry, name, radius, height):
+        bodies = (np.array([[2.0, 3.0], [7.0, 6.0]]), radius, height)
+        cfg = make_config()
+        with pytest.raises(ValueError, match=f"^{name}:"):
+            if entry == "associate":
+                sim.associate(bodies[0], sim.build_constellation(cfg), blockers=bodies)
+            else:
+                sim.heatmap(cfg, 1.0, 1e9, blockers=bodies)
 
 
 def _along_h(bases, heights):
