@@ -672,7 +672,7 @@ class TestBlockerArguments:
         assert empty.rates_bps.tobytes() == clear.rates_bps.tobytes()
         assert np.array_equal(empty.labels, clear.labels)
 
-    def test_scalar_size_is_every_body_s_size(self):
+    def test_a_scalar_size_equals_that_size_per_body(self):
         rng = np.random.default_rng(5)
         xy = rng.uniform(0.0, 10.0, (60, 2))
         scalar, per_body = (xy, 0.1, 1.8), (xy, np.full(60, 0.1), np.full(60, 1.8))
