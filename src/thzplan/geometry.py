@@ -18,15 +18,16 @@ The simulation's runs, heat maps and `associate` use the pair, and
 same distances.
 
 Blockage has one implementation, `blocked_matrix`: every AP -> device
-segment against every vertical body cylinder. A body of height h can only
-cut the part of a segment below h, which for a ceiling AP is the last
+segment against every vertical body cylinder, all bodies of one radius
+and one height, as the paper's users are. A body of height h can only cut
+the part of a segment below h, which for a ceiling AP is the last
 (h - z_device) / (z_ap - z_device) of it, 20% for a 3 m ceiling, 1.5 m
 device and 1.8 m body. The kernel tests only the blockers whose centres
 lie near that part, found through a cell list, and gives exactly the
-booleans of a test of every (user, AP, blocker) triple. It computes one
-(AP height, body) table of z-windows per call and tests the candidates in
-chunks small enough for their temporaries to stay in the cache, so its
-memory grows with the crowd only by that table and the (user, AP) ones.
+booleans of a test of every (user, AP, blocker) triple. It computes each
+AP's z-window once per call and tests the candidates in chunks small
+enough for their temporaries to stay in the cache, so its memory grows
+with the crowd only by the (user, AP) arrays and the blockers' columns.
 """
 
 from __future__ import annotations
@@ -194,7 +195,7 @@ def nearest(dist_sq: np.ndarray, blocked: np.ndarray | None = None):
     return best, near
 
 
-# Candidate boxes are padded by the largest radius plus this slack times
+# Candidate boxes are padded by the body radius plus this slack times
 # the coordinate scale. Rounding lets the exact test count a centre a few
 # ulps farther than one radius from the segment; the slack is many orders
 # of magnitude above that and far below any cell size.
@@ -224,31 +225,30 @@ def blocked_matrix(
 
     The link is the open segment from the AP at ap_xyz[a] to the device at
     (device_xy[u], device_z); blocker b is a solid cylinder at
-    centers_xy[b], z in [0, height_m], with radius radius_m. radius_m and
-    height_m are scalars or one value per blocker. With own_body, blocker
-    u is user u's own body and never blocks user u's links (it needs one
-    blocker per user). Returns a (U, A) boolean array. Every coordinate,
-    radius and height must be finite and every radius positive; any other
-    input raises ValueError naming the argument, before any work is done.
+    centers_xy[b], z in [0, height_m], with radius radius_m: every body
+    has the one radius and the one height. With own_body, blocker u is
+    user u's own body and never blocks user u's links (it needs one
+    blocker per user). Returns a (U, A) boolean array. Every coordinate
+    must be finite, radius_m and height_m must each be one finite number
+    and radius_m positive; any other input raises ValueError naming the
+    argument, before any work is done.
 
     Pruning, in three steps:
 
-    1. z-window: the exact test's window of each (AP, blocker) pair, the
-       parameter range where the segment lies within the body's z span
-       (_z_window), depends on the AP's height and the body alone, so it
-       is computed once per call as an (AP height, body) table, one row
-       per distinct AP height, that the exact test gathers per triple.
-       Per AP, [t_lo, t_hi] is the hull of its height's row clipped to
-       [0, 1], for bodies on the floor the window of the tallest. With
-       the AP above the device, t_lo = (h_max - z_ap) / (z_device - z_ap)
+    1. z-window: the exact test's window of a link, the parameter range
+       where the segment lies within the bodies' z span (_z_window),
+       depends on its AP's height alone, so it is computed once per call,
+       one per AP, and the exact test gathers it by pair and then by
+       triple. Per AP, [t_lo, t_hi] is that window clipped to [0, 1].
+       With the AP above the device, t_lo = (h - z_ap) / (z_device - z_ap)
        and t_hi = 1. No body reaches the segment outside that window, and
        an AP whose window is empty needs no test at all.
     2. Candidate rule: blocker centres sit in a uniform cell list. Blocker
        b is a candidate for pair (u, a) when its centre lies in the
        axis-aligned bounding box of the sub-segment over [t_lo, t_hi],
-       padded by the largest radius plus _BOX_SLACK * (1 + largest
-       absolute coordinate). A centre outside that box is more than a
-       radius from every point of the window.
+       padded by the radius plus _BOX_SLACK * (1 + largest absolute
+       coordinate). A centre outside that box is more than a radius from
+       every point of the window.
     3. Exact test: the candidates, minus the user's own body, go through
        the cylinder arithmetic that a test of every triple uses, the same
        operations in the same order, in chunks of at most
@@ -262,9 +262,9 @@ def blocked_matrix(
     devices, the blocker centres, the segment starts and directions and
     the candidate boxes are separate contiguous (N,) arrays, so the box
     filter is four comparisons and each pair's squared xy length is
-    computed once and gathered for its triples. The blockers' x, y and
-    squared radius, and the z-window table's columns, are kept in cell
-    list order, so the positions of a cell list run index them directly.
+    computed once and gathered for its triples, as is its z-window. The
+    blockers' x and y are kept in cell list order, so the positions of a
+    cell list run index them directly.
 
     Exactness contract: the result equals, boolean for boolean, that
     arithmetic applied to every (user, AP, blocker) triple, including
@@ -275,10 +275,8 @@ def blocked_matrix(
     dev = np.asarray(device_xy, dtype=float).reshape(-1, 2)
     cen = np.asarray(centers_xy, dtype=float).reshape(-1, 2)
     n_usr, n_ap, n_blk = dev.shape[0], ap.shape[0], cen.shape[0]
-    radius = np.broadcast_to(np.asarray(radius_m, dtype=float), (n_blk,))
-    height = np.broadcast_to(np.asarray(height_m, dtype=float), (n_blk,))
     if own_body and n_blk != n_usr:
-        raise ValueError(f"own_body needs one blocker per user, got {n_blk} for {n_usr}")
+        raise ValueError(f"centers_xy: own_body needs one body per user, got {n_blk} for {n_usr}")
     # the largest absolute coordinate of each argument is NaN or inf
     # exactly when one of its coordinates is
     extent = {"ap_xyz": np.abs(ap).max(initial=0.0), "device_xy": np.abs(dev).max(initial=0.0),
@@ -286,43 +284,38 @@ def blocked_matrix(
     for name, value in extent.items():
         if not math.isfinite(value):
             raise ValueError(f"{name}: every coordinate must be finite")
-    r_max = radius.max(initial=0.0)
-    # the box pad is the largest radius, which covers every body only when
-    # each radius is positive: the exact test squares it
-    if not (radius.min(initial=1.0) > 0.0 and r_max < math.inf):
-        raise ValueError("radius_m: every radius must be finite and positive")
-    if not np.isfinite(height).all():
-        raise ValueError("height_m: every height must be finite")
+    for name, size in (("radius_m", radius_m), ("height_m", height_m)):
+        if np.ndim(size) != 0 or not math.isfinite(size):
+            raise ValueError(f"{name}: must be one finite number, the size of every body")
+    radius, height = float(radius_m), float(height_m)
+    # the box pad is the radius, which covers a body only when it is
+    # positive: the exact test squares it
+    if not radius > 0.0:
+        raise ValueError("radius_m: must be positive")
     blocked = np.zeros((n_usr, n_ap), dtype=bool)
     if blocked.size == 0 or n_blk == 0:
         return blocked
 
-    cells = _CellList(cen[:, 0], cen[:, 1], r_max)
-    # one table row per distinct AP height; AP a reads row ap_row[a]
-    ap_z, ap_row = np.unique(ap[:, 2], return_inverse=True)
-    z_lo, z_hi = _z_window(ap_z[:, None], device_z - ap_z[:, None], height[cells.order])
-    t_lo = np.maximum(z_lo.min(axis=1), 0.0)[ap_row]
-    t_hi = np.minimum(z_hi.max(axis=1), 1.0)[ap_row]
+    cells = _CellList(cen[:, 0], cen[:, 1], radius)
+    z_lo, z_hi = _z_window(ap[:, 2], device_z - ap[:, 2], height)
+    t_lo, t_hi = np.maximum(z_lo, 0.0), np.minimum(z_hi, 1.0)
     live = np.flatnonzero((t_lo <= t_hi) & (t_hi > 0.0) & (t_lo < 1.0))
     if live.size == 0:
         return blocked
 
-    pad = r_max + _BOX_SLACK * (1.0 + max(extent.values()))
+    pad = radius + _BOX_SLACK * (1.0 + max(extent.values()))
     (ap_x, ap_y), (dev_x, dev_y) = (np.array(v.T) for v in (ap[:, :2], dev))
-    # flat, so triple (pair on AP a, cell position k) reads entry ap_row[a] * n_blk + k
-    z_lo, z_hi = z_lo.ravel(), z_hi.ravel()
-    r_sq = (radius * radius)[cells.order]
+    r_sq = radius * radius
     own = np.argsort(cells.order) if own_body else None  # user u's body's cell position
     per_block = max(1, _PAIR_BLOCK // live.size)
     for u0 in range(0, n_usr, per_block):
         users = np.arange(u0, min(u0 + per_block, n_usr))
         pu = np.repeat(users, live.size)
         pa = np.repeat(live[None], users.size, axis=0).ravel()  # np.tile, at a third of its cost
-        row = ap_row[pa] * n_blk
         ax, ay = ap_x[pa], ap_y[pa]
         dx, dy = dev_x[pu] - ax, dev_y[pu] - ay
         qa = dx * dx + dy * dy
-        tl, th = t_lo[pa], t_hi[pa]
+        tl, th, zl, zh = t_lo[pa], t_hi[pa], z_lo[pa], z_hi[pa]
         ex, ey = (ax + tl * dx, ax + th * dx), (ay + tl * dy, ay + th * dy)
         lo_x, hi_x = np.minimum(*ex) - pad, np.maximum(*ex) + pad
         lo_y, hi_y = np.minimum(*ey) - pad, np.maximum(*ey) + pad
@@ -339,10 +332,9 @@ def blocked_matrix(
             keep = (bx >= lo_x[p]) & (bx <= hi_x[p]) & (by >= lo_y[p]) & (by <= hi_y[p])
             if own_body:
                 keep &= pos != own_pos[p]
-            p, pos = p[keep], pos[keep]
-            win = row[p] + pos
+            p = p[keep]
             hit = _cylinder_hits(ax[p], ay[p], dx[p], dy[p], qa[p], bx[keep], by[keep],
-                                 r_sq[pos], z_lo[win], z_hi[win])
+                                 r_sq, zl[p], zh[p])
             blocked[pu[p[hit]], pa[p[hit]]] = True
             e0 = e1
     return blocked
@@ -352,13 +344,14 @@ class _CellList:
     """Blocker centres binned into a uniform grid, sorted row by row.
 
     Cells are about one blocker each on average, and never narrower than
-    a body, so a query box spans few rows and few cells per row.
+    a body of the given radius, so a query box spans few rows and few
+    cells per row.
     """
 
-    def __init__(self, cx: np.ndarray, cy: np.ndarray, radius_max: float):
+    def __init__(self, cx: np.ndarray, cy: np.ndarray, radius: float):
         self.x0, self.y0 = cx.min(), cy.min()
         span_x, span_y = cx.max() - self.x0, cy.max() - self.y0
-        self.cell = max(math.sqrt(span_x * span_y / cx.size), 2.0 * radius_max) or 1.0
+        self.cell = max(math.sqrt(span_x * span_y / cx.size), 2.0 * radius) or 1.0
         self.nx = int(min(span_x // self.cell, cx.size)) + 1
         self.ny = int(min(span_y // self.cell, cx.size)) + 1
         flat = self._index(cy, self.y0, self.ny) * self.nx + self._index(cx, self.x0, self.nx)
@@ -404,7 +397,7 @@ def _z_window(az, dz, height):
     lies in [0, height], unclipped. A level segment (dz == 0) gets [0, 1]
     when it lies in that span and the empty (inf, -inf) when not.
     blocked_matrix takes both the exact test's windows and its pruning
-    windows from one (AP height, blocker) table of it, so they agree."""
+    windows from its one window per AP, so they agree."""
     with np.errstate(divide="ignore", invalid="ignore"):
         t0 = (0.0 - az) / dz
         t1 = (height - az) / dz
@@ -418,15 +411,15 @@ def _z_window(az, dz, height):
 def _cylinder_hits(ax, ay, dx, dy, qa, cx, cy, r_sq, z_lo, z_hi) -> np.ndarray:
     """Open segment a -> a + d against one solid cylinder, row by row.
 
-    Every argument is (N,), one row per (segment, cylinder) triple: the
-    segment's xy start (ax, ay) and direction (dx, dy), with
-    qa = dx * dx + dy * dy, the cylinder's centre (cx, cy) and squared
-    radius, and the _z_window of the segment against the cylinder's
-    height, which depends only on the AP's height and the cylinder and so
-    comes from a table. The segment is hit when the parameter windows of
-    its z span and of its xy track within the disc overlap inside (0, 1);
-    the endpoints themselves do not count, since device and AP touch
-    their own hulls.
+    Every argument but r_sq, every cylinder's squared radius, is (N,), one
+    row per (segment, cylinder) triple: the segment's xy start (ax, ay)
+    and direction (dx, dy), with qa = dx * dx + dy * dy, the cylinder's
+    centre (cx, cy), and the _z_window of the segment against the
+    cylinders' height, which depends only on the AP's height and so is its
+    AP's one window. The segment is hit when the parameter windows of its
+    z span and of its xy track within the disc overlap inside (0, 1); the
+    endpoints themselves do not count, since device and AP touch their
+    own hulls.
     """
     fx, fy = ax - cx, ay - cy
     qb = 2.0 * (fx * dx + fy * dy)

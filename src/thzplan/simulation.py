@@ -271,12 +271,12 @@ def associate(
     Crowd's xy); no positions give (). Ties go to the lowest AP id.
     blockers, if given, is (centers_xy, radius_m, height_m) as
     geometry.blocked_matrix takes them: one body per user, in user order,
-    each radius and height a scalar or one value per body; blocker i never
-    blocks user i's links. There is no room here to check a position
-    against, so a position off the floor is served like any other point,
-    wall mounts included. A position that is not finite, or whose squared
-    distance to an AP overflows, is a ValueError, and so is a body that
-    blocked_matrix refuses.
+    with one radius and one height for every body; blocker i never blocks
+    user i's links. There is no room here to check a position against, so
+    a position off the floor is served like any other point, wall mounts
+    included. A position that is not finite, or whose squared distance to
+    an AP overflows, is a ValueError, and so is a body that blocked_matrix
+    refuses.
     """
     pos = np.asarray(positions, dtype=float)
     if pos.shape == (0,):
@@ -514,8 +514,8 @@ def heatmap(
     what pushed them under, in which case they are shadow. No time sharing:
     this is the per-point link capacity, not a loaded-system rate.
     blockers, if given, is (centers_xy, radius_m, height_m) as
-    geometry.blocked_matrix takes them, each radius and height a scalar or
-    one value per body; none of them is the body of the device at a cell.
+    geometry.blocked_matrix takes them, one radius and one height for
+    every body; none of them is the body of the device at a cell.
 
     The grids are filled in blocks of whole x rows, about _CELL_BLOCK
     cells each (one row when a row is longer), so the (APs, rows, ny)

@@ -48,8 +48,6 @@ from thzplan.linkbudget import (
     snr_scale,
 )
 from thzplan.mobility import (
-    DEFAULT_BODY_HEIGHT_M,
-    DEFAULT_BODY_WIDTH_M,
     DEFAULT_RATE_MAX_BPS,
     DEFAULT_RATE_MIN_BPS,
     DEFAULT_SPEED_MEAN,
@@ -72,14 +70,7 @@ class UserState:
     wp_x: float
     wp_y: float
     demand_bps: float
-    body_radius_m: float = DEFAULT_BODY_WIDTH_M / 2.0
-    body_height_m: float = DEFAULT_BODY_HEIGHT_M
     pause_left_s: float = 0.0
-
-    @property
-    def body(self) -> tuple[tuple[float, float], float, float]:
-        """(center, radius, height) of the user's body cylinder."""
-        return (self.x, self.y), self.body_radius_m, self.body_height_m
 
 
 def crowd_of(users) -> Crowd:

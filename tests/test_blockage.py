@@ -31,7 +31,7 @@ def _crowd(rng, n, mode, length, width):
     return corner + rng.integers(0, 6, (n, 2)) * (2 * RADIUS)
 
 
-def _tangent_bodies(rng, ap, dev, device_z, count):
+def _tangent_bodies(rng, ap, dev, device_z, count, radius, height):
     """Centres at about one radius from random AP -> device links, near
     where the link dips below body height: beside the link, or on it
     just before the dip so the disc's rim reaches into the z-window."""
@@ -45,14 +45,14 @@ def _tangent_bodies(rng, ap, dev, device_z, count):
         norm = math.hypot(*d)
         if norm == 0.0 or a[2] == device_z:
             continue
-        t_edge = (1.8 - a[2]) / (device_z - a[2])
+        t_edge = (height - a[2]) / (device_z - a[2])
         t = float(np.clip(t_edge + rng.uniform(-0.02, 0.02), 0.0, 1.0))
         along = d / norm
         away = rng.choice((-1.0, 1.0)) * np.array([-along[1], along[0]])
         if rng.random() < 0.5:
             away, t = -along, float(np.clip(t_edge, 0.0, 1.0))
         offset = 1.0 + rng.choice(TANGENT_OFFSETS)
-        out.append(a[:2] + t * d + RADIUS * offset * away)
+        out.append(a[:2] + t * d + radius * offset * away)
     return np.array(out).reshape(-1, 2)
 
 
@@ -72,9 +72,12 @@ def scenes(draw):
     n_usr = draw(st.integers(0, 40))
     mode = draw(st.sampled_from(("uniform", "clustered", "lattice")))
     dev = _crowd(rng, n_usr, mode, length, width)
+    # one size for every body of a scene, as blocked_matrix takes it
+    radius = draw(st.sampled_from((0.05, RADIUS, 0.25)))
+    height = draw(st.sampled_from((1.2, 1.8, 2.1)))
     extra = np.concatenate([
         _crowd(rng, draw(st.integers(0, 40)), mode, length, width),
-        _tangent_bodies(rng, ap, dev, device_z, draw(st.integers(0, 10))),
+        _tangent_bodies(rng, ap, dev, device_z, draw(st.integers(0, 10)), radius, height),
     ])
     own_body = draw(st.booleans())
     if own_body:
@@ -82,12 +85,6 @@ def scenes(draw):
         centers = dev
     else:
         centers = extra
-    sizes = draw(st.sampled_from(("scalar", "mixed")))
-    if sizes == "scalar":
-        radius, height = RADIUS, 1.8
-    else:
-        radius = rng.choice((0.05, RADIUS, 0.25), len(centers))
-        height = rng.choice((1.2, 1.8, 2.1), len(centers))
     return ap, dev, device_z, centers, radius, height, own_body
 
 
@@ -167,18 +164,20 @@ def test_candidates_across_several_default_chunks_match_dense_oracle(monkeypatch
     rng = np.random.default_rng(11)
     ap = geo.place(geo.Room(3.0, 3.0, 3.0), "B", 16, 5e-3).xyz
     dev = rng.uniform(0.0, 3.0, (150, 2))
-    radius = rng.choice((0.05, RADIUS, 0.25), 150)
-    height = rng.choice((1.2, 1.8, 2.1), 150)
-    for own_body in (True, False):
-        centers = dev if own_body else rng.uniform(-0.2, 3.2, (150, 2))
-        chunks = 0
-        _check_scene((ap, dev, 1.5, centers, radius, height, own_body))
-        assert chunks > 1, chunks
+    # bodies taller than the devices, since a lower one meets no ceiling link
+    for radius, height in ((0.05, 2.1), (RADIUS, 1.8), (0.25, 1.6)):
+        for own_body in (True, False):
+            centers = dev if own_body else rng.uniform(-0.2, 3.2, (150, 2))
+            chunks = 0
+            _check_scene((ap, dev, 1.5, centers, radius, height, own_body))
+            assert chunks > 1, (radius, height, chunks)
 
 
-# (argument, index, bad value), each in an otherwise valid call. A
-# negative radius would be squared by the exact test but shrink the box
-# pad, which is the largest radius, and drop bodies the test counts
+# (argument, index, bad value), each in an otherwise valid call; index
+# None replaces the whole argument, and () sets a 0-d size. A negative
+# radius would be squared by the exact test but shrink the box pad, which
+# is the radius, and drop bodies the test counts. Every body has one
+# size, so an array of sizes, even one value per body, is refused
 BAD_ARGUMENTS = [
     ("ap_xyz", (0, 0), np.nan),
     ("ap_xyz", (0, 2), np.inf),
@@ -187,13 +186,18 @@ BAD_ARGUMENTS = [
     ("device_z", None, np.nan),
     ("centers_xy", (2, 0), np.nan),
     ("centers_xy", (0, 1), np.inf),
-    ("radius_m", (1,), -RADIUS),
-    ("radius_m", (0,), 0.0),
-    ("radius_m", (2,), np.nan),
-    ("radius_m", (1,), np.inf),
-    ("height_m", (0,), np.nan),
-    ("height_m", (2,), np.inf),
-    ("height_m", (1,), -np.inf),
+    ("radius_m", (), -RADIUS),
+    ("radius_m", (), 0.0),
+    ("radius_m", (), np.nan),
+    ("radius_m", (), np.inf),
+    ("height_m", (), np.nan),
+    ("height_m", (), np.inf),
+    ("height_m", (), -np.inf),
+    ("radius_m", None, np.full(3, RADIUS)),
+    ("radius_m", None, np.array([RADIUS])),
+    ("radius_m", None, np.full(2, RADIUS)),
+    ("height_m", None, np.full(3, 1.8)),
+    ("height_m", None, np.empty(0)),
 ]
 
 
@@ -202,7 +206,7 @@ def test_bad_input_is_refused_naming_the_argument(name, index, value):
     args = {"ap_xyz": np.array([[5.0, 5.0, 3.0], [2.0, 8.0, 3.0]]),
             "device_xy": np.array([[1.0, 1.0], [4.0, 4.5], [9.0, 2.0]]), "device_z": 1.5,
             "centers_xy": np.array([[3.0, 3.0], [4.0, 4.0], [6.0, 7.0]]),
-            "radius_m": np.full(3, RADIUS), "height_m": np.full(3, 1.8)}
+            "radius_m": np.array(RADIUS), "height_m": np.array(1.8)}
     if index is None:
         args[name] = value
     else:
@@ -214,8 +218,23 @@ def test_bad_input_is_refused_naming_the_argument(name, index, value):
 def test_own_body_needs_one_blocker_per_user():
     ap = np.array([[5.0, 5.0, 3.0]])
     dev = np.array([[1.0, 1.0], [2.0, 2.0]])
-    with pytest.raises(ValueError, match="own_body"):
+    with pytest.raises(ValueError, match="^centers_xy: "):
         geo.blocked_matrix(ap, dev, 1.5, dev[:1], RADIUS, 1.8, own_body=True)
+    con = geo.Constellation("A", ap, 5e-3)
+    with pytest.raises(ValueError, match="^centers_xy: "):
+        sim.associate(dev, con, blockers=(dev[:1], RADIUS, 1.8))
+
+
+def test_a_numpy_scalar_size_is_that_number():
+    rng = np.random.default_rng(2)
+    ap = geo.place(geo.Room(), "B", 4, 5e-3).xyz
+    pos = rng.uniform(0.0, 10.0, (40, 2))
+    want = geo.blocked_matrix(ap, pos, 1.5, pos, RADIUS, 1.8, own_body=True)
+    assert want.any()
+    for radius, height in ((np.float64(RADIUS), np.float64(1.8)),
+                           (np.array(RADIUS), np.array(1.8))):
+        got = geo.blocked_matrix(ap, pos, 1.5, pos, radius, height, own_body=True)
+        assert np.array_equal(got, want)
 
 
 def test_run_matches_dense_oracle(monkeypatch):
@@ -248,23 +267,24 @@ def test_peak_memory_stays_flat_at_2000_users():
     assert blocked.any()
     # one (user, AP, blocker) float64 array alone would take 512 MB here;
     # the kernel's working set is one cache-sized candidate chunk, one
-    # pair block and the (AP, blocker) z-window table, about 3.6 MB
+    # pair block and the blockers' cell-list columns, about 3.1 MB
     assert peak < 5e6
 
 
 def test_peak_memory_grows_only_by_the_user_by_ap_arrays():
-    # from 1000 to 4000 users only the (AP, blocker) z-window table, its
-    # temporaries and the (user, AP) result grow: at most eight float64
+    # from 1000 to 4000 users only the (user, AP) result and the blockers'
+    # cell-list columns grow, about 0.85 MB: at most eight float64
     # (user, AP) arrays' worth
     (small, _), (large, _) = _traced_peak(1000), _traced_peak(4000)
     assert large - small <= 8 * 8 * (4000 - 1000) * 16
 
 
-def test_peak_memory_takes_one_table_row_per_ap_height():
+def test_peak_memory_stays_flat_over_891_stacked_aps():
     # a sweep of every layout over 11 effective heights stacks 891 APs at
     # 55 distinct heights: the ceiling ones and each wall layout's own
-    # corrected ones. The z-window table has one row per height, about
-    # 3.9 MB at its peak; one row per AP peaked at 37.5 MB
+    # corrected ones. The kernel keeps one z-window per AP, and a pair
+    # block takes fewer users as the APs grow, so the call peaks at about
+    # 3.0 MB; an (AP, blocker) table of z-windows peaked at 37.5 MB
     layouts = [("A", 1)] + [(t, n) for t in "BC" for n in geo.GRID_COUNTS]
     configs = [sim.with_effective_height(sim.with_placement(sim.SimConfig(), t, n), h)
                for t, n in layouts for h in np.linspace(2.0, 7.0, 11)]

@@ -248,12 +248,6 @@ def test_rejects_bad_args():
         mob.step_user(_one(), 0.0, [mob.substream(0, 0)], Room())
 
 
-def test_body_cylinder_tracks_position():
-    u = oracles.UserState(id=0, x=2.0, y=3.0, speed_mps=1, wp_x=1, wp_y=1,
-                          demand_bps=1e9, body_radius_m=0.1, body_height_m=1.8)
-    assert u.body == ((2.0, 3.0), 0.1, 1.8)
-
-
 @pytest.mark.xfail(strict=True, reason="run() replays each user's initial draws "
                    "from a fresh substream; fixing it changes the pinned results")
 def test_first_new_waypoint_is_not_start_point(monkeypatch):

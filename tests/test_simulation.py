@@ -493,25 +493,25 @@ class TestHeatmap:
         assert grid.labels[0, 0] == sim.LABEL_SHADOW
         assert grid.rates_bps[0, 0] == 0.0
 
-    # the ray from the AP to a cell centre passes (2.75, 2.75) or its
-    # mirror image at z = 1.65 m; the offset bodies sit 0.08 m off the ray.
-    # Each body is (center, radius, height)
-    _SHORT = ((2.75, 2.75), 0.1, 1.6)
-    _TALL = ((7.25, 7.25), 0.1, 1.8)
-    _THIN = ((2.75 + 0.08 / math.sqrt(2), 7.25 + 0.08 / math.sqrt(2)), 0.05, 1.8)
-    _WIDE = ((7.25 + 0.08 / math.sqrt(2), 2.75 + 0.08 / math.sqrt(2)), 0.2, 1.8)
+    # the ray from the AP to cell (0, 0)'s centre passes (2.75, 2.75) at
+    # z = 1.65 m, and the one to cell (0, 1)'s passes (2.75, 7.25); the
+    # offset body sits 0.08 m off that ray
+    _ON_RAY = np.array([(2.75, 2.75)])
+    _OFF_RAY = np.array([(2.75 + 0.08 / math.sqrt(2), 7.25 + 0.08 / math.sqrt(2))])
 
-    @pytest.mark.parametrize("blockers,clear,shadow", [
-        ((_SHORT, _TALL), (0, 0), (1, 1)),
-        ((_TALL, _SHORT), (0, 0), (1, 1)),
-        ((_THIN, _WIDE), (0, 1), (1, 0)),
-        ((_WIDE, _THIN), (0, 1), (1, 0)),
+    @pytest.mark.parametrize("centers,radius,height,cell,label", [
+        pytest.param(_ON_RAY, 0.1, 1.6, (0, 0), sim.LABEL_ILLUMINATION, id="short"),
+        pytest.param(_ON_RAY, 0.1, 1.8, (0, 0), sim.LABEL_SHADOW, id="tall"),
+        pytest.param(_OFF_RAY, 0.05, 1.8, (0, 1), sim.LABEL_ILLUMINATION, id="thin"),
+        pytest.param(_OFF_RAY, 0.2, 1.8, (0, 1), sim.LABEL_SHADOW, id="wide"),
     ])
-    def test_each_blocker_keeps_its_own_size(self, blockers, clear, shadow):
+    def test_the_body_size_sets_the_shadow(self, centers, radius, height, cell, label):
+        # a body below the ray or too thin to reach it casts no shadow,
+        # one as tall or as wide as the ray needs does
         cfg = make_config(placement_type="A", n_aps=1)
-        grid = sim.heatmap(cfg, 0.2, 1e9, blockers=tuple(map(np.array, zip(*blockers))))
-        assert grid.labels[clear] == sim.LABEL_ILLUMINATION
-        assert grid.labels[shadow] == sim.LABEL_SHADOW
+        grid = sim.heatmap(cfg, 0.2, 1e9, blockers=(centers, radius, height))
+        assert grid.labels[cell] == label
+        assert sim.heatmap(cfg, 0.2, 1e9).labels[cell] == sim.LABEL_ILLUMINATION
 
     def test_boundary_tracks_coverage_radius(self):
         cfg = make_config(placement_type="A", n_aps=1, p_o_w=0.5e-3)
@@ -571,9 +571,8 @@ class TestHeatmap:
                 sim.heatmap(make_config(), bad, 1e9)
 
 
-# (centers_xy, radius_m, height_m), one size per body
-_HEATMAP_BODIES = (np.array([(5.05, 8.8), (2.75, 2.75), (0.3, 9.6), (9.4, 4.1)]),
-                   np.array([0.1, 0.25, 0.2, 0.15]), np.array([1.8, 1.6, 1.9, 1.7]))
+# (centers_xy, radius_m, height_m): one size for every body
+_HEATMAP_BODIES = (np.array([(5.05, 8.8), (2.75, 2.75), (0.3, 9.6), (9.4, 4.1)]), 0.2, 1.8)
 
 
 @st.composite
@@ -662,7 +661,8 @@ class TestHeatmapBlocks:
 
 class TestBlockerArguments:
     """associate() and heatmap() take blockers as blocked_matrix's own
-    (centers_xy, radius_m, height_m) and hand them on as they are."""
+    (centers_xy, radius_m, height_m), one size for every body, and hand
+    them on as they are."""
 
     @pytest.mark.parametrize("layout", [("A", 1), ("B", 4), ("B", 16), ("C", 4), ("C", 16)])
     def test_no_bodies_change_no_cell(self, layout):
@@ -672,22 +672,19 @@ class TestBlockerArguments:
         assert empty.rates_bps.tobytes() == clear.rates_bps.tobytes()
         assert np.array_equal(empty.labels, clear.labels)
 
-    def test_a_scalar_size_equals_that_size_per_body(self):
+    def test_one_size_for_every_body_shades_and_reassociates(self):
         rng = np.random.default_rng(5)
         xy = rng.uniform(0.0, 10.0, (60, 2))
-        scalar, per_body = (xy, 0.1, 1.8), (xy, np.full(60, 0.1), np.full(60, 1.8))
         cfg = make_config(placement_type="B", n_aps=16)
-        a, b = (sim.heatmap(cfg, 5.0, 1e9, blockers=bodies) for bodies in (scalar, per_body))
-        assert np.any(a.labels == sim.LABEL_SHADOW)
-        assert a.rates_bps.tobytes() == b.rates_bps.tobytes()
-        assert np.array_equal(a.labels, b.labels)
+        shaded = sim.heatmap(cfg, 5.0, 1e9, blockers=(xy, 0.1, 1.8))
+        assert np.any(shaded.labels == sim.LABEL_SHADOW)
         con = sim.build_constellation(cfg)
-        got = sim.associate(xy, con, blockers=scalar)
-        assert got == sim.associate(xy, con, blockers=per_body)
-        assert got != sim.associate(xy, con)
+        assert sim.associate(xy, con, blockers=(xy, 0.1, 1.8)) != sim.associate(xy, con)
 
     @pytest.mark.parametrize("name,radius,height", [("radius_m", math.nan, 1.8),
-                                                    ("height_m", 0.1, math.inf)])
+                                                    ("height_m", 0.1, math.inf),
+                                                    ("radius_m", np.full(2, 0.1), 1.8),
+                                                    ("height_m", 0.1, np.array([1.8, 1.6]))])
     @pytest.mark.parametrize("entry", ["associate", "heatmap"])
     def test_a_refused_body_names_its_argument(self, entry, name, radius, height):
         bodies = (np.array([[2.0, 3.0], [7.0, 6.0]]), radius, height)
