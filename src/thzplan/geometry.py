@@ -19,15 +19,18 @@ same distances.
 
 Blockage has one implementation, `blocked_matrix`: every AP -> device
 segment against every vertical body cylinder, all bodies of one radius
-and one height, as the paper's users are. A body of height h can only cut
-the part of a segment below h, which for a ceiling AP is the last
-(h - z_device) / (z_ap - z_device) of it, 20% for a 3 m ceiling, 1.5 m
-device and 1.8 m body. The kernel tests only the blockers whose centres
-lie near that part, found through a cell list, and gives exactly the
-booleans of a test of every (user, AP, blocker) triple. It computes each
-AP's z-window once per call and tests the candidates in chunks small
-enough for their temporaries to stay in the cache, so its memory grows
-with the crowd only by the (user, AP) arrays and the blockers' columns.
+and one height, as the paper's users are. It takes the APs as one (A, 3)
+array and the devices and the body centres as (n, 2) arrays, the one
+form its callers pass, and a user's own body is the blocker with that
+user's id. A body of height h can only cut the part of a segment below
+h, which for a ceiling AP is the last (h - z_device) / (z_ap - z_device)
+of it, 20% for a 3 m ceiling, 1.5 m device and 1.8 m body. The kernel
+tests only the blockers whose centres lie near that part, found through
+a cell list, and gives exactly the booleans of a test of every (user,
+AP, blocker) triple. It computes each AP's z-window once per call and
+tests the candidates in chunks small enough for their temporaries to
+stay in the cache, so its memory grows with the crowd only by the
+(user, AP) arrays and the blockers' columns.
 """
 
 from __future__ import annotations
@@ -226,12 +229,14 @@ def blocked_matrix(
     The link is the open segment from the AP at ap_xyz[a] to the device at
     (device_xy[u], device_z); blocker b is a solid cylinder at
     centers_xy[b], z in [0, height_m], with radius radius_m: every body
-    has the one radius and the one height. With own_body, blocker u is
-    user u's own body and never blocks user u's links (it needs one
-    blocker per user). Returns a (U, A) boolean array. Every coordinate
-    must be finite, radius_m and height_m must each be one finite number
-    and radius_m positive; any other input raises ValueError naming the
-    argument, before any work is done.
+    has the one radius and the one height. ap_xyz is an (A, 3) array,
+    device_xy a (U, 2) and centers_xy a (B, 2) one, with no other form,
+    and device_z, radius_m and height_m are one finite number each. With
+    own_body, blocker u is user u's own body, by id, and never blocks
+    user u's links (it needs one blocker per user). Returns a (U, A)
+    boolean array. Every coordinate must be finite and radius_m
+    positive; any other input raises ValueError starting with the
+    argument's name, before any work is done.
 
     Pruning, in three steps:
 
@@ -271,45 +276,39 @@ def blocked_matrix(
     near-tangent bodies, level segments (AP at device height) and centres
     outside the room. The dense oracle in the tests checks this.
     """
-    ap = np.asarray(ap_xyz, dtype=float).reshape(-1, 3)
-    dev = np.asarray(device_xy, dtype=float).reshape(-1, 2)
-    cen = np.asarray(centers_xy, dtype=float).reshape(-1, 2)
-    n_usr, n_ap, n_blk = dev.shape[0], ap.shape[0], cen.shape[0]
-    if own_body and n_blk != n_usr:
-        raise ValueError(f"centers_xy: own_body needs one body per user, got {n_blk} for {n_usr}")
-    # the largest absolute coordinate of each argument is NaN or inf
-    # exactly when one of its coordinates is
-    extent = {"ap_xyz": np.abs(ap).max(initial=0.0), "device_xy": np.abs(dev).max(initial=0.0),
-              "centers_xy": np.abs(cen).max(initial=0.0), "device_z": abs(device_z)}
-    for name, value in extent.items():
-        if not math.isfinite(value):
+    ap, dev, cen = (np.asarray(v, dtype=float) for v in (ap_xyz, device_xy, centers_xy))
+    extent = []  # each array's largest absolute coordinate
+    for name, value, k in (("ap_xyz", ap, 3), ("device_xy", dev, 2), ("centers_xy", cen, 2)):
+        if value.ndim != 2 or value.shape[1] != k:
+            raise ValueError(f"{name}: expected an (n, {k}) array, got shape {value.shape}")
+        extent.append(np.abs(value).max(initial=0.0))
+        if not math.isfinite(extent[-1]):  # NaN or inf exactly when a coordinate is
             raise ValueError(f"{name}: every coordinate must be finite")
-    for name, size in (("radius_m", radius_m), ("height_m", height_m)):
-        if np.ndim(size) != 0 or not math.isfinite(size):
-            raise ValueError(f"{name}: must be one finite number, the size of every body")
+    for name, value in (("device_z", device_z), ("radius_m", radius_m), ("height_m", height_m)):
+        if np.ndim(value) != 0 or not math.isfinite(value):
+            raise ValueError(f"{name}: must be one finite number")
     radius, height = float(radius_m), float(height_m)
     # the box pad is the radius, which covers a body only when it is
     # positive: the exact test squares it
     if not radius > 0.0:
         raise ValueError("radius_m: must be positive")
-    blocked = np.zeros((n_usr, n_ap), dtype=bool)
-    if blocked.size == 0 or n_blk == 0:
-        return blocked
-
-    cells = _CellList(cen[:, 0], cen[:, 1], radius)
+    if own_body and len(cen) != len(dev):
+        raise ValueError(f"centers_xy: own_body needs one body per user, got {len(cen)} "
+                         f"for {len(dev)}")
+    blocked = np.zeros((len(dev), len(ap)), dtype=bool)
     z_lo, z_hi = _z_window(ap[:, 2], device_z - ap[:, 2], height)
     t_lo, t_hi = np.maximum(z_lo, 0.0), np.minimum(z_hi, 1.0)
     live = np.flatnonzero((t_lo <= t_hi) & (t_hi > 0.0) & (t_lo < 1.0))
-    if live.size == 0:
+    if len(dev) == 0 or len(cen) == 0 or live.size == 0:
         return blocked
 
-    pad = radius + _BOX_SLACK * (1.0 + max(extent.values()))
+    cells = _CellList(cen[:, 0], cen[:, 1], radius)
+    pad = radius + _BOX_SLACK * (1.0 + max(*extent, abs(device_z)))
     (ap_x, ap_y), (dev_x, dev_y) = (np.array(v.T) for v in (ap[:, :2], dev))
     r_sq = radius * radius
-    own = np.argsort(cells.order) if own_body else None  # user u's body's cell position
     per_block = max(1, _PAIR_BLOCK // live.size)
-    for u0 in range(0, n_usr, per_block):
-        users = np.arange(u0, min(u0 + per_block, n_usr))
+    for u0 in range(0, len(dev), per_block):
+        users = np.arange(u0, min(u0 + per_block, len(dev)))
         pu = np.repeat(users, live.size)
         pa = np.repeat(live[None], users.size, axis=0).ravel()  # np.tile, at a third of its cost
         ax, ay = ap_x[pa], ap_y[pa]
@@ -320,7 +319,6 @@ def blocked_matrix(
         lo_x, hi_x = np.minimum(*ex) - pad, np.maximum(*ex) + pad
         lo_y, hi_y = np.minimum(*ey) - pad, np.maximum(*ey) + pad
         pair, start, count = cells.query(lo_x, hi_x, lo_y, hi_y)
-        own_pos = own[pu] if own_body else None
         cum = np.cumsum(count)
         e0 = 0
         while e0 < count.size:
@@ -331,7 +329,7 @@ def blocked_matrix(
             bx, by = cells.x[pos], cells.y[pos]
             keep = (bx >= lo_x[p]) & (bx <= hi_x[p]) & (by >= lo_y[p]) & (by <= hi_y[p])
             if own_body:
-                keep &= pos != own_pos[p]
+                keep &= cells.order[pos] != pu[p]  # blocker u is user u's body
             p = p[keep]
             hit = _cylinder_hits(ax[p], ay[p], dx[p], dy[p], qa[p], bx[keep], by[keep],
                                  r_sq, zl[p], zh[p])
@@ -351,7 +349,7 @@ class _CellList:
     def __init__(self, cx: np.ndarray, cy: np.ndarray, radius: float):
         self.x0, self.y0 = cx.min(), cy.min()
         span_x, span_y = cx.max() - self.x0, cy.max() - self.y0
-        self.cell = max(math.sqrt(span_x * span_y / cx.size), 2.0 * radius) or 1.0
+        self.cell = max(math.sqrt(span_x * span_y / cx.size), 2.0 * radius)
         self.nx = int(min(span_x // self.cell, cx.size)) + 1
         self.ny = int(min(span_y // self.cell, cx.size)) + 1
         flat = self._index(cy, self.y0, self.ny) * self.nx + self._index(cx, self.x0, self.nx)

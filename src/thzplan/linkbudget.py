@@ -110,30 +110,24 @@ def shannon_rate(snr, bandwidth_hz: float):
 
 
 def lambert_w0(x: float) -> float:
-    """Principal branch of the Lambert W function.
+    """Principal branch of the Lambert W function for x >= 0, the
+    arguments coverage_radius passes.
 
-    Halley iteration from a branch-aware initial guess; residual
-    |w e^w - x| <= 1e-12 |x|. Defined for x >= -1/e.
+    Halley iteration from x / (1 + x) below e and log x - log log x
+    above; residual |w e^w - x| <= 1e-12 x. A negative or NaN x raises
+    ValueError.
     """
     x = float(x)
-    inv_e = math.exp(-1.0)
-    if x < -inv_e:
-        raise ValueError(f"lambert_w0 undefined for x={x} < -1/e")
+    if not x >= 0.0:
+        raise ValueError(f"lambert_w0: x must be >= 0, got {x}")
     if x == 0.0:
         return 0.0
-
-    # initial guess
-    if x < -inv_e + 0.25:
-        # series around the branch point
-        p = math.sqrt(2.0 * (math.e * x + 1.0))
-        w = -1.0 + p - p * p / 3.0 + 11.0 * p ** 3 / 72.0
-    elif x < math.e:
-        w = x / (1.0 + x) if x > 0 else x * (1.0 - x)
+    if x < math.e:
+        w = x / (1.0 + x)
     else:
-        lx = math.log(x)
-        w = lx - math.log(lx)
+        w = math.log(x) - math.log(math.log(x))
 
-    tol = 1e-12 * abs(x)  # relative: an absolute tolerance loses small w
+    tol = 1e-12 * x  # relative: an absolute tolerance loses small w
     for _ in range(50):
         ew = math.exp(w)
         f = w * ew - x
@@ -143,8 +137,6 @@ def lambert_w0(x: float) -> float:
         # Halley step
         denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
         w -= f / denom
-        if w <= -1.0:
-            w = -1.0 + 1e-15
     return w
 
 
@@ -162,23 +154,20 @@ def link_rate(d_sq, sig, tau, bandwidth_hz):
     return shannon_rate(sig / loss, bandwidth_hz)
 
 
-def _radius_constant(params: LinkBudgetParams, spectral_efficiency: float) -> float:
+def coverage_radius(params: LinkBudgetParams, spectral_efficiency: float) -> float:
+    """Distance (m) at which the link sustains the given spectral
+    efficiency: the unique positive root of r^2 e^(tau r) = K, with
+    K = snr_scale / (2^efficiency - 1).
+
+    Solved in closed form through the Lambert W principal branch,
+    r = 2 W(tau sqrt(K) / 2) / tau, whose argument is positive, and
+    sqrt(K) for tau = 0.
+    """
     if spectral_efficiency <= 0:
         raise ValueError("spectral efficiency must be positive")
     k = snr_scale(params) / (2.0 ** spectral_efficiency - 1.0)
     if k <= 0:
         raise ValueError("radius constant must be positive")
-    return k
-
-
-def coverage_radius(params: LinkBudgetParams, spectral_efficiency: float) -> float:
-    """Distance (m) at which the link sustains the given spectral
-    efficiency: the unique positive root of r^2 e^(tau r) = K.
-
-    Solved in closed form through the Lambert W principal branch,
-    r = 2 W(tau sqrt(K) / 2) / tau, degenerating to sqrt(K) for tau = 0.
-    """
-    k = _radius_constant(params, spectral_efficiency)
     tau = absorption_for(params)
     if tau == 0.0:
         return math.sqrt(k)

@@ -123,10 +123,10 @@ def step_user(
     from its own generator rngs[i]; a user whose pause ends draws them
     too. Nobody else touches a generator. The position never leaves the
     room: both endpoints of every leg are interior and motion is linear
-    between them.
+    between them. dt_s must be positive and finite.
     """
-    if dt_s <= 0:
-        raise ValueError("dt must be positive")
+    if not 0.0 < dt_s < np.inf:
+        raise ValueError(f"dt_s: must be positive and finite, got {dt_s!r}")
     pausing = crowd.pause_left_s > 0.0
     d = crowd.wp - crowd.xy
     # float_power(x, 0.5) rounds exactly like Python's x ** 0.5 (np.sqrt

@@ -426,13 +426,12 @@ def _step_all(batch: Sequence[SimConfig], cons: Sequence[Constellation], n_steps
             idle[i] += (counts == 0).sum(axis=0)
 
             if events is not None:
-                logged = [(EVENT_HANDOFF, handoff, best)]
-                if hits is not None:
-                    was = np.concatenate([shadowed[i, None], ~served[:-1]])
-                    logged += [(EVENT_BLOCKAGE_START, ~served & ~was, prev),
-                               (EVENT_BLOCKAGE_END, was & served, best)]
+                was = np.concatenate([shadowed[i, None], ~served[:-1]])
                 done = counting & (age + 1 == dead)
-                _record(events[i], k0, cfg.dt_s, logged + [(EVENT_ALIGNMENT_DONE, done, best)])
+                _record(events[i], k0, cfg.dt_s, [(EVENT_HANDOFF, handoff, best),
+                                                  (EVENT_BLOCKAGE_START, ~served & ~was, prev),
+                                                  (EVENT_BLOCKAGE_END, was & served, best),
+                                                  (EVENT_ALIGNMENT_DONE, done, best)])
             assign[i], since[i], shadowed[i] = best[-1], age[-1], ~served[-1]
 
 
@@ -511,8 +510,9 @@ def heatmap(
     Each cell is a device served by the AP run() would pick for it (see
     geometry.nearest) at that link's rate; a cell blocked from every AP
     reads 0.0. Cells below the probe rate are darkness unless a blocker is
-    what pushed them under, in which case they are shadow. No time sharing:
-    this is the per-point link capacity, not a loaded-system rate.
+    what pushed them under, in which case they are shadow; the probe rate
+    must be finite and not negative. No time sharing: this is the
+    per-point link capacity, not a loaded-system rate.
     blockers, if given, is (centers_xy, radius_m, height_m) as
     geometry.blocked_matrix takes them, one radius and one height for
     every body; none of them is the body of the device at a cell.
@@ -530,6 +530,8 @@ def heatmap(
     """
     if not (math.isfinite(resolution_cells_per_m) and resolution_cells_per_m > 0):
         raise ConfigError("resolution: must be a finite positive number")
+    if not 0.0 <= probe_rate_bps < math.inf:
+        raise ConfigError(f"probe_rate_bps: must be a finite number >= 0, got {probe_rate_bps!r}")
     con = build_constellation(cfg)
     res = resolution_cells_per_m
     nx = math.ceil(cfg.room.length_m * res)

@@ -217,10 +217,12 @@ def blocked_matrix_dense(
     ap_xyz, device_xy, device_z, centers_xy, radius_m, height_m, *, own_body
 ) -> np.ndarray:
     """Every (user, AP, blocker) triple at once; same contract as
-    `geometry.blocked_matrix`. Memory grows as users x APs x blockers."""
-    ap = np.asarray(ap_xyz, dtype=float).reshape(-1, 3)
-    dev = np.asarray(device_xy, dtype=float).reshape(-1, 2)
-    cen = np.asarray(centers_xy, dtype=float).reshape(-1, 2)
+    `geometry.blocked_matrix`, whose (A, 3) and (n, 2) array forms it
+    takes and no other. Memory grows as users x APs x blockers."""
+    ap, dev, cen = (np.asarray(v, dtype=float) for v in (ap_xyz, device_xy, centers_xy))
+    for name, value, k in (("ap_xyz", ap, 3), ("device_xy", dev, 2), ("centers_xy", cen, 2)):
+        if value.ndim != 2 or value.shape[1] != k:
+            raise ValueError(f"{name}: expected an (n, {k}) array, got shape {value.shape}")
     n_usr, n_ap, n_blk = dev.shape[0], ap.shape[0], cen.shape[0]
     radius = np.broadcast_to(np.asarray(radius_m, dtype=float), (n_blk,))
     height = np.broadcast_to(np.asarray(height_m, dtype=float), (n_blk,))

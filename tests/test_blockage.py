@@ -174,10 +174,20 @@ def test_candidates_across_several_default_chunks_match_dense_oracle(monkeypatch
 
 
 # (argument, index, bad value), each in an otherwise valid call; index
-# None replaces the whole argument, and () sets a 0-d size. A negative
-# radius would be squared by the exact test but shrink the box pad, which
-# is the radius, and drop bodies the test counts. Every body has one
-# size, so an array of sizes, even one value per body, is refused
+# None replaces the whole argument, and () sets a 0-d size. Point arrays
+# have one form each, (A, 3) for the APs and (n, 2) for the devices and
+# the bodies; the last case is two devices given as x, y, z, which would
+# read as three devices if it were flattened
+MISSHAPEN = [
+    ("device_xy", None, np.ones((3, 3))),
+    ("ap_xyz", None, np.array([[5.0, 5.0], [2.0, 8.0]])),
+    ("centers_xy", None, np.empty(0)),
+    ("device_xy", None, np.array([[1.0, 1.0, 1.5], [4.0, 4.5, 1.5]])),
+]
+# A negative radius would be squared by the exact test but shrink the box
+# pad, which is the radius, and drop bodies the test counts. Every body
+# has one size and every device one height, so an array of sizes or of
+# heights, even one value per body, is refused
 BAD_ARGUMENTS = [
     ("ap_xyz", (0, 0), np.nan),
     ("ap_xyz", (0, 2), np.inf),
@@ -198,11 +208,14 @@ BAD_ARGUMENTS = [
     ("radius_m", None, np.full(2, RADIUS)),
     ("height_m", None, np.full(3, 1.8)),
     ("height_m", None, np.empty(0)),
+    *MISSHAPEN,
+    ("device_z", None, np.full(2, 1.5)),
+    ("device_z", None, np.array([1.5])),
 ]
 
 
-@pytest.mark.parametrize("name,index,value", BAD_ARGUMENTS)
-def test_bad_input_is_refused_naming_the_argument(name, index, value):
+def _call_with(name, index, value):
+    """A valid call's arguments with one of them made bad."""
     args = {"ap_xyz": np.array([[5.0, 5.0, 3.0], [2.0, 8.0, 3.0]]),
             "device_xy": np.array([[1.0, 1.0], [4.0, 4.5], [9.0, 2.0]]), "device_z": 1.5,
             "centers_xy": np.array([[3.0, 3.0], [4.0, 4.0], [6.0, 7.0]]),
@@ -211,8 +224,19 @@ def test_bad_input_is_refused_naming_the_argument(name, index, value):
         args[name] = value
     else:
         args[name][index] = value
+    return args
+
+
+@pytest.mark.parametrize("name,index,value", BAD_ARGUMENTS)
+def test_bad_input_is_refused_naming_the_argument(name, index, value):
     with pytest.raises(ValueError, match=f"^{name}: "):
-        geo.blocked_matrix(**args, own_body=False)
+        geo.blocked_matrix(**_call_with(name, index, value), own_body=False)
+
+
+@pytest.mark.parametrize("name,index,value", MISSHAPEN)
+def test_the_dense_oracle_refuses_a_misshapen_array_too(name, index, value):
+    with pytest.raises(ValueError, match=f"^{name}: "):
+        blocked_matrix_dense(**_call_with(name, index, value), own_body=False)
 
 
 def test_own_body_needs_one_blocker_per_user():

@@ -248,6 +248,16 @@ def test_rejects_bad_args():
         mob.step_user(_one(), 0.0, [mob.substream(0, 0)], Room())
 
 
+@pytest.mark.parametrize("dt_s", [math.nan, math.inf, -math.inf, 0.0, -0.01])
+def test_step_user_refuses_a_time_step_that_is_not_positive_and_finite(dt_s):
+    # a NaN step would move every user to (nan, nan)
+    crowd = _one()
+    before = crowd.xy.copy()
+    with pytest.raises(ValueError, match="^dt_s: "):
+        mob.step_user(crowd, dt_s, [mob.substream(0, 0)], Room())
+    assert np.array_equal(crowd.xy, before)
+
+
 @pytest.mark.xfail(strict=True, reason="run() replays each user's initial draws "
                    "from a fresh substream; fixing it changes the pinned results")
 def test_first_new_waypoint_is_not_start_point(monkeypatch):

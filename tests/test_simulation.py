@@ -570,6 +570,12 @@ class TestHeatmap:
             with pytest.raises(sim.ConfigError, match="^resolution:"):
                 sim.heatmap(make_config(), bad, 1e9)
 
+    @pytest.mark.parametrize("probe", [math.nan, math.inf, -math.inf, -1.0])
+    def test_probe_rate_must_be_finite_and_not_negative(self, probe):
+        # NaN or inf would label every cell darkness, and -1 every cell lit
+        with pytest.raises(sim.ConfigError, match="^probe_rate_bps:"):
+            sim.heatmap(make_config(), 5.0, probe)
+
 
 # (centers_xy, radius_m, height_m): one size for every body
 _HEATMAP_BODIES = (np.array([(5.05, 8.8), (2.75, 2.75), (0.3, 9.6), (9.4, 4.1)]), 0.2, 1.8)
