@@ -114,12 +114,12 @@ def lambert_w0(x: float) -> float:
     arguments coverage_radius passes.
 
     Halley iteration from x / (1 + x) below e and log x - log log x
-    above; residual |w e^w - x| <= 1e-12 x. A negative or NaN x raises
-    ValueError.
+    above; residual |w e^w - x| <= 1e-12 x. A negative, infinite or NaN
+    x raises ValueError.
     """
     x = float(x)
-    if not x >= 0.0:
-        raise ValueError(f"lambert_w0: x must be >= 0, got {x}")
+    if not 0.0 <= x < math.inf:
+        raise ValueError(f"lambert_w0: x must be finite and >= 0, got {x}")
     if x == 0.0:
         return 0.0
     if x < math.e:

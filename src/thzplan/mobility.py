@@ -4,14 +4,18 @@ Every user owns an independent substream derived from the run seed, so a
 trajectory depends only on (seed, user id, room, mobility parameters, dt
 sequence). That derivation rule is part of the determinism contract:
 substream i is numpy's PCG64 seeded with SeedSequence([seed, i]).
-init_users draws each user's set-up from substream i; stepping then uses
-fresh substreams, as Substreams(seed) builds them: user i's generator is
+init_users takes each user's set-up from the first six draws of
+substream i, computed for every user in one batch by following numpy's
+published SeedSequence and PCG64 algorithms (_first_draws); numpy's own
+per-user streams are the tests' oracle for it. Stepping then uses fresh
+substreams, as Substreams(seed) builds them: user i's generator is
 built the first time that user draws a new waypoint, so a user who never
 draws costs no generator.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +34,80 @@ DEFAULT_RATE_MAX_BPS = 10e9
 def substream(seed: int, user_id: int) -> np.random.Generator:
     """Per-user RNG stream; the (seed, id) pair fully determines it."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, user_id])))
+
+
+_MASK32 = 0xFFFFFFFF
+# PCG64's 128-bit multiplier as uint64 halves, and the low half's 32-bit halves
+_MULT_HI, _MULT_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
+_MULT_LO0, _MULT_LO1 = np.uint64(0x9FCCF645), np.uint64(0x4385DF64)
+_LOW32, _SHIFT32 = np.uint64(_MASK32), np.uint64(32)
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """One PCG64 LCG step, state * multiplier + inc mod 2**128, with each
+    128-bit number as uint64 arrays (hi, lo); uint64 products wrap."""
+    l0, l1 = lo & _LOW32, lo >> _SHIFT32
+    cross0, cross1 = l0 * _MULT_LO1, l1 * _MULT_LO0
+    mid = (l0 * _MULT_LO0 >> _SHIFT32) + (cross0 & _LOW32) + (cross1 & _LOW32)
+    carry = l1 * _MULT_LO1 + (cross0 >> _SHIFT32) + (cross1 >> _SHIFT32) + (mid >> _SHIFT32)
+    prod_lo = lo * _MULT_LO
+    new_lo = prod_lo + inc_lo
+    return carry + lo * _MULT_HI + hi * _MULT_LO + inc_hi + (new_lo < prod_lo), new_lo
+
+
+def _first_draws(seed: int, m: int) -> np.ndarray:
+    """(m, 6): row i is substream(seed, i).random(6), bit for bit, for
+    every id i < m at once, without building a generator.
+
+    Repeats numpy's SeedSequence([seed, i]) entropy mixing, PCG64 seeding
+    and XSL-RR output on arrays over the ids. A hash constant depends
+    only on its word's position and every id is one 32-bit word, so every
+    id runs the same uint32 and uint64 operations.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed: must be >= 0, got {seed}")
+    # entropy: the seed's 32-bit words (0 gives [0]), then the id; zeros
+    # fill a 4-word pool, and words past it go through the second loop
+    words = [np.full(m, seed >> s & _MASK32, np.uint32)
+             for s in range(0, max(seed.bit_length(), 1), 32)]
+    words.append(np.arange(m, dtype=np.uint32))
+    words += [np.zeros(m, np.uint32)] * (4 - len(words))
+    h = 0x43B0D7E5  # INIT_A
+
+    def hashmix(value, mult):
+        nonlocal h
+        value = value ^ h
+        h = h * mult & _MASK32
+        value = value * h
+        return value ^ value >> 16
+
+    def mix(x, y):
+        r = x * 0xCA01F9DD - y * 0x4973F715
+        return r ^ r >> 16
+
+    pool = [hashmix(w, 0x931E8875) for w in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src], 0x931E8875))
+    for w in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w, 0x931E8875))
+    h = 0x8B51F9DD  # INIT_B: generate_state(4, uint64), low word first
+    half = [hashmix(pool[i % 4], 0x58F38DED).astype(np.uint64) for i in range(8)]
+    w0, w1, w2, w3 = (half[i] | half[i + 1] << _SHIFT32 for i in range(0, 8, 2))
+    # state 0 and inc = (w2:w3) << 1 | 1; step, add initstate (w0:w1), step
+    one = np.uint64(1)
+    inc_hi, inc_lo = w2 << one | w3 >> np.uint64(63), w3 << one | one
+    lo = inc_lo + w1
+    hi, lo = _pcg_step(inc_hi + w0 + (lo < w1), lo, inc_hi, inc_lo)
+    u = np.empty((m, 6))
+    for j in range(6):
+        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+        x, rot = hi ^ lo, hi >> np.uint64(58)  # rotr64(hi ^ lo, hi >> 58)
+        u[:, j] = (x >> rot | x << (np.uint64(64) - rot & np.uint64(63))) >> np.uint64(11)
+    return u * 2.0 ** -53
 
 
 class Substreams(dict):
@@ -81,10 +159,12 @@ def init_users(
 
     Returns the Crowd, with nobody pausing, and the (m,) demanded rates
     in bit/s. Draw order per user (from that user's substream): position
-    x, y, waypoint x, y, speed, demanded rate. The six come from one
-    random(6) call and are mapped as Generator.uniform maps each draw, so
-    they equal six uniform calls bit for bit, and a range that is not
-    finite or is reversed raises uniform's OverflowError or ValueError.
+    x, y, waypoint x, y, speed, demanded rate. The six are the first six
+    random() draws of substream(seed, i), computed for all users in one
+    batch (_first_draws), and are mapped as Generator.uniform maps each
+    draw, so they equal six uniform calls bit for bit, and a range that
+    is not finite or is reversed raises uniform's OverflowError or
+    ValueError.
     """
     if m < 0:
         raise ValueError("user count must be >= 0")
@@ -100,10 +180,7 @@ def init_users(
             raise OverflowError("high - low range exceeds valid bounds")
         if np.signbit(s):
             raise ValueError("high - low < 0")
-    u = np.empty((m, 6))
-    for i in range(m):
-        substream(seed, i).random(out=u[i])
-    v = lo + span * u
+    v = lo + span * _first_draws(seed, m)
     return Crowd(v[:, 0:2].copy(), v[:, 2:4].copy(), v[:, 4].copy(), np.zeros(m)), v[:, 5].copy()
 
 

@@ -54,6 +54,7 @@ CONFIGS = {
     "below": "[users]\nuser_height_m = -1\n",
     "huge": "[room]\nroom_l_m = 1e300\n",
     "twice": "[radio]\nf_c_ghz = 300\n[room]\nf_c_ghz = 600\n",
+    "opaque": "[radio]\ntau_override_per_m = 1e305\n",
 }
 
 OUTPUT_CASES = {
@@ -104,6 +105,8 @@ FAILURE_CASES = {
     "heatmap-blockage": ("heatmap --blockage on --out {out}", "usage: thzplan"),
     "sweep-n-5": ("sweep --axis N --values 5 --out {out}", "configuration error: values:"),
     "validate-twice": ("validate --config {twice}", "configuration error: f_c_ghz:"),
+    "radius-opaque": ("radius --config {opaque} -s 1e-9 --ceil",
+                      "configuration error: spectral-efficiency:"),
 }
 
 

@@ -186,6 +186,14 @@ class TestLambertW:
             with pytest.raises(ValueError, match="^lambert_w0: "):
                 lb.lambert_w0(x)
 
+    def test_infinity_is_refused(self):
+        # tau sqrt(K) / 2 overflows to inf for an opaque link; Halley's
+        # iteration turned that into a NaN radius
+        with pytest.raises(ValueError, match="^lambert_w0: x must be finite"):
+            lb.lambert_w0(math.inf)
+        with pytest.raises(ValueError, match="^lambert_w0: "):
+            lb.coverage_radius(lb.LinkBudgetParams(tau_override=1e305), 1e-9)
+
     def test_domain(self):
         with pytest.raises(ValueError):
             lb.lambert_w0(-math.exp(-1.0) - 1e-9)

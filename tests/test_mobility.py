@@ -48,7 +48,7 @@ def _set_ups(draw):
     32-bit words, and ranges of speed and rate that may be empty."""
     room = Room(draw(st.floats(0.1, 1e4)), draw(st.floats(0.1, 1e4)), 3.0)
     m = draw(st.integers(1, 200))
-    seed = draw(st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**96)))
+    seed = draw(st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**160)))
     v_mean = draw(st.floats(0.1, 5.0))
     v_span = draw(st.one_of(st.just(0.0), st.floats(0.0, v_mean * 0.99)))
     rate_min = draw(st.floats(0.0, 1e11))
@@ -65,6 +65,26 @@ def test_init_users_matches_scalar_draws_bit_for_bit(set_up):
     users = oracles.init_users(room, m, seed, **kw)
     want = oracles.crowd_of(users)
     assert _state(crowd, demand) == _state(want, np.array([u.demand_bps for u in users]))
+
+
+@pytest.mark.parametrize("m", [0, 1, 1000])
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 5, 2**100 + 3])
+def test_first_draws_are_each_users_own_stream(seed, m):
+    # 2**100 + 3 has four words, so with the id its entropy overflows
+    # SeedSequence's 4-word pool into the second mixing loop
+    want = np.array([mob.substream(seed, i).random(6) for i in range(m)]).reshape(m, 6)
+    got = mob._first_draws(seed, m)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 9, 2**100 + 3])
+def test_first_users_set_up_does_not_depend_on_the_user_count(seed):
+    room = Room()
+    crowd, demand = mob.init_users(room, 40, seed)
+    for k in (0, 1, 17, 40):
+        head = mob.Crowd(crowd.xy[:k], crowd.wp[:k], crowd.speed_mps[:k],
+                         crowd.pause_left_s[:k])
+        assert _state(head, demand[:k]) == _state(*mob.init_users(room, k, seed))
 
 
 @pytest.mark.parametrize("room,kw,error", [
@@ -244,6 +264,8 @@ def test_rejects_bad_args():
         mob.init_users(Room(), -1, seed=1)
     with pytest.raises(ValueError):
         mob.init_users(Room(), 5, seed=1, v_mean=0.5, v_span=0.5)
+    with pytest.raises(ValueError, match="^seed: "):
+        mob.init_users(Room(), 5, seed=-1)
     with pytest.raises(ValueError):
         mob.step_user(_one(), 0.0, [mob.substream(0, 0)], Room())
 
