@@ -23,7 +23,6 @@ from .simulation import (
     HeatmapGrid,
     MetricsReport,
     SimConfig,
-    associate,
     heatmap,
     run,
     sweep,

@@ -13,24 +13,24 @@ floor.
 Association has one rule: a device is served by the nearest AP not
 blocked from it (`nearest`), over the squared distances of `d_sq`, which
 keeps a block of points in its own shape with the APs on a first axis.
-The simulation's runs, heat maps and `associate` use the pair, and
-`reference_distances` takes the wall mounts' height correction from the
-same distances.
+The simulation's runs use the pair; its heat maps, which have no bodies,
+and `reference_distances`, which takes the wall mounts' height
+correction, use the nearest of the same distances.
 
 Blockage has one implementation, `blocked_matrix`: every AP -> device
 segment against every vertical body cylinder, all bodies of one radius
 and one height, as the paper's users are. It takes the APs as one (A, 3)
 array and the devices and the body centres as (n, 2) arrays, the one
-form its callers pass, and a user's own body is the blocker with that
-user's id. A body of height h can only cut the part of a segment below
-h, which for a ceiling AP is the last (h - z_device) / (z_ap - z_device)
-of it, 20% for a 3 m ceiling, 1.5 m device and 1.8 m body. The kernel
-tests only the blockers whose centres lie near that part, found through
-a cell list, and gives exactly the booleans of a test of every (user,
-AP, blocker) triple. It computes each AP's z-window once per call and
-tests the candidates in chunks small enough for their temporaries to
-stay in the cache, so its memory grows with the crowd only by the
-(user, AP) arrays and the blockers' columns.
+form its callers pass, one centre per device: a user's own body is the
+blocker with that user's id. A body of height h can only cut the part of
+a segment below h, which for a ceiling AP is the last (h - z_device) /
+(z_ap - z_device) of it, 20% for a 3 m ceiling, 1.5 m device and 1.8 m
+body. The kernel tests only the bodies whose centres lie near that part,
+found through a cell list, and gives exactly the booleans of a test of
+every (user, AP, blocker) triple. It computes each AP's z-window once per
+call and tests the candidates in chunks small enough for their
+temporaries to stay in the cache, so its memory grows with the crowd
+only by the (user, AP) arrays and the bodies' columns.
 """
 
 from __future__ import annotations
@@ -221,22 +221,20 @@ def blocked_matrix(
     centers_xy: np.ndarray,
     radius_m,
     height_m,
-    *,
-    own_body: bool,
 ) -> np.ndarray:
     """Blockage of every (user, AP) link by vertical body cylinders.
 
     The link is the open segment from the AP at ap_xyz[a] to the device at
     (device_xy[u], device_z); blocker b is a solid cylinder at
     centers_xy[b], z in [0, height_m], with radius radius_m: every body
-    has the one radius and the one height. ap_xyz is an (A, 3) array,
-    device_xy a (U, 2) and centers_xy a (B, 2) one, with no other form,
-    and device_z, radius_m and height_m are one finite number each. With
-    own_body, blocker u is user u's own body, by id, and never blocks
-    user u's links (it needs one blocker per user). Returns a (U, A)
-    boolean array. Every coordinate must be finite and radius_m
-    positive; any other input raises ValueError starting with the
-    argument's name, before any work is done.
+    has the one radius and the one height. Blocker u is user u's own body,
+    by id, and never blocks user u's links, so there is one centre per
+    device; the centre need not be at the device. ap_xyz is an (A, 3)
+    array and device_xy and centers_xy (U, 2) ones, with no other form,
+    and device_z, radius_m and height_m are one finite number each.
+    Returns a (U, A) boolean array. Every coordinate must be finite and
+    radius_m positive; any other input raises ValueError starting with
+    the argument's name, before any work is done.
 
     Pruning, in three steps:
 
@@ -258,7 +256,7 @@ def blocked_matrix(
        the cylinder arithmetic that a test of every triple uses, the same
        operations in the same order, in chunks of at most
        _CANDIDATE_CHUNK triples (more only when one cell row holds more
-       blockers), over blocks of about _PAIR_BLOCK pairs, so memory stays
+       bodies), over blocks of about _PAIR_BLOCK pairs, so memory stays
        bounded as users grow. A chunk is sized for its temporaries to stay
        in the cache, and its path is the gathers of its triples' columns
        and the cylinder arithmetic.
@@ -268,7 +266,7 @@ def blocked_matrix(
     the candidate boxes are separate contiguous (N,) arrays, so the box
     filter is four comparisons and each pair's squared xy length is
     computed once and gathered for its triples, as is its z-window. The
-    blockers' x and y are kept in cell list order, so the positions of a
+    bodies' x and y are kept in cell list order, so the positions of a
     cell list run index them directly.
 
     Exactness contract: the result equals, boolean for boolean, that
@@ -292,14 +290,13 @@ def blocked_matrix(
     # positive: the exact test squares it
     if not radius > 0.0:
         raise ValueError("radius_m: must be positive")
-    if own_body and len(cen) != len(dev):
-        raise ValueError(f"centers_xy: own_body needs one body per user, got {len(cen)} "
-                         f"for {len(dev)}")
+    if len(cen) != len(dev):
+        raise ValueError(f"centers_xy: one body per device, got {len(cen)} for {len(dev)}")
     blocked = np.zeros((len(dev), len(ap)), dtype=bool)
     z_lo, z_hi = _z_window(ap[:, 2], device_z - ap[:, 2], height)
     t_lo, t_hi = np.maximum(z_lo, 0.0), np.minimum(z_hi, 1.0)
     live = np.flatnonzero((t_lo <= t_hi) & (t_hi > 0.0) & (t_lo < 1.0))
-    if len(dev) == 0 or len(cen) == 0 or live.size == 0:
+    if len(dev) == 0 or live.size == 0:
         return blocked
 
     cells = _CellList(cen[:, 0], cen[:, 1], radius)
@@ -328,8 +325,7 @@ def blocked_matrix(
             p = pair[e0:e1][entry]
             bx, by = cells.x[pos], cells.y[pos]
             keep = (bx >= lo_x[p]) & (bx <= hi_x[p]) & (by >= lo_y[p]) & (by <= hi_y[p])
-            if own_body:
-                keep &= cells.order[pos] != pu[p]  # blocker u is user u's body
+            keep &= cells.order[pos] != pu[p]  # blocker u is user u's body
             p = p[keep]
             hit = _cylinder_hits(ax[p], ay[p], dx[p], dy[p], qa[p], bx[keep], by[keep],
                                  r_sq, zl[p], zh[p])

@@ -140,6 +140,21 @@ def lambert_w0(x: float) -> float:
     return w
 
 
+def _lambert_w0_of_log(log_x: float) -> float:
+    """W(x) of an x given as log_x = log x, for an x past the largest
+    float: the root of w + log w = log x, by Halley's iteration from
+    log x - log log x until a step is below 1e-15 w."""
+    w = log_x - math.log(log_x)
+    for _ in range(50):
+        f = w + math.log(w) - log_x
+        slope = 1.0 + 1.0 / w
+        step = 2.0 * f * slope / (2.0 * slope * slope + f / (w * w))
+        w -= step
+        if abs(step) <= 1e-15 * w:
+            break
+    return w
+
+
 def radio(params: LinkBudgetParams) -> tuple[float, float, float]:
     """(SNR scale, absorption tau, bandwidth) of a link: link_rate's constants."""
     return snr_scale(params), absorption_for(params), params.bandwidth_hz
@@ -161,7 +176,8 @@ def coverage_radius(params: LinkBudgetParams, spectral_efficiency: float) -> flo
 
     Solved in closed form through the Lambert W principal branch,
     r = 2 W(tau sqrt(K) / 2) / tau, whose argument is positive, and
-    sqrt(K) for tau = 0.
+    sqrt(K) for tau = 0. When that argument overflows although tau and K
+    are finite (a very opaque link), W is taken from its logarithm.
     """
     if spectral_efficiency <= 0:
         raise ValueError("spectral efficiency must be positive")
@@ -171,4 +187,7 @@ def coverage_radius(params: LinkBudgetParams, spectral_efficiency: float) -> flo
     tau = absorption_for(params)
     if tau == 0.0:
         return math.sqrt(k)
-    return 2.0 * lambert_w0(tau * math.sqrt(k) / 2.0) / tau
+    x = tau * math.sqrt(k) / 2.0
+    if x == math.inf and max(tau, k) < math.inf:  # the product alone overflows
+        return 2.0 * _lambert_w0_of_log(math.log(tau) + 0.5 * math.log(k) - math.log(2.0)) / tau
+    return 2.0 * lambert_w0(x) / tau

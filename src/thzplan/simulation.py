@@ -6,17 +6,17 @@ AP's beam-alignment dead time, and an AP's rate is time-shared equally
 among its assigned users. Metrics are plain averages over (user, step)
 pairs; an AP is idle in a step when nothing is assigned to it.
 
-This module holds the config model, the step loop, heatmap(),
-associate() and sweep(); each model rule lives in the module that states
-it. run(), heatmap() and associate() share one best-AP rule,
-geometry.nearest over geometry.d_sq: all APs of a layout hang at one
-height with one power, and the SNR falls with distance, so the nearest
-unblocked AP is the strongest. Association keeps each block of points in
-its own shape, with the APs on a first axis, and returns each chosen
-link's squared distance with its AP. The rate is computed for each
-device's chosen link alone, from that distance (linkbudget.link_rate), so
-the static and dynamic views agree. The users step with
-mobility.Substreams' generators.
+This module holds the config model, the step loop, heatmap() and
+sweep(); each model rule lives in the module that states it. run() and
+heatmap() share one best-AP rule, geometry.nearest over geometry.d_sq:
+all APs of a layout hang at one height with one power, and the SNR falls
+with distance, so the nearest unblocked AP is the strongest. Association
+keeps each block of points in its own shape, with the APs on a first
+axis, and returns each chosen link's squared distance with its AP; a heat
+map has no bodies, so it takes each cell's nearest distance alone. The
+rate is computed for each device's chosen link alone, from that distance
+(linkbudget.link_rate), so the static and dynamic views agree. The users
+step with mobility.Substreams' generators.
 
 run() steps one crowd for a batch of configs that differ only on the AP
 side; in-process, sweep() runs all of its series as one batch. The crowd,
@@ -256,46 +256,6 @@ class MetricsReport:
     events: tuple = ()
 
 
-def associate(
-    positions,
-    constellation: Constellation,
-    *,
-    blockers: tuple | None = None,
-    device_height_m: float = mobility.DEFAULT_DEVICE_HEIGHT_M,
-) -> tuple[int, ...]:
-    """AP id per user by run()'s rule: the nearest AP that, with blockers,
-    is not blocked from the user; -1 when every AP is blocked. No link
-    budget enters: the nearest AP is the strongest.
-
-    positions is an (m, 2) array of the users' floor coordinates (a
-    Crowd's xy); no positions give (). Ties go to the lowest AP id.
-    blockers, if given, is (centers_xy, radius_m, height_m) as
-    geometry.blocked_matrix takes them: one body per user, in user order,
-    with one radius and one height for every body; blocker i never blocks
-    user i's links. There is no room here to check a position against, so
-    a position off the floor is served like any other point, wall mounts
-    included. A position that is not finite, or whose squared distance to
-    an AP overflows, is a ValueError, and so is a body that blocked_matrix
-    refuses.
-    """
-    pos = np.asarray(positions, dtype=float)
-    if pos.shape == (0,):
-        return ()
-    if pos.ndim != 2 or pos.shape[1] != 2:
-        raise ValueError(f"positions: expected an (m, 2) array, got shape {pos.shape}")
-    with np.errstate(over="ignore"):  # an overflow is refused just below
-        d_sq = geometry.d_sq(constellation.xyz, device_height_m, *pos.T)
-    bad = ~np.isfinite(d_sq).all(axis=0)
-    if bad.any():
-        raise ValueError(f"positions: {pos[bad][0].tolist()} at device height {device_height_m!r} "
-                         "is not finite, or too far from an AP to square the distance")
-    blocked = None
-    if blockers is not None:
-        blocked = geometry.blocked_matrix(constellation.xyz, pos, device_height_m, *blockers,
-                                          own_body=True)
-    return tuple(geometry.nearest(d_sq, blocked)[0].tolist())
-
-
 # The AP side of a config: the configs of one run() batch may differ in
 # these fields and in room.height_m, none of which the crowd reads. Of the
 # room, _crowd_fields compares the floor.
@@ -402,8 +362,7 @@ def _step_all(batch: Sequence[SimConfig], cons: Sequence[Constellation], n_steps
             xy[j] = crowd.xy
             if hits is not None:  # every config's APs in one call
                 hits[j] = geometry.blocked_matrix(xyz, crowd.xy, cfg.user_height_m, crowd.xy,
-                                                  cfg.user_width_m / 2.0, cfg.body_height_m,
-                                                  own_body=True)
+                                                  cfg.user_width_m / 2.0, cfg.body_height_m)
         step = np.arange(k)[:, None]
         for i, (con, dead, radio) in enumerate(zip(cons, deads, radios)):
             d_sq = geometry.d_sq(con.xyz, cfg.user_height_m, xy[:k, :, 0], xy[:k, :, 1])
@@ -477,8 +436,8 @@ def _record(events, k0: int, dt_s: float, logged) -> None:
         events.append(((k0 + j + 1) * dt_s, kinds[i], u, a))
 
 
-LABEL_DARKNESS, LABEL_ILLUMINATION, LABEL_SHADOW = 0, 1, 2
-LABEL_NAMES = ("darkness", "illumination", "shadow")
+LABEL_DARKNESS, LABEL_ILLUMINATION = 0, 1
+LABEL_NAMES = ("darkness", "illumination")
 # Heat-map cells per block; the block's (APs, rows, ny) temporaries are a
 # fixed multiple of this, whatever the resolution.
 _CELL_BLOCK = 1 << 15
@@ -499,23 +458,14 @@ class HeatmapGrid:
     labels: np.ndarray  # (nx, ny) int8, see LABEL_NAMES
 
 
-def heatmap(
-    cfg: SimConfig,
-    resolution_cells_per_m: float,
-    probe_rate_bps: float,
-    blockers: tuple | None = None,
-) -> HeatmapGrid:
+def heatmap(cfg: SimConfig, resolution_cells_per_m: float, probe_rate_bps: float) -> HeatmapGrid:
     """Static best-AP rate field at device height.
 
-    Each cell is a device served by the AP run() would pick for it (see
-    geometry.nearest) at that link's rate; a cell blocked from every AP
-    reads 0.0. Cells below the probe rate are darkness unless a blocker is
-    what pushed them under, in which case they are shadow; the probe rate
-    must be finite and not negative. No time sharing: this is the
-    per-point link capacity, not a loaded-system rate.
-    blockers, if given, is (centers_xy, radius_m, height_m) as
-    geometry.blocked_matrix takes them, one radius and one height for
-    every body; none of them is the body of the device at a cell.
+    Each cell is a device served by its nearest AP, the one run() would
+    pick for it with no body in the way (see geometry.nearest), at that
+    link's rate. Cells below the probe rate are darkness and the others
+    illumination; the probe rate must be finite and not negative. No time
+    sharing: this is the per-point link capacity, not a loaded-system rate.
 
     The grids are filled in blocks of whole x rows, about _CELL_BLOCK
     cells each (one row when a row is longer), so the (APs, rows, ny)
@@ -525,8 +475,7 @@ def heatmap(
     to an AP is an x term plus a y term plus the AP's height term, so a
     block's distances come from an (APs, rows, 1) table of x terms and an
     (APs, 1, ny) table of y terms (geometry.d_sq), not from a list of
-    cells, and stay in the grid's own (rows, ny) shape; the cells are
-    listed only for the blockage kernel, when there are blockers.
+    cells, and stay in the grid's own (rows, ny) shape.
     """
     if not (math.isfinite(resolution_cells_per_m) and resolution_cells_per_m > 0):
         raise ConfigError("resolution: must be a finite positive number")
@@ -549,21 +498,11 @@ def heatmap(
     labels = np.empty((nx, ny), dtype=np.int8)
     rows = max(1, _CELL_BLOCK // ny)
     for i0 in range(0, nx, rows):
-        i1 = min(i0 + rows, nx)
-        d_sq = geometry.d_sq(con.xyz, z, xs[i0:i1, None], ys)
-        # no blockers: every cell is served, by its nearest AP (nearest's near)
-        clear = rate = linkbudget.link_rate(d_sq.min(axis=0), *radio)
-        if blockers is not None:  # the cells, for the blockage kernel alone
-            cells = np.stack([np.repeat(xs[i0:i1], ny), np.tile(ys, i1 - i0)], axis=1)
-            blocked = geometry.blocked_matrix(con.xyz, cells, z, *blockers, own_body=False)
-            # the kernel's (cells, APs) result, its cells listed x row by x row
-            best, near = geometry.nearest(d_sq, blocked.reshape(i1 - i0, ny, len(con)))
-            rate = np.zeros(near.shape)
-            rate[best >= 0] = linkbudget.link_rate(near[best >= 0], *radio)
-        label = np.full(rate.shape, LABEL_DARKNESS, dtype=np.int8)
-        label[rate >= probe_rate_bps] = LABEL_ILLUMINATION
-        label[(rate < probe_rate_bps) & (clear >= probe_rate_bps)] = LABEL_SHADOW
-        rates[i0:i1], labels[i0:i1] = rate, label
+        block = slice(i0, i0 + rows)
+        # the nearest AP's distance: nearest's near, with no body to block a cell
+        near = geometry.d_sq(con.xyz, z, xs[block, None], ys).min(axis=0)
+        rates[block] = rate = linkbudget.link_rate(near, *radio)
+        labels[block] = np.where(rate >= probe_rate_bps, LABEL_ILLUMINATION, LABEL_DARKNESS)
     return HeatmapGrid(
         resolution_cells_per_m=res,
         length_m=cfg.room.length_m,

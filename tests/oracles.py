@@ -19,7 +19,10 @@ floor grid, from a (cells, nodes) meshgrid; `geometry.reference_distances`
 takes it from `geometry.d_sq` and must match it bit for bit.
 `heatmap_whole_grid` computes a heat map's rates and labels in one pass
 over every cell; `simulation.heatmap` fills the same grids block by
-block and must match it bit for bit. `heatmap_csv_rows` is the heat-map
+block and must match it bit for bit. `nearest_ap_ids` is run()'s
+association of a set of positions, built from the library's own calls
+(`geometry.nearest` over `geometry.d_sq` and `geometry.blocked_matrix`),
+so the association rule can be checked point by point. `heatmap_csv_rows` is the heat-map
 CSV text built row by row from each cell's repr; `reporting.write_heatmap`
 must write exactly these bytes. `ApArrays` is one constellation's per-AP
 constants and `run_one` steps one config on its own, with its own crowd;
@@ -27,8 +30,9 @@ constants and `run_one` steps one config on its own, with its own crowd;
 give each config exactly the report `run_one` gives it. `best_ap_by_snr`
 and `best_rate_by_snr` are the association rule stated on the full
 (devices, APs) SNR matrix: the strongest unblocked AP. `run_one` and
-`heatmap_whole_grid` associate by it, so the library's nearest-AP rule
-(`geometry.nearest`) is checked against the strongest-AP rule.
+`heatmap_whole_grid` choose each device's AP by it, so the library's
+nearest-AP rule (`geometry.nearest`) is checked against the strongest-AP
+rule.
 """
 
 from __future__ import annotations
@@ -213,16 +217,17 @@ def los_blocked(a, b, blockers, exclude: int | None = None) -> bool:
     return False
 
 
-def blocked_matrix_dense(
-    ap_xyz, device_xy, device_z, centers_xy, radius_m, height_m, *, own_body
-) -> np.ndarray:
+def blocked_matrix_dense(ap_xyz, device_xy, device_z, centers_xy, radius_m, height_m):
     """Every (user, AP, blocker) triple at once; same contract as
     `geometry.blocked_matrix`, whose (A, 3) and (n, 2) array forms it
-    takes and no other. Memory grows as users x APs x blockers."""
+    takes and no other, one centre per device, blocker u being user u's
+    own body. Memory grows as users x APs x blockers."""
     ap, dev, cen = (np.asarray(v, dtype=float) for v in (ap_xyz, device_xy, centers_xy))
     for name, value, k in (("ap_xyz", ap, 3), ("device_xy", dev, 2), ("centers_xy", cen, 2)):
         if value.ndim != 2 or value.shape[1] != k:
             raise ValueError(f"{name}: expected an (n, {k}) array, got shape {value.shape}")
+    if len(cen) != len(dev):
+        raise ValueError(f"centers_xy: one body per device, got {len(cen)} for {len(dev)}")
     n_usr, n_ap, n_blk = dev.shape[0], ap.shape[0], cen.shape[0]
     radius = np.broadcast_to(np.asarray(radius_m, dtype=float), (n_blk,))
     height = np.broadcast_to(np.asarray(height_m, dtype=float), (n_blk,))
@@ -262,9 +267,8 @@ def blocked_matrix_dense(
     lo = np.maximum(np.maximum(xy_lo, z_lo), 0.0)
     hi = np.minimum(np.minimum(xy_hi, z_hi), 1.0)
     hits = hit_possible & (lo <= hi) & (hi > 0.0) & (lo < 1.0)
-    if own_body:
-        idx = np.arange(n_usr)
-        hits[idx, :, idx] = False
+    idx = np.arange(n_usr)
+    hits[idx, :, idx] = False  # blocker u is user u's own body
     return hits.any(axis=-1)
 
 
@@ -357,11 +361,10 @@ def mean_nearest_distance(room, nodes_xyz, probe_height_m: float, grid: int = 50
     return float(d.min(axis=-1).mean())
 
 
-def heatmap_whole_grid(cfg, resolution_cells_per_m, probe_rate_bps, blockers=None):
+def heatmap_whole_grid(cfg, resolution_cells_per_m, probe_rate_bps):
     """(rates, labels) of `simulation.heatmap`, every cell in one pass.
 
-    Holds (cells, APs) temporaries for the whole grid at once. blockers
-    is heatmap()'s (centers_xy, radius_m, height_m).
+    Holds (cells, APs) temporaries for the whole grid at once.
     """
     res = resolution_cells_per_m
     nx = math.ceil(cfg.room.length_m * res)
@@ -374,18 +377,37 @@ def heatmap_whole_grid(cfg, resolution_cells_per_m, probe_rate_bps, blockers=Non
     cells = np.stack([gx.ravel(), gy.ravel()], axis=1)
 
     snr = aps.snr(cells)
-    best = best_ap_by_snr(snr)
-    clear = best_rate_by_snr(best, snr, link.bandwidth_hz)
-    rates = clear
-    if blockers is not None:
-        blocked = geometry.blocked_matrix(aps.xyz, cells, cfg.user_height_m, *blockers,
-                                          own_body=False)
-        rates = best_rate_by_snr(best_ap_by_snr(snr, blocked), snr, link.bandwidth_hz)
-
+    rates = best_rate_by_snr(best_ap_by_snr(snr), snr, link.bandwidth_hz)
     labels = np.full(cells.shape[0], sim.LABEL_DARKNESS, dtype=np.int8)
     labels[rates >= probe_rate_bps] = sim.LABEL_ILLUMINATION
-    labels[(rates < probe_rate_bps) & (clear >= probe_rate_bps)] = sim.LABEL_SHADOW
     return rates.reshape(nx, ny), labels.reshape(nx, ny)
+
+
+def nearest_ap_ids(positions, ap_xyz, bodies=None,
+                   device_z: float = mobility.DEFAULT_DEVICE_HEIGHT_M) -> tuple[int, ...]:
+    """AP id per device by run()'s association: `geometry.nearest` over
+    `geometry.d_sq`, with `geometry.blocked_matrix` when bodies, its
+    (centers_xy, radius_m, height_m), are given. That is the nearest AP
+    not blocked from the device, the lowest id on a tie and -1 when every
+    AP is blocked; blocker u is device u's own body.
+
+    positions is an (m, 2) array of floor points, and no positions give
+    (). nearest needs finite distances, so a position whose squared
+    distance to an AP is not finite, a NaN or infinite coordinate or one
+    too far to square, is a ValueError naming positions, as is another
+    shape.
+    """
+    pos = np.asarray(positions, dtype=float)
+    if pos.shape == (0,):
+        return ()
+    if pos.ndim != 2 or pos.shape[1] != 2:
+        raise ValueError(f"positions: expected an (m, 2) array, got shape {pos.shape}")
+    with np.errstate(over="ignore"):  # an overflow is refused just below
+        d_sq = geometry.d_sq(ap_xyz, device_z, *pos.T)
+    if not np.isfinite(d_sq).all():
+        raise ValueError("positions: a squared distance to an AP is not finite")
+    blocked = None if bodies is None else geometry.blocked_matrix(ap_xyz, pos, device_z, *bodies)
+    return tuple(geometry.nearest(d_sq, blocked)[0].tolist())
 
 
 def heatmap_csv_rows(grid) -> tuple[str, str]:
@@ -484,8 +506,7 @@ def run_one(cfg, record_events: bool = False):
         blocked = None
         if cfg.blockage_enabled:
             blocked = geometry.blocked_matrix(
-                aps.xyz, pos, device_z, pos, cfg.user_width_m / 2.0,
-                cfg.body_height_m, own_body=True,
+                aps.xyz, pos, device_z, pos, cfg.user_width_m / 2.0, cfg.body_height_m,
             )
         snr = aps.snr(pos)
         best = best_ap_by_snr(snr, blocked)

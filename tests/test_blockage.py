@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import blocked_matrix_dense
+from oracles import blocked_matrix_dense, nearest_ap_ids
 from thzplan import geometry as geo
 from thzplan import simulation as sim
 
@@ -75,27 +75,24 @@ def scenes(draw):
     # one size for every body of a scene, as blocked_matrix takes it
     radius = draw(st.sampled_from((0.05, RADIUS, 0.25)))
     height = draw(st.sampled_from((1.2, 1.8, 2.1)))
-    extra = np.concatenate([
-        _crowd(rng, draw(st.integers(0, 40)), mode, length, width),
-        _tangent_bodies(rng, ap, dev, device_z, draw(st.integers(0, 10)), radius, height),
-    ])
-    own_body = draw(st.booleans())
-    if own_body:
-        dev = np.concatenate([dev, extra])
-        centers = dev
-    else:
-        centers = extra
-    return ap, dev, device_z, centers, radius, height, own_body
+    tangent = _tangent_bodies(rng, ap, dev, device_z, draw(st.integers(0, 10)), radius, height)
+    # one body per device, blocker u being device u's own: at the device,
+    # as in a run, or at a free position, a crowd draw or, past the first
+    # n_usr devices, a near-tangent spot on another device's link
+    n_more = len(tangent) + draw(st.integers(0, 40))
+    dev = np.concatenate([dev, _crowd(rng, n_more, mode, length, width)])
+    free = np.concatenate([_crowd(rng, n_usr, mode, length, width), tangent,
+                           _crowd(rng, n_more - len(tangent), mode, length, width)])
+    at_device = rng.random(len(dev)) < draw(st.sampled_from((0.0, 0.5, 1.0)))
+    centers = np.where(at_device[:, None], dev, free)
+    return ap, dev, device_z, centers, radius, height
 
 
 def _check_scene(scene):
-    ap, dev, device_z, centers, radius, height, own_body = scene
-    got = geo.blocked_matrix(ap, dev, device_z, centers, radius, height,
-                             own_body=own_body)
-    want = blocked_matrix_dense(ap, dev, device_z, centers, radius, height,
-                                own_body=own_body)
+    ap, dev = scene[:2]
+    got = geo.blocked_matrix(*scene)
     assert got.shape == (len(dev), len(ap))
-    assert np.array_equal(got, want)
+    assert np.array_equal(got, blocked_matrix_dense(*scene))
 
 
 @given(scenes())
@@ -142,10 +139,9 @@ def test_axis_aligned_near_tangent_bodies():
                     if swap:
                         pts = pts[:, ::-1]
                     ap = np.array([[*pts[0], 3.0]])
-                    args = (ap, pts[1:2], 1.5, pts[2:], RADIUS, 1.8)
-                    assert np.array_equal(
-                        geo.blocked_matrix(*args, own_body=False),
-                        blocked_matrix_dense(*args, own_body=False))
+                    # the body at the centre is a second device's own
+                    args = (ap, pts[1:], 1.5, pts[1:], RADIUS, 1.8)
+                    assert np.array_equal(geo.blocked_matrix(*args), blocked_matrix_dense(*args))
                 centre = np.nextafter(centre, away)
 
 
@@ -166,10 +162,9 @@ def test_candidates_across_several_default_chunks_match_dense_oracle(monkeypatch
     dev = rng.uniform(0.0, 3.0, (150, 2))
     # bodies taller than the devices, since a lower one meets no ceiling link
     for radius, height in ((0.05, 2.1), (RADIUS, 1.8), (0.25, 1.6)):
-        for own_body in (True, False):
-            centers = dev if own_body else rng.uniform(-0.2, 3.2, (150, 2))
+        for centers in (dev, rng.uniform(-0.2, 3.2, (150, 2))):  # at the devices or free
             chunks = 0
-            _check_scene((ap, dev, 1.5, centers, radius, height, own_body))
+            _check_scene((ap, dev, 1.5, centers, radius, height))
             assert chunks > 1, (radius, height, chunks)
 
 
@@ -230,34 +225,33 @@ def _call_with(name, index, value):
 @pytest.mark.parametrize("name,index,value", BAD_ARGUMENTS)
 def test_bad_input_is_refused_naming_the_argument(name, index, value):
     with pytest.raises(ValueError, match=f"^{name}: "):
-        geo.blocked_matrix(**_call_with(name, index, value), own_body=False)
+        geo.blocked_matrix(**_call_with(name, index, value))
 
 
 @pytest.mark.parametrize("name,index,value", MISSHAPEN)
 def test_the_dense_oracle_refuses_a_misshapen_array_too(name, index, value):
     with pytest.raises(ValueError, match=f"^{name}: "):
-        blocked_matrix_dense(**_call_with(name, index, value), own_body=False)
+        blocked_matrix_dense(**_call_with(name, index, value))
 
 
 def test_own_body_needs_one_blocker_per_user():
     ap = np.array([[5.0, 5.0, 3.0]])
     dev = np.array([[1.0, 1.0], [2.0, 2.0]])
     with pytest.raises(ValueError, match="^centers_xy: "):
-        geo.blocked_matrix(ap, dev, 1.5, dev[:1], RADIUS, 1.8, own_body=True)
-    con = geo.Constellation("A", ap, 5e-3)
+        geo.blocked_matrix(ap, dev, 1.5, dev[:1], RADIUS, 1.8)
     with pytest.raises(ValueError, match="^centers_xy: "):
-        sim.associate(dev, con, blockers=(dev[:1], RADIUS, 1.8))
+        nearest_ap_ids(dev, ap, (dev[:1], RADIUS, 1.8))
 
 
 def test_a_numpy_scalar_size_is_that_number():
     rng = np.random.default_rng(2)
     ap = geo.place(geo.Room(), "B", 4, 5e-3).xyz
     pos = rng.uniform(0.0, 10.0, (40, 2))
-    want = geo.blocked_matrix(ap, pos, 1.5, pos, RADIUS, 1.8, own_body=True)
+    want = geo.blocked_matrix(ap, pos, 1.5, pos, RADIUS, 1.8)
     assert want.any()
     for radius, height in ((np.float64(RADIUS), np.float64(1.8)),
                            (np.array(RADIUS), np.array(1.8))):
-        got = geo.blocked_matrix(ap, pos, 1.5, pos, radius, height, own_body=True)
+        got = geo.blocked_matrix(ap, pos, 1.5, pos, radius, height)
         assert np.array_equal(got, want)
 
 
@@ -271,7 +265,7 @@ def test_run_matches_dense_oracle(monkeypatch):
 
 
 def _traced_peak(n_usr, ap=None):
-    """Traced peak bytes and result of one own-body call on the APs ap, B16
+    """Traced peak bytes and result of one call on the APs ap, B16
     when None, n_usr users uniform over the default room."""
     rng = np.random.default_rng(3)
     if ap is None:
@@ -279,7 +273,7 @@ def _traced_peak(n_usr, ap=None):
     pos = rng.uniform(0.0, 10.0, (n_usr, 2))
     tracemalloc.start()
     try:
-        blocked = geo.blocked_matrix(ap, pos, 1.5, pos, RADIUS, 1.8, own_body=True)
+        blocked = geo.blocked_matrix(ap, pos, 1.5, pos, RADIUS, 1.8)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

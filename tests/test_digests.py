@@ -75,6 +75,7 @@ OUTPUT_CASES = {
     "validate": "validate",
     "validate-type-a": "validate --config {type_a}",
     "radius": "radius -s 0.1",
+    "radius-opaque": "radius --config {opaque} -s 1e-9 --ceil",
     "heatmap-a": "heatmap --type A --n 1 --resolution 2 --out {out}",
     "sweep-one-series-jobs-2": "sweep --config {short} --jobs 2 --values 2:3:0.5 --out {out}",
     "sweep-mixed-blocked-jobs-2": "sweep --config {blocked} --types A,B16,C8 "
@@ -105,8 +106,6 @@ FAILURE_CASES = {
     "heatmap-blockage": ("heatmap --blockage on --out {out}", "usage: thzplan"),
     "sweep-n-5": ("sweep --axis N --values 5 --out {out}", "configuration error: values:"),
     "validate-twice": ("validate --config {twice}", "configuration error: f_c_ghz:"),
-    "radius-opaque": ("radius --config {opaque} -s 1e-9 --ceil",
-                      "configuration error: spectral-efficiency:"),
 }
 
 

@@ -1,13 +1,17 @@
-"""Every name the package re-exports is reached from the package itself,
-or is one of the library's entry points. A name only tests use belongs in
-tests/oracles.py, not in the export list."""
+"""Every name the package re-exports, and every function and class it
+defines at module level, is reached from the package itself, or is one
+of the library's entry points. A name only tests use belongs in
+tests/oracles.py, not in the package."""
 
 import ast
 from pathlib import Path
 
 import thzplan
 
-ENTRY_POINTS = ("run", "heatmap", "sweep", "associate", "detect_crossover", "CrossoverResult")
+ENTRY_POINTS = ("run", "heatmap", "sweep", "detect_crossover", "CrossoverResult")
+# the readers of what the CLI writes; the benchmark's output checks
+# (perfbench/checks.py) call them, the package does not
+READ_BACK = ("read_results", "read_heatmap")
 
 PACKAGE = Path(thzplan.__file__).parent
 
@@ -40,3 +44,12 @@ def test_every_export_has_a_caller_in_the_package():
     assert set(ENTRY_POINTS) <= set(exports)
     used = _uses()
     assert [n for n in exports if n not in used and n not in ENTRY_POINTS] == []
+
+
+def test_every_function_and_class_is_read_in_the_package():
+    used = _uses()
+    unread = [f"{path.stem}.{node.name}" for path in sorted(PACKAGE.glob("*.py"))
+              for node in ast.parse(path.read_text()).body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and node.name not in used and node.name not in ENTRY_POINTS + READ_BACK]
+    assert unread == []

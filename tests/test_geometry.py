@@ -334,10 +334,7 @@ class TestLosBlocked:
         for (ux, uy) in users:
             for (ax, ay, az) in aps:
                 assume((ux - ax) ** 2 + (uy - ay) ** 2 + (1.5 - az) ** 2 > 1e-12)
-        batch = geo.blocked_matrix(
-            np.array(aps), np.array(users), 1.5, np.array(users), 0.1, 1.8,
-            own_body=True,
-        )
+        batch = geo.blocked_matrix(np.array(aps), np.array(users), 1.5, np.array(users), 0.1, 1.8)
         cylinders = [(u, 0.1, 1.8) for u in users]
         for ui in range(n_usr):
             for ai in range(n_ap):

@@ -1,6 +1,8 @@
 import math
+import sys
 from importlib import resources
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -187,12 +189,20 @@ class TestLambertW:
                 lb.lambert_w0(x)
 
     def test_infinity_is_refused(self):
-        # tau sqrt(K) / 2 overflows to inf for an opaque link; Halley's
-        # iteration turned that into a NaN radius
+        # Halley's iteration turned inf into NaN. coverage_radius takes an
+        # argument that overflows by its logarithm, unless tau or K is
+        # infinite itself
         with pytest.raises(ValueError, match="^lambert_w0: x must be finite"):
             lb.lambert_w0(math.inf)
         with pytest.raises(ValueError, match="^lambert_w0: "):
-            lb.coverage_radius(lb.LinkBudgetParams(tau_override=1e305), 1e-9)
+            lb.coverage_radius(lb.LinkBudgetParams(tau_override=math.inf), 0.1)
+
+    @given(st.floats(min_value=math.log(sys.float_info.max), max_value=1100.0))
+    def test_w_from_the_log_of_an_overflowing_x_matches_mpmath(self, log_x):
+        # log(tau sqrt(K) / 2) of a finite tau and K is at most about 1064
+        with mpmath.workdps(50):
+            want = mpmath.lambertw(mpmath.exp(log_x))
+            assert abs(lb._lambert_w0_of_log(log_x) - want) <= 2.0 ** -51 * want
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -257,6 +267,17 @@ class TestCoverageRadius:
             RADIUS_S01_TABLE_DEFAULTS, rel=1e-11
         )
         assert abs(lb.coverage_radius(p, 0.1) - coverage_radius_bruteforce(p, 0.1)) < 1e-6
+
+    def test_opaque_link_radius_past_the_float_range(self):
+        # tau sqrt(K) / 2 overflows for tau = 1e305 at s = 1e-9 although tau
+        # and K are finite; the radius is about 1.42e-302 m
+        p, s = lb.LinkBudgetParams(tau_override=1e305), 1e-9
+        k = lb.snr_scale(p) / (2.0 ** s - 1.0)
+        assert 1e305 * math.sqrt(k) / 2.0 == math.inf
+        with mpmath.workdps(50):
+            tau = mpmath.mpf(1e305)
+            want = 2 * mpmath.lambertw(tau * mpmath.sqrt(k) / 2) / tau
+            assert abs(lb.coverage_radius(p, s) - want) <= 1e-15 * want
 
     def test_rejects_nonpositive_spectral_efficiency(self):
         with pytest.raises(ValueError):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (achievable_rate, ap_rows, best_ap_by_snr, heatmap_whole_grid, los_blocked,
-                     run_one, sees)
+                     nearest_ap_ids, run_one, sees)
 from thzplan import geometry as geo
 from thzplan import linkbudget as lb
 from thzplan import mobility as mob
@@ -184,21 +184,24 @@ class TestBuildConstellation:
 
 
 class TestAssociate:
+    """run()'s association rule, geometry.nearest over geometry.d_sq and
+    geometry.blocked_matrix, point by point through nearest_ap_ids."""
+
     def test_single_visible_ap(self):
         con = geo.place(geo.Room(), "A", 1, 5e-3)
         crowd, _ = mob.init_users(geo.Room(), 3, seed=5)
-        got = sim.associate(crowd.xy, con)
+        got = nearest_ap_ids(crowd.xy, con.xyz)
         assert got == (0, 0, 0)
 
     def test_equidistant_tie_prefers_low_id(self):
         room = geo.Room()
         con = geo.place(room, "B", 4, 5e-3)
-        got = sim.associate([[5.0, 5.0]], con)
+        got = nearest_ap_ids([[5.0, 5.0]], con.xyz)
         assert got == (0,)
 
     def test_no_positions_gives_no_ids(self):
         con = geo.place(geo.Room(), "B", 4, 5e-3)
-        assert sim.associate([], con) == ()
+        assert nearest_ap_ids([], con.xyz) == ()
 
     @pytest.mark.parametrize("positions", [
         [5.0, 5.0, 3.0, 3.0],
@@ -214,7 +217,7 @@ class TestAssociate:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="^positions:"):
-                sim.associate(positions, con)
+                nearest_ap_ids(positions, con.xyz)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -249,9 +252,9 @@ class TestAssociate:
 
     def test_off_floor_position_is_served_like_any_other(self):
         # (5, -3) lies behind the south wall mount, which is still its
-        # nearest AP: associate() has no room to check the point against
+        # nearest AP: nearest has no room to check the point against
         con = geo.place(geo.Room(), "C", 4, 5e-3)
-        assert sim.associate([[5.0, -3.0]], con) == (0,)
+        assert nearest_ap_ids([[5.0, -3.0]], con.xyz) == (0,)
 
     def test_brute_force_enumeration_oracle(self):
         rng = np.random.default_rng(17)
@@ -262,8 +265,8 @@ class TestAssociate:
             m = int(rng.integers(1, 6))
             xy = [(rng.uniform(0, room.length_m), rng.uniform(0, room.width_m))
                   for _ in range(m)]
-            blockers = (np.array(xy), 0.1, 1.8) if trial % 2 else None
-            got = sim.associate(np.array(xy), con, blockers=blockers)
+            bodies = (np.array(xy), 0.1, 1.8) if trial % 2 else None
+            got = nearest_ap_ids(np.array(xy), con.xyz, bodies)
             cylinders = [(p, 0.1, 1.8) for p in xy] if trial % 2 else []
             for i, (x, y) in enumerate(xy):
                 best, best_d = -1, None
@@ -417,7 +420,7 @@ class TestBlockageCrossing:
         for k in range(400):
             t = k * dt
             xy = [(5.0, 8.0), (3.0 + speed * t, 7.7)]  # watcher, walker
-            got = sim.associate(np.array(xy), con, blockers=(np.array(xy), 0.1, 1.8))
+            got = nearest_ap_ids(np.array(xy), con.xyz, (np.array(xy), 0.1, 1.8))
             assert got[1] == 0  # walker keeps its own link
             if got[0] == -1:
                 blocked_steps.append(t)
@@ -469,49 +472,6 @@ class TestHeatmap:
         cfg = make_config()
         grid = sim.heatmap(cfg, 5.0, 0.0)
         assert not np.any(grid.labels == sim.LABEL_DARKNESS)
-        assert not np.any(grid.labels == sim.LABEL_SHADOW)
-
-    def test_shadow_requires_blockers(self):
-        cfg = make_config(placement_type="A", n_aps=1)
-        clear = sim.heatmap(cfg, 10.0, 1e9)
-        assert not np.any(clear.labels == sim.LABEL_SHADOW)
-        shaded = sim.heatmap(cfg, 10.0, 1e9, blockers=(np.array([[5.05, 8.8]]), 0.1, 1.8))
-        # cell behind the blocker on the far side from the AP
-        ix, iy = 50, 90  # center (5.05, 9.05)
-        assert shaded.labels[ix, iy] == sim.LABEL_SHADOW
-        assert clear.labels[ix, iy] == sim.LABEL_ILLUMINATION
-        assert shaded.rates_bps[ix, iy] < clear.rates_bps[ix, iy]
-
-    @pytest.mark.parametrize("n_blockers", [3, 4])
-    def test_no_own_body_when_blocker_count_matches_cell_count(self, n_blockers):
-        # 4 cells at 0.2 cells/m; the body cuts the ray from the AP to cell
-        # (0, 0), the other blockers stand in far corners
-        cfg = make_config(placement_type="A", n_aps=1)
-        centers = np.array([(2.75, 2.75), (9.9, 0.1), (0.1, 9.9), (9.9, 9.9)])
-        grid = sim.heatmap(cfg, 0.2, 1e9, blockers=(centers[:n_blockers], 0.1, 1.8))
-        assert grid.labels.shape == (2, 2)
-        assert grid.labels[0, 0] == sim.LABEL_SHADOW
-        assert grid.rates_bps[0, 0] == 0.0
-
-    # the ray from the AP to cell (0, 0)'s centre passes (2.75, 2.75) at
-    # z = 1.65 m, and the one to cell (0, 1)'s passes (2.75, 7.25); the
-    # offset body sits 0.08 m off that ray
-    _ON_RAY = np.array([(2.75, 2.75)])
-    _OFF_RAY = np.array([(2.75 + 0.08 / math.sqrt(2), 7.25 + 0.08 / math.sqrt(2))])
-
-    @pytest.mark.parametrize("centers,radius,height,cell,label", [
-        pytest.param(_ON_RAY, 0.1, 1.6, (0, 0), sim.LABEL_ILLUMINATION, id="short"),
-        pytest.param(_ON_RAY, 0.1, 1.8, (0, 0), sim.LABEL_SHADOW, id="tall"),
-        pytest.param(_OFF_RAY, 0.05, 1.8, (0, 1), sim.LABEL_ILLUMINATION, id="thin"),
-        pytest.param(_OFF_RAY, 0.2, 1.8, (0, 1), sim.LABEL_SHADOW, id="wide"),
-    ])
-    def test_the_body_size_sets_the_shadow(self, centers, radius, height, cell, label):
-        # a body below the ray or too thin to reach it casts no shadow,
-        # one as tall or as wide as the ray needs does
-        cfg = make_config(placement_type="A", n_aps=1)
-        grid = sim.heatmap(cfg, 0.2, 1e9, blockers=(centers, radius, height))
-        assert grid.labels[cell] == label
-        assert sim.heatmap(cfg, 0.2, 1e9).labels[cell] == sim.LABEL_ILLUMINATION
 
     def test_boundary_tracks_coverage_radius(self):
         cfg = make_config(placement_type="A", n_aps=1, p_o_w=0.5e-3)
@@ -532,8 +492,8 @@ class TestHeatmap:
            beamwidth=st.floats(5.0, 40.0))
     def test_illumination_is_the_coverage_radius_of_the_nearest_ap(
             self, kind, n, h, spread, f_c, beamwidth):
-        # the closed-form radius (Lambert W) against the heat map: with no
-        # blockers a cell is lit exactly when its nearest AP is within r.
+        # the closed-form radius (Lambert W) against the heat map: a cell
+        # is lit exactly when its nearest AP is within r.
         # The probe rate is the rate of a link reaching `spread` across the
         # floor, so that the boundary often crosses it.
         cfg = sim.with_placement(make_config(f_c_hz=f_c, beamwidth_deg=beamwidth),
@@ -577,10 +537,6 @@ class TestHeatmap:
             sim.heatmap(make_config(), 5.0, probe)
 
 
-# (centers_xy, radius_m, height_m): one size for every body
-_HEATMAP_BODIES = (np.array([(5.05, 8.8), (2.75, 2.75), (0.3, 9.6), (9.4, 4.1)]), 0.2, 1.8)
-
-
 @st.composite
 def floor_cells(draw):
     """(nx, ny) cell counts of a room no more than about 1.75 times as long
@@ -594,9 +550,9 @@ class TestHeatmapBlocks:
     give the same bits."""
 
     @staticmethod
-    def assert_matches_oracle(cfg, res, probe, blockers):
-        grid = sim.heatmap(cfg, res, probe, blockers=blockers)
-        rates, labels = heatmap_whole_grid(cfg, res, probe, blockers)
+    def assert_matches_oracle(cfg, res, probe):
+        grid = sim.heatmap(cfg, res, probe)
+        rates, labels = heatmap_whole_grid(cfg, res, probe)
         assert grid.rates_bps.shape == rates.shape
         assert grid.rates_bps.dtype == rates.dtype
         assert np.array_equal(grid.rates_bps.view(np.int64), rates.view(np.int64))
@@ -605,30 +561,26 @@ class TestHeatmapBlocks:
         return grid
 
     @pytest.mark.parametrize("layout", [("A", 1), ("B", 4), ("C", 4), ("C", 16)])
-    @pytest.mark.parametrize("blockers", [None, _HEATMAP_BODIES], ids=["clear", "bodies"])
-    def test_ragged_last_block(self, monkeypatch, layout, blockers):
+    def test_ragged_last_block(self, monkeypatch, layout):
         # 97 x 61 cells; 7 rows of 61 per block leave a last block of 6 rows
         monkeypatch.setattr(sim, "_CELL_BLOCK", 7 * 61 + 30)
         cfg = make_config(room=geo.Room(9.7, 6.1, 3.0), placement_type=layout[0],
                           n_aps=layout[1])
-        grid = self.assert_matches_oracle(cfg, 10.0, 2e9, blockers)
+        grid = self.assert_matches_oracle(cfg, 10.0, 2e9)
         assert grid.rates_bps.shape == (97, 61)
-        if blockers is not None:
-            assert np.any(grid.labels == sim.LABEL_SHADOW)
 
-    @pytest.mark.parametrize("blockers", [None, _HEATMAP_BODIES], ids=["clear", "bodies"])
-    def test_row_longer_than_a_block(self, monkeypatch, blockers):
+    def test_row_longer_than_a_block(self, monkeypatch):
         # ny > _CELL_BLOCK: one x row per block
         monkeypatch.setattr(sim, "_CELL_BLOCK", 40)
         cfg = make_config(placement_type="C", n_aps=8)
-        grid = self.assert_matches_oracle(cfg, 5.0, 1e9, blockers)
+        grid = self.assert_matches_oracle(cfg, 5.0, 1e9)
         assert grid.rates_bps.shape == (50, 50)
 
     def test_full_size_grid_spans_several_blocks(self):
         # 500 x 500 cells: 65 rows per block, a last block of 45 rows
         cfg = make_config(placement_type="C", n_aps=4)
         assert 500 % (sim._CELL_BLOCK // 500) != 0
-        self.assert_matches_oracle(cfg, 50.0, 1e9, None)
+        self.assert_matches_oracle(cfg, 50.0, 1e9)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -637,11 +589,9 @@ class TestHeatmapBlocks:
         res=st.sampled_from([0.8, 1.5, 2.5, 4.0, 6.5]),
         layout=st.sampled_from([("A", 1)] + [(t, n) for t in "BC" for n in geo.GRID_COUNTS]),
         probe=st.sampled_from([1e8, 1e9, 2e9, 5e9]),
-        blockers=st.sampled_from([None, _HEATMAP_BODIES]),
         block=st.integers(1, 300),
     )
-    def test_blocks_match_the_whole_grid_pass(self, cells, last, res, layout, probe,
-                                              blockers, block):
+    def test_blocks_match_the_whole_grid_pass(self, cells, last, res, layout, probe, block):
         # room sides with a last cell a fraction `last` inside the wall, so
         # the x and y distance tables differ and every centre lies in the room
         (nx, ny), (fx, fy) = cells, last
@@ -649,7 +599,7 @@ class TestHeatmapBlocks:
         cfg = make_config(room=room, placement_type=layout[0], n_aps=layout[1])
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sim, "_CELL_BLOCK", block)  # ragged blocks, or one row each
-            grid = self.assert_matches_oracle(cfg, res, probe, blockers)
+            grid = self.assert_matches_oracle(cfg, res, probe)
         assert grid.rates_bps.shape == (nx, ny)
 
     def test_peak_memory_stays_below_the_whole_grid_pass(self):
@@ -666,40 +616,15 @@ class TestHeatmapBlocks:
 
 
 class TestBlockerArguments:
-    """associate() and heatmap() take blockers as blocked_matrix's own
-    (centers_xy, radius_m, height_m), one size for every body, and hand
-    them on as they are."""
-
-    @pytest.mark.parametrize("layout", [("A", 1), ("B", 4), ("B", 16), ("C", 4), ("C", 16)])
-    def test_no_bodies_change_no_cell(self, layout):
-        cfg = make_config(placement_type=layout[0], n_aps=layout[1])
-        clear = sim.heatmap(cfg, 50, 1e9)
-        empty = sim.heatmap(cfg, 50, 1e9, blockers=(np.empty((0, 2)), 0.1, 1.8))
-        assert empty.rates_bps.tobytes() == clear.rates_bps.tobytes()
-        assert np.array_equal(empty.labels, clear.labels)
+    """The association takes bodies as blocked_matrix's own (centers_xy,
+    radius_m, height_m), one size for every body."""
 
     def test_one_size_for_every_body_shades_and_reassociates(self):
         rng = np.random.default_rng(5)
         xy = rng.uniform(0.0, 10.0, (60, 2))
-        cfg = make_config(placement_type="B", n_aps=16)
-        shaded = sim.heatmap(cfg, 5.0, 1e9, blockers=(xy, 0.1, 1.8))
-        assert np.any(shaded.labels == sim.LABEL_SHADOW)
-        con = sim.build_constellation(cfg)
-        assert sim.associate(xy, con, blockers=(xy, 0.1, 1.8)) != sim.associate(xy, con)
-
-    @pytest.mark.parametrize("name,radius,height", [("radius_m", math.nan, 1.8),
-                                                    ("height_m", 0.1, math.inf),
-                                                    ("radius_m", np.full(2, 0.1), 1.8),
-                                                    ("height_m", 0.1, np.array([1.8, 1.6]))])
-    @pytest.mark.parametrize("entry", ["associate", "heatmap"])
-    def test_a_refused_body_names_its_argument(self, entry, name, radius, height):
-        bodies = (np.array([[2.0, 3.0], [7.0, 6.0]]), radius, height)
-        cfg = make_config()
-        with pytest.raises(ValueError, match=f"^{name}:"):
-            if entry == "associate":
-                sim.associate(bodies[0], sim.build_constellation(cfg), blockers=bodies)
-            else:
-                sim.heatmap(cfg, 1.0, 1e9, blockers=bodies)
+        ap = sim.build_constellation(make_config(placement_type="B", n_aps=16)).xyz
+        assert geo.blocked_matrix(ap, xy, 1.5, xy, 0.1, 1.8).any()
+        assert nearest_ap_ids(xy, ap, (xy, 0.1, 1.8)) != nearest_ap_ids(xy, ap)
 
 
 def _along_h(bases, heights):
