@@ -22,9 +22,9 @@ over every cell; `simulation.heatmap` fills the same grids block by
 block and must match it bit for bit. `nearest_ap_ids` is run()'s
 association of a set of positions, built from the library's own calls
 (`geometry.nearest` over `geometry.d_sq` and `geometry.blocked_matrix`),
-so the association rule can be checked point by point. `heatmap_csv_rows` is the heat-map
-CSV text built row by row from each cell's repr; `reporting.write_heatmap`
-must write exactly these bytes. `ApArrays` is one constellation's per-AP
+so the association rule can be checked point by point.
+`heatmap_csv_rows` is the heat-map CSV text built row by row from each
+cell's repr; `reporting.write_heatmap` must write exactly these bytes. `ApArrays` is one constellation's per-AP
 constants and `run_one` steps one config on its own, with its own crowd;
 `simulation.run` steps a batch of configs over one shared crowd and must
 give each config exactly the report `run_one` gives it. `best_ap_by_snr`

@@ -237,10 +237,12 @@ def test_the_dense_oracle_refuses_a_misshapen_array_too(name, index, value):
 def test_own_body_needs_one_blocker_per_user():
     ap = np.array([[5.0, 5.0, 3.0]])
     dev = np.array([[1.0, 1.0], [2.0, 2.0]])
-    with pytest.raises(ValueError, match="^centers_xy: "):
-        geo.blocked_matrix(ap, dev, 1.5, dev[:1], RADIUS, 1.8)
-    with pytest.raises(ValueError, match="^centers_xy: "):
-        nearest_ap_ids(dev, ap, (dev[:1], RADIUS, 1.8))
+    for devices, centers in ((dev, dev[:1]), (dev[:1], dev)):  # too few, too many
+        for kernel in (geo.blocked_matrix, blocked_matrix_dense):
+            with pytest.raises(ValueError, match="^centers_xy: "):
+                kernel(ap, devices, 1.5, centers, RADIUS, 1.8)
+        with pytest.raises(ValueError, match="^centers_xy: "):
+            nearest_ap_ids(devices, ap, (centers, RADIUS, 1.8))
 
 
 def test_a_numpy_scalar_size_is_that_number():
